@@ -1,28 +1,43 @@
 """Seeded Monte Carlo estimation of the horizon value and the perpetuity.
 
-Each path alternates rounds of two ingredients, both built from exact
-Gamma(k, mu) cycle draws (sums of k inverse-transform exponentials):
+Both estimators are built on the same model: a replacement falls at every
+k-th arrival of a Poisson(mu) demand stream, so cycle lengths are exact
+Gamma(k, mu) draws, and the payment at the n-th replacement is theta * D_n
+with discount product D_n = prod_{m<=n} e^(-r_eff X'_m).
 
-* a renewal *clock* S_1 < S_2 < ... deciding how many replacements fall
-  inside the horizon (S_n <= t), and
-* a running *discount product* D_n = prod_{m<=n} e^(-r_eff X'_m) priced
-  from an independent replication of the cycle sequence.
+The horizon value is a *conditional* (Rao-Blackwellised) estimator.  The
+renewal *clock* S_1 < S_2 < ... only decides how many replacements fall
+inside the horizon, and that count is exactly
 
-Keeping the clock and the discounting independent makes the estimator
-unbiased for the function the analytic methods compute,
+    N = floor(Poisson(mu * t) / k),
 
-    E[sum_n theta*D_n*1{S_n <= t}] = theta * sum_n q^n F*n(t),
+so each path draws one Poisson count.  The discount products are priced
+from a cycle sequence independent of the clock, with E[D_n] = q^n and
+q = (mu / (mu + r_eff))^k, so the path's payout given N has the exact
+expectation theta * sum_{n=1}^{N} q^n, which is the path's sample.
+Conditioning on N leaves the mean unchanged and cannot raise the variance
+(Asmussen & Glynn, *Stochastic Simulation*, 2007, ch. V), and
 
-mirroring the independence structure of the perpetuity identity
-V = e^(-rX) (theta + V).  (Discounting with the clock's own increments
-estimates a strictly larger function at finite horizons -- see the
-perpetuity-equation checker for the t = inf case where both coincide.)
+    E[theta * sum_{n<=N} q^n] = theta * sum_n q^n F*n(t)
 
-Determinism: every uniform block is drawn from a Philox counter-based
-stream keyed by (seed, stream domain, round index), and arrays are
-reduced in fixed path order, so results are bit-reproducible from
-(seed, n_paths, params, t / tail_tol) on any machine and unaffected by
-how the work would be scheduled.
+is the function the analytic methods compute.  Keeping the clock and the
+discounting independent mirrors the independence structure of the
+perpetuity identity V = e^(-rX) (theta + V).  (Discounting with the
+clock's own increments estimates a strictly larger function at finite
+horizons -- see the perpetuity-equation checker for the t = inf case where
+both coincide.)
+
+The perpetuity keeps simulating the discount products themselves, round
+by round from uniform blocks, until each path's discount falls below
+tail_tol; the perpetuity-equation checker tests that simulation against
+its defining identity.
+
+Determinism: every draw comes from a Philox counter-based stream keyed by
+(seed, stream domain, round index), and arrays are reduced in fixed path
+order, so results are bit-reproducible from (seed, n_paths, params, t /
+tail_tol) on the same numpy version and unaffected by how the work would
+be scheduled.  The numpy version is part of the recipe because the
+horizon clock uses ``Generator.poisson``, numpy's own sampler.
 """
 
 from __future__ import annotations
@@ -39,9 +54,9 @@ __all__ = ["MCEstimate", "simulate_wk", "simulate_vk", "verify_perpetuity_equati
 DEFAULT_TAIL_TOL = 1e-12
 
 # Stream domains; each (seed, domain, round) triple is an independent
-# Philox substream, so the clock never shares uniforms with the pricing.
+# Philox substream.  The numbers key the draws, so they are part of the
+# reproducibility recipe and must never be reassigned.
 _WK_CLOCK = 0
-_WK_PRICE = 1
 _VK_PRICE = 2
 _PERP_X = 3
 _PERP_V = 4
@@ -54,11 +69,14 @@ _PROD_CHUNK = 48
 class MCEstimate:
     """Sample mean with its standard error and full reproduction recipe.
 
-    ``stderr`` is the sample standard deviation over sqrt(n_paths); the
-    estimate is bit-reproducible from (seed, n_paths) and the call's
-    parameters.  ``truncation_bias_bound`` is set on perpetuity runs only:
-    the stopped tail is worth D_stop * v in expectation, hence at most
-    tail_tol * |v|.
+    ``stderr`` is the sample standard deviation over sqrt(n_paths): the
+    sampling error only, not a floating-point error bound.  Where every
+    sample rounds to the same value (a horizon so long that every q^N
+    underflows) it is 0 or below one ulp of the mean.  The estimate is
+    bit-reproducible from (seed, n_paths) and the call's parameters on the
+    same numpy version.  ``truncation_bias_bound`` is set on perpetuity
+    runs only: the stopped tail is worth D_stop * v in expectation, hence
+    at most tail_tol * |v|.
     """
 
     mean: float
@@ -106,37 +124,32 @@ def _estimate(samples: np.ndarray, seed: int, bias_bound: float | None = None) -
 
 
 def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEstimate:
-    """Estimate the horizon-t value from n_paths simulated payment streams.
+    """Estimate the horizon-t value by conditional Monte Carlo over n_paths.
 
-    Per round, every live path draws one clock cycle and one independent
-    pricing cycle; a payment theta * D_n accrues while the clock stays
-    within the horizon, and paths whose clock has passed t are retired.
+    Each path draws the number of completed cycles by t,
+    N = floor(Poisson(mu*t) / k), from one clock stream, and its sample is
+    the exact conditional payout theta * sum_{n=1}^{N} q^n.  The geometric
+    sum is evaluated as theta * q * expm1(N ln q) / expm1(ln q), which keeps
+    full relative accuracy when q is close to 1.  Raises ValueError for a
+    non-finite t: the infinite-horizon value is :func:`simulate_vk`.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(
+            f"t must be finite, got {t}; simulate the perpetual value with "
+            "simulate_vk (CLI: simulate --perpetual)"
+        )
     if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
     seed = _check_seed(seed)
     eff = effective(params)
     k, mu = params.k, params.mu
-    n_paths = int(n_paths)
 
-    clock = np.zeros(n_paths)
-    log_discount = np.zeros(n_paths)
-    payout = np.zeros(n_paths)
-    alive = np.arange(n_paths)
-    round_index = 0
-    while alive.size:
-        round_index += 1
-        log_prod_clock = _log_cycle_products(seed, _WK_CLOCK, round_index, alive.size, k)
-        log_prod_price = _log_cycle_products(seed, _WK_PRICE, round_index, alive.size, k)
-        clock[alive] -= log_prod_clock / mu
-        log_discount[alive] += (eff.r_eff / mu) * log_prod_price
-        inside = clock[alive] <= t
-        payers = alive[inside]
-        payout[payers] += eff.theta * np.exp(log_discount[payers])
-        alive = payers
-    return _estimate(payout, seed)
+    cycles = _stream(seed, _WK_CLOCK, 1).poisson(mu * t, int(n_paths)) // k
+    log_q = -k * math.log1p(eff.r_eff / mu)
+    scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
+    return _estimate(scale * np.expm1(cycles * log_q), seed)
 
 
 def _perpetuity_samples(

@@ -270,6 +270,14 @@ class TestSimulate:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_infinite_horizon_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--horizon", "inf", *TABLE_FLAGS, "--paths", "5000", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--perpetual" in err
+
     def test_mode_required(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", *TABLE_FLAGS, "--paths", "100", "--seed", "1")
         assert code == 2
@@ -296,7 +304,8 @@ class TestOutputHygiene:
         assert out.splitlines()[0] == "t,method,value,stderr"
 
     def test_reruns_byte_identical(self, capsys):
-        argv = ["compare", *TABLE_FLAGS, "--t-max", "30", "--step", "10", "--h", "0.1"]
+        argv = ["compare", *TABLE_FLAGS, "--t-max", "30", "--step", "10", "--h", "0.1",
+                "--with-mc", "--paths", "20000", "--seed", "5"]
         _, first, _ = run_cli(capsys, *argv)
         _, second, _ = run_cli(capsys, *argv)
         assert first == second

@@ -1,9 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk, verify_perpetuity_equation
+from restock.montecarlo import (
+    _WK_CLOCK,
+    MCEstimate,
+    _stream,
+    simulate_vk,
+    simulate_wk,
+    verify_perpetuity_equation,
+)
 from restock.valuation import (
     FixedCost,
     LinearCost,
@@ -26,6 +34,12 @@ class TestValidation:
     def test_horizon_must_be_positive(self):
         with pytest.raises(ValueError):
             simulate_wk(TABLE, 0.0, 100, 1)
+
+    def test_infinite_horizon_points_to_the_perpetuity(self):
+        with pytest.raises(ValueError, match="simulate_vk"):
+            simulate_wk(TABLE, math.inf, 100, 1)
+        with pytest.raises(ValueError):
+            simulate_wk(TABLE, math.nan, 100, 1)
 
     def test_paths_must_be_at_least_two(self):
         with pytest.raises(ValueError):
@@ -59,6 +73,11 @@ class TestDeterminism:
         b = simulate_vk(TABLE, 20_000, 7)
         assert a == b
 
+    def test_vk_value_pinned(self):
+        # the perpetuity's stream domains are part of the recipe: a shifted
+        # domain moves this mean by about one stderr (0.03)
+        assert simulate_vk(TABLE, 20_000, 7).mean == pytest.approx(41.06835224525766, rel=1e-12)
+
     def test_seed_changes_result(self):
         a = simulate_wk(TABLE, 10.0, 40_000, 42)
         b = simulate_wk(TABLE, 10.0, 40_000, 43)
@@ -82,6 +101,40 @@ class TestHorizonValue:
         est = simulate_wk(K1, 50.0, 300_000, 3)
         target = exact_k1_value(K1, 50.0)
         assert abs(est.mean - target) < 4.0 * est.stderr
+
+    def test_flagship_long_horizon_precision(self):
+        est = simulate_wk(TABLE, 500.0, 100_000, 42)
+        target = series_value(TABLE, 500.0, 1e-12)
+        assert est.stderr < 1e-4
+        assert abs(est.mean - target) < 4.0 * est.stderr
+
+    def test_saturated_horizon_returns_the_perpetual_value(self):
+        # at t = 3000 every path's q^N = 2^-N underflows, so every sample
+        # rounds to v and the sampling error vanishes
+        est = simulate_wk(UNIT, 3000.0, 100_000, 13)
+        v = perpetual_value(UNIT)
+        assert abs(est.mean - v) <= 1e-12 * v
+        assert est.stderr <= math.ulp(est.mean)
+
+    def test_samples_are_exact_conditional_payouts(self):
+        # q within 1e-5 of 1: the closed-form geometric sum must match an
+        # explicit term-by-term sum over the same clock draws
+        params = ModelParams(k=3, mu=2.0, r=2e-6, cost=FixedCost(theta=1.5))
+        t, n_paths, seed = 7.0, 2_000, 19
+        cycles = _stream(seed, _WK_CLOCK, 1).poisson(params.mu * t, n_paths) // params.k
+        q = (params.mu / (params.mu + params.r)) ** params.k
+        reference = math.fsum(1.5 * math.fsum(q**n for n in range(1, int(c) + 1)) for c in cycles) / n_paths
+        assert simulate_wk(params, t, n_paths, seed).mean == pytest.approx(reference, rel=1e-12)
+
+    def test_large_stock_memory_stays_linear_in_paths(self):
+        params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        tracemalloc.start()
+        try:
+            simulate_wk(params, 5000.0, 100_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_negligible_horizon_pays_nothing(self):
         est = simulate_wk(TABLE, 1e-6, 50_000, 5)
