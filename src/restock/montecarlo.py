@@ -64,6 +64,10 @@ _PERP_V = 4
 # log-products of more uniforms than this are chunked to dodge underflow
 _PROD_CHUNK = 48
 
+# uniforms drawn per block; successive blocks of one stream continue its
+# sequence, so the block size bounds memory without changing any draw
+_DRAW_BLOCK = 2**19
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -104,15 +108,19 @@ def _log_cycle_products(seed: int, domain: int, round_index: int, n: int, k: int
 
     The k-fold product replaces k logarithms with one; chunking every
     _PROD_CHUNK columns keeps the partial products above the underflow
-    threshold for any k.
+    threshold for any k.  The (n, k) uniforms are drawn in row blocks of at
+    most _DRAW_BLOCK elements, which fill the same values as one draw.
     """
-    u = _stream(seed, domain, round_index).random((n, k))
-    np.subtract(1.0, u, out=u)
-    if k <= _PROD_CHUNK:
-        return np.log(u.prod(axis=1))
+    rng = _stream(seed, domain, round_index)
+    rows = max(1, _DRAW_BLOCK // k)
     out = np.zeros(n)
-    for lo in range(0, k, _PROD_CHUNK):
-        out += np.log(u[:, lo : lo + _PROD_CHUNK].prod(axis=1))
+    for start in range(0, n, rows):
+        u = rng.random((min(rows, n - start), k))
+        np.subtract(1.0, u, out=u)
+        block = out[start : start + rows]
+        for lo in range(0, k, _PROD_CHUNK):
+            part = u[:, lo : lo + _PROD_CHUNK].prod(axis=1)
+            block += np.log(part, out=part)
     return out
 
 

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from restock import montecarlo
 from restock.montecarlo import (
     _WK_CLOCK,
     MCEstimate,
+    _log_cycle_products,
     _stream,
     simulate_vk,
     simulate_wk,
@@ -175,6 +177,22 @@ class TestPerpetuity:
         assert loose.truncation_bias_bound > tight.truncation_bias_bound
         # looser stopping can only drop payments
         assert loose.mean <= tight.mean + 1e-9
+
+    @pytest.mark.parametrize("k", [3, 60])
+    def test_block_draws_fill_the_single_draw(self, k, monkeypatch):
+        whole = _log_cycle_products(5, 2, 1, 1001, k)
+        monkeypatch.setattr(montecarlo, "_DRAW_BLOCK", 50)
+        assert np.array_equal(_log_cycle_products(5, 2, 1, 1001, k), whole)
+
+    def test_large_stock_draws_in_bounded_memory(self):
+        params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        tracemalloc.start()
+        try:
+            simulate_vk(params, 20_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPerpetuityEquation:

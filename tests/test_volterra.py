@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import volterra_direct
 from restock.distributions import GammaLaw, gamma_cdf
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 from restock.volterra import GridSpec, erlang_cdf_grid, solve_renewal
@@ -62,13 +64,14 @@ class TestSolveRenewal:
         assert np.abs(curve.values - exact).max() < 1e-4
 
     def test_halving_step_quarters_error(self):
+        # down to fine steps, so round-off must not pollute the O(h^2) order
         errors = []
-        for h in (0.1, 0.05):
+        for h in (0.1, 0.05, 0.025, 0.0125):
             curve = solve_renewal(K1, GridSpec(t_max=500.0, h=h))
             exact = np.array([exact_k1_value(K1, float(t)) for t in curve.times])
             errors.append(np.abs(curve.values - exact).max())
-        ratio = errors[0] / errors[1]
-        assert 3.5 <= ratio <= 4.5
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
 
     def test_flagship_point_against_series(self):
         curve = solve_renewal(TABLE, GridSpec(t_max=10.0, h=0.01))
@@ -89,6 +92,24 @@ class TestSolveRenewal:
         curve = solve_renewal(TABLE, GridSpec(t_max=120.0, h=h))
         assert np.all(np.diff(curve.values) >= -1e-12)
         assert curve.values.max() <= perpetual_value(TABLE) + 10.0 * h * h
+
+    def test_large_stock_stays_nonnegative_and_monotone(self):
+        # w is ~0 for t well below k/mu, where FFT round-off would dip below 0
+        params = ModelParams(k=200, mu=1.0, r=0.02, cost=FixedCost(1.0))
+        values = solve_renewal(params, GridSpec(t_max=500.0, h=0.05)).values
+        assert values.min() >= 0.0
+        assert np.diff(values).min() >= -1e-12
+
+    def test_flagship_fine_grid_memory(self):
+        grid = GridSpec(t_max=500.0, h=0.01)
+        solve_renewal(TABLE, GridSpec(t_max=10.0, h=0.01))  # lazy numpy.fft import
+        tracemalloc.start()
+        try:
+            solve_renewal(TABLE, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.2e6
 
     def test_defective_kernel_mass(self):
         # the kernel mass phi^k is strictly inside (0, 1) for every valid model
@@ -115,3 +136,30 @@ class TestSolveRenewal:
         for t in (5.0, 10.0, 20.0):
             index = round(t / h)
             assert abs(curve.values[index] - series_value(params, t, 1e-10)) < max(20.0 * h * h * theta, 1e-6)
+
+
+class TestAgainstDirectRecursion:
+    """The FFT division solves the same discrete equation as the step-by-step
+    recursion, up to round-off relative to the curve's size."""
+
+    @staticmethod
+    def _check(params, grid):
+        curve = solve_renewal(params, grid)
+        times, direct = volterra_direct(params, grid)
+        assert np.array_equal(curve.times, times)
+        assert np.abs(curve.values - direct).max() <= 1e-12 * np.abs(direct).max()
+
+    @given(
+        k=st.integers(1, 30),
+        mu=st.floats(0.2, 5.0),
+        r=st.floats(1e-5, 0.5),
+        h=st.sampled_from([0.1, 0.05, 0.02]),
+    )
+    @settings(max_examples=25)
+    def test_random_models(self, k, mu, r, h):
+        # the horizon spans two mean cycles, so w is well above round-off
+        n = math.ceil((2.0 * k / mu + 5.0) / h)
+        self._check(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(1.0)), GridSpec(t_max=n * h, h=h))
+
+    def test_flagship_fine_grid(self):
+        self._check(TABLE, GridSpec(t_max=500.0, h=0.01))
