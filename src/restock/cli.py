@@ -148,10 +148,16 @@ def _volterra_values(params: ModelParams, times: list[float], h: float) -> list[
     return values
 
 
-def _method_rows(params: ModelParams, method: str, times: list[float], args: argparse.Namespace) -> list[tuple]:
+def _method_rows(
+    params: ModelParams,
+    method: str,
+    times: list[float],
+    args: argparse.Namespace,
+    series_tol: float = DEFAULT_SERIES_TOL,
+) -> list[tuple]:
     """Rows (t, method, value, stderr-or-None) for one method tag."""
     if method == "series":
-        return [(t, method, series_value(params, t, args.tol), None) for t in times]
+        return [(t, method, series_value(params, t, series_tol), None) for t in times]
     if method == "volterra":
         values = _volterra_values(params, times, args.h)
         return [(t, method, v, None) for t, v in zip(times, values)]
@@ -241,7 +247,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         methods = [args.method]
     rows: list[tuple] = []
     for method in methods:
-        rows.extend(_method_rows(params, method, times, args))
+        rows.extend(_method_rows(params, method, times, args, series_tol=args.tol))
     if args.out == "csv":
         _emit(_rows_to_csv(rows))
     else:
@@ -264,6 +270,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     params = _build_params(args)
     times = _time_grid(args.t_max, args.step)
     per_method: dict[str, list[tuple]] = {}
+    # --tol is the agreement gate only: the series is the ground truth at
+    # its default tolerance, whatever the gate
     for method in ANALYTIC_COMPARE:
         per_method[method] = _method_rows(params, method, times, args)
     if args.with_mc:

@@ -27,17 +27,20 @@ clock's own increments estimates a strictly larger function at finite
 horizons -- see the perpetuity-equation checker for the t = inf case where
 both coincide.)
 
-The perpetuity keeps simulating the discount products themselves, round
-by round from uniform blocks, until each path's discount falls below
-tail_tol; the perpetuity-equation checker tests that simulation against
-its defining identity.
+The perpetuity keeps simulating the discount products themselves: each
+round draws one Gamma(k, 1) variate per live path, mu times its cycle
+length, and stops a path once its discount falls below tail_tol; the
+perpetuity-equation checker tests that simulation against its defining
+identity.
 
 Determinism: every draw comes from a Philox counter-based stream keyed by
 (seed, stream domain, round index), and arrays are reduced in fixed path
 order, so results are bit-reproducible from (seed, n_paths, params, t /
 tail_tol) on the same numpy version and unaffected by how the work would
 be scheduled.  The numpy version is part of the recipe because the
-horizon clock uses ``Generator.poisson``, numpy's own sampler.
+horizon clock uses ``Generator.poisson`` and the perpetuity cycles use
+``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS 26(3), 2000),
+numpy's own samplers.
 """
 
 from __future__ import annotations
@@ -60,13 +63,6 @@ _WK_CLOCK = 0
 _VK_PRICE = 2
 _PERP_X = 3
 _PERP_V = 4
-
-# log-products of more uniforms than this are chunked to dodge underflow
-_PROD_CHUNK = 48
-
-# uniforms drawn per block; successive blocks of one stream continue its
-# sequence, so the block size bounds memory without changing any draw
-_DRAW_BLOCK = 2**19
 
 
 @dataclass(frozen=True)
@@ -98,30 +94,18 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_paths(n_paths: int, tail_tol: float | None = None) -> int:
+    """Validate the path count and, for perpetuity runs, the stopping discount."""
+    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
+        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
+    if tail_tol is not None and not 0 < tail_tol < 1:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    return int(n_paths)
+
+
 def _stream(seed: int, domain: int, round_index: int) -> np.random.Generator:
     key = np.array([seed, (domain << 56) | round_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _log_cycle_products(seed: int, domain: int, round_index: int, n: int, k: int) -> np.ndarray:
-    """ln prod_{j<k}(1 - U_j) per path: -mu * (one gamma cycle draw).
-
-    The k-fold product replaces k logarithms with one; chunking every
-    _PROD_CHUNK columns keeps the partial products above the underflow
-    threshold for any k.  The (n, k) uniforms are drawn in row blocks of at
-    most _DRAW_BLOCK elements, which fill the same values as one draw.
-    """
-    rng = _stream(seed, domain, round_index)
-    rows = max(1, _DRAW_BLOCK // k)
-    out = np.zeros(n)
-    for start in range(0, n, rows):
-        u = rng.random((min(rows, n - start), k))
-        np.subtract(1.0, u, out=u)
-        block = out[start : start + rows]
-        for lo in range(0, k, _PROD_CHUNK):
-            part = u[:, lo : lo + _PROD_CHUNK].prod(axis=1)
-            block += np.log(part, out=part)
-    return out
 
 
 def _estimate(samples: np.ndarray, seed: int, bias_bound: float | None = None) -> MCEstimate:
@@ -148,13 +132,12 @@ def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEst
             f"t must be finite, got {t}; simulate the perpetual value with "
             "simulate_vk (CLI: simulate --perpetual)"
         )
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
-        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
+    n_paths = _check_paths(n_paths)
     seed = _check_seed(seed)
     eff = effective(params)
     k, mu = params.k, params.mu
 
-    cycles = _stream(seed, _WK_CLOCK, 1).poisson(mu * t, int(n_paths)) // k
+    cycles = _stream(seed, _WK_CLOCK, 1).poisson(mu * t, n_paths) // k
     log_q = -k * math.log1p(eff.r_eff / mu)
     scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
     return _estimate(scale * np.expm1(cycles * log_q), seed)
@@ -163,21 +146,31 @@ def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEst
 def _perpetuity_samples(
     params: ModelParams, n_paths: int, seed: int, tail_tol: float, domain: int
 ) -> np.ndarray:
-    """Per-path discounted payment totals, truncated at discount < tail_tol."""
+    """Per-path discounted payment totals, truncated at discount < tail_tol.
+
+    The live arrays are kept compacted: a retiring path's total is written
+    once to its slot of the result, and the rest shrink to the survivors.
+    """
     eff = effective(params)
     k, mu = params.k, params.mu
     log_tail = math.log(tail_tol)
+    out = np.empty(n_paths)
+    slots = np.arange(n_paths)
     log_discount = np.zeros(n_paths)
     payout = np.zeros(n_paths)
-    alive = np.arange(n_paths)
     round_index = 0
-    while alive.size:
+    while slots.size:
         round_index += 1
-        log_prod = _log_cycle_products(seed, domain, round_index, alive.size, k)
-        log_discount[alive] += (eff.r_eff / mu) * log_prod
-        payout[alive] += eff.theta * np.exp(log_discount[alive])
-        alive = alive[log_discount[alive] >= log_tail]
-    return payout
+        cycle = _stream(seed, domain, round_index).standard_gamma(k, slots.size)
+        cycle *= eff.r_eff / mu
+        log_discount -= cycle
+        payout += eff.theta * np.exp(log_discount, out=cycle)
+        retired = log_discount < log_tail
+        if retired.any():
+            out[slots[retired]] = payout[retired]
+            live = ~retired
+            slots, log_discount, payout = slots[live], log_discount[live], payout[live]
+    return out
 
 
 def simulate_vk(
@@ -191,13 +184,10 @@ def simulate_vk(
     estimate is biased low by at most tail_tol * |v| (reported, not
     corrected).
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
-        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    if not 0 < tail_tol < 1:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    n_paths = _check_paths(n_paths, tail_tol)
     seed = _check_seed(seed)
     eff = effective(params)
-    samples = _perpetuity_samples(params, int(n_paths), seed, tail_tol, _VK_PRICE)
+    samples = _perpetuity_samples(params, n_paths, seed, tail_tol, _VK_PRICE)
     return _estimate(samples, seed, bias_bound=tail_tol * abs(eff.v))
 
 
@@ -211,18 +201,12 @@ def verify_perpetuity_equation(
     all from dedicated substreams.  The two means agree within sampling
     error iff the simulated perpetuity satisfies its defining identity.
     """
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
-        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    if not 0 < tail_tol < 1:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    n_paths = _check_paths(n_paths, tail_tol)
     seed = _check_seed(seed)
     eff = effective(params)
-    k, mu = params.k, params.mu
-    n_paths = int(n_paths)
 
     lhs = simulate_vk(params, n_paths, seed, tail_tol)
-    log_prod = _log_cycle_products(seed, _PERP_X, 1, n_paths, k)
-    x = -log_prod / mu
+    x = _stream(seed, _PERP_X, 1).standard_gamma(params.k, n_paths) / params.mu
     fresh_v = _perpetuity_samples(params, n_paths, seed, tail_tol, _PERP_V)
     rhs_samples = np.exp(-eff.r_eff * x) * (eff.theta + fresh_v)
     rhs = _estimate(rhs_samples, seed)

@@ -47,6 +47,10 @@ __all__ = [
 DEFAULT_SERIES_TOL = 1e-9
 DEFAULT_KMAX = 10**6
 
+# unit roundoff of a double: a tail below this fraction of a sum is within
+# the rounding error of the sum itself
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _finite(x) -> bool:
     return isinstance(x, (int, float)) and math.isfinite(x)
@@ -199,11 +203,22 @@ def perpetual_value(params: ModelParams) -> float:
 
 
 def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """w(t) by the convolution series, truncated under the geometric tail bound.
+    """w(t) by the convolution series, truncated under a rigorous tail bound.
 
-    Summation stops after N terms once |theta| * q^(N+1) / (1 - q) < tol,
-    which bounds the discarded tail because every F*n(t) is at most 1; the
-    result is therefore within ``tol`` of the full series.
+    Every F*m(t) with m > N is at most F*(N+1)(t), so the tail after N
+    terms is at most tail(N) * F*(N+1)(t) with tail(N) = q^(N+1) / (1 - q).
+    Summation stops after N terms once either
+
+    - |theta| * tail(N) < tol, using only F* <= 1: the result is within
+      ``tol`` of the full series; or
+    - tail(N) * C(N+1) <= 2^-53 * (sum so far), where C(m) bounds
+      F*m(t) = P(Poisson(mu t) >= m k) by Chernoff's
+      exp(m k - mu t - m k ln(m k / (mu t))) once m k > mu t: the rest of
+      the series is below the rounding error of the double-precision sum.
+
+    The second rule ends the series after a few dozen terms where q is
+    close to 1 (small r), which the first alone would need ~1/(1 - q)
+    terms for.
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -213,6 +228,8 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
     if t == 0.0:
         return 0.0
     law = params.law
+    k = params.k
+    lam = params.mu * t
     q = eff.phi_k
     tail_scale = abs(eff.theta) / (1.0 - q)
     total = 0.0
@@ -222,8 +239,14 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
         n += 1
         q_pow *= q
         total += q_pow * convolution_cdf(n, t, law)
-        if tail_scale * q_pow * q < tol:
+        bound = tail_scale * q_pow * q
+        if bound < tol:
             break
+        x = (n + 1) * k
+        if x > lam:
+            chernoff = math.exp(x - lam - x * math.log(x / lam))
+            if bound * chernoff <= _UNIT_ROUNDOFF * abs(eff.theta) * total:
+                break
     return eff.theta * total
 
 

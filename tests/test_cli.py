@@ -7,7 +7,7 @@ import pytest
 
 from restock import __version__
 from restock.cli import CSV_HEADER, main
-from restock.valuation import FixedCost, LinearCost, ModelParams, perpetual_value, series_value
+from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 
 TABLE_FLAGS = ["--k", "10", "--mu", "1", "--r", "0.02", "--a", "1", "--b", "1"]
 
@@ -167,6 +167,17 @@ class TestCompare:
         )
         assert code == 1
         assert "FAIL" in err
+
+    def test_gate_leaves_the_series_ground_truth(self, capsys):
+        # a loose agreement gate must not loosen the series truncation
+        code, out, _ = run_cli(
+            capsys, "compare", "--k", "1", "--mu", "1", "--r", "0.02", "--a", "0", "--b", "1",
+            "--t-max", "500", "--step", "250", "--tol", "0.05", "--out", "json",
+        )
+        assert code == 0
+        params = ModelParams(k=1, mu=1.0, r=0.02, cost=LinearCost(0.0, 1.0))
+        series = {row["t"]: row["value"] for row in json.loads(out)["rows"] if row["method"] == "series"}
+        assert series[500.0] == pytest.approx(exact_k1_value(params, 500.0), abs=1e-8)
 
     def test_mc_column_tracks_series(self, capsys):
         code, out, _ = run_cli(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restock import valuation
 from restock.distributions import GammaLaw, gamma_cdf
 from restock.quadrature import adaptive_simpson, gamma_tail_bound
 from restock.valuation import (
@@ -172,6 +173,22 @@ class TestSeriesValue:
             series_value(TABLE, -1.0)
         with pytest.raises(ValueError):
             series_value(TABLE, 1.0, tol=0.0)
+
+    def test_small_rate_stops_on_the_poisson_tail(self, monkeypatch):
+        # q = 1/(1 + 1e-6): the geometric bound alone needs ~3e7 terms, but
+        # F*n(10) falls below double precision of the sum after a few dozen
+        params = ModelParams(k=1, mu=1.0, r=1e-6, cost=FixedCost(theta=1.0))
+        calls = []
+        convolution_cdf = valuation.convolution_cdf
+
+        def counted(n, t, law):
+            calls.append(n)
+            return convolution_cdf(n, t, law)
+
+        monkeypatch.setattr(valuation, "convolution_cdf", counted)
+        value = series_value(params, 10.0)
+        assert len(calls) < 200
+        assert value == pytest.approx(exact_k1_value(params, 10.0), abs=1e-9)
 
     @given(params=params_strategy(max_k=8), t1=st.floats(0.0, 80.0), t2=st.floats(0.0, 80.0))
     @settings(max_examples=30)
