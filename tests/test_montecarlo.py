@@ -176,6 +176,14 @@ class TestPerpetuity:
         # looser stopping can only drop payments
         assert loose.mean <= tight.mean + 1e-9
 
+    @pytest.mark.parametrize("k", [3, 60])
+    def test_block_draws_fill_the_single_draw(self, k):
+        # each round's block of k exponential cycles is one Gamma(k) draw per
+        # path; the perpetuity it builds must still price to the closed form
+        params = ModelParams(k=k, mu=1.0, r=0.05, cost=FixedCost(theta=1.0))
+        est = simulate_vk(params, 40_000, 5)
+        assert abs(est.mean - perpetual_value(params)) < 4.0 * est.stderr
+
     def test_large_stock_draws_in_bounded_memory(self):
         params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
         tracemalloc.start()
