@@ -23,6 +23,7 @@ from restock.distributions import (
     gamma_cdf,
     gamma_pdf,
     laplace_phi,
+    poisson_tails,
     sample_renewal_time,
 )
 from restock.laplace import InversionConfig, invert, w_hat
@@ -42,6 +43,7 @@ from restock.valuation import (
     effective,
     exact_k1_value,
     optimal_stock,
+    optimal_stock_scan,
     perpetual_value,
     residual_value,
     series_value,
@@ -57,6 +59,7 @@ __all__ = [
     "gamma_pdf",
     "gamma_cdf",
     "convolution_cdf",
+    "poisson_tails",
     "counting_pmf",
     "counting_pgf",
     "laplace_phi",
@@ -74,6 +77,7 @@ __all__ = [
     "asymptotic_value",
     "exact_k1_value",
     "optimal_stock",
+    "optimal_stock_scan",
     "tilted_kernel_moments",
     "GridSpec",
     "solve_renewal",

@@ -38,7 +38,7 @@ from restock.valuation import (
     asymptotic_value,
     effective,
     exact_k1_value,
-    optimal_stock,
+    optimal_stock_scan,
     series_value,
 )
 from restock.volterra import DEFAULT_STEP, GridSpec, solve_renewal
@@ -312,21 +312,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    k_star, v_star = optimal_stock(args.a, args.b, args.mu, args.r, k_max=args.k_max, growth=args.growth)
-    # re-scan for the report: every candidate up to the proven stopping point
-    log_alpha = math.log1p((args.r - args.growth) / args.mu)
-    scan: list[tuple[int, float]] = []
-    k = max(1, math.floor(args.a / args.b) + 1)
-    while args.b * k <= args.a:
-        k += 1
-    while True:
-        denom = math.expm1(k * log_alpha)
-        if scan and args.b * k / denom < v_star:
-            break
-        scan.append((k, (args.b * k - args.a) / denom))
-        k += 1
-        if args.k_max is not None and k > args.k_max:
-            break
+    k_star, v_star, scan = optimal_stock_scan(args.a, args.b, args.mu, args.r, k_max=args.k_max, growth=args.growth)
     if args.out == "csv":
         lines = ["k,v,is_optimal"]
         lines.extend(f"{kk},{_fmt(vv)},{1 if kk == k_star else 0}" for kk, vv in scan)

@@ -24,7 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import GammaLaw, convolution_cdf, gamma_cdf, gamma_pdf
+from restock.distributions import GammaLaw, gamma_cdf, gamma_pdf, poisson_tails
+# The series no longer calls convolution_cdf; the name stays bound here
+# because perfbench/spans.py wraps it at this module as a benchmark layer.
+from restock.distributions import convolution_cdf  # noqa: F401
 from restock.quadrature import adaptive_simpson, truncation_point
 
 __all__ = [
@@ -41,6 +44,7 @@ __all__ = [
     "asymptotic_value",
     "exact_k1_value",
     "optimal_stock",
+    "optimal_stock_scan",
     "tilted_kernel_moments",
 ]
 
@@ -219,6 +223,12 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
     The second rule ends the series after a few dozen terms where q is
     close to 1 (small r), which the first alone would need ~1/(1 - q)
     terms for.
+
+    ``tol`` bounds the truncation only.  Rounding of the N-term sum adds up
+    to about N * 2^-53 * |sum| (each F*n is exact to a few ulps), which is
+    above ``tol`` for long sums: ~1e4 terms of a value near 1e4 at k = 1,
+    r = 1e-8, t = 1e4 carry ~2e-9.  All terms F*n(t) for one t come from a
+    single walk of the Poisson(mu t) pmf (:func:`poisson_tails`).
     """
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
@@ -227,9 +237,9 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
     eff = effective(params)
     if t == 0.0:
         return 0.0
-    law = params.law
     k = params.k
     lam = params.mu * t
+    tails = poisson_tails(lam, k)  # F*n(t) = P(Poisson(mu t) >= n k), n = 1, 2, ...
     q = eff.phi_k
     tail_scale = abs(eff.theta) / (1.0 - q)
     total = 0.0
@@ -238,7 +248,7 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
     while True:
         n += 1
         q_pow *= q
-        total += q_pow * convolution_cdf(n, t, law)
+        total += q_pow * next(tails)
         bound = tail_scale * q_pow * q
         if bound < tol:
             break
@@ -289,15 +299,15 @@ def exact_k1_value(params: ModelParams, t: float) -> float:
     return -(eff.theta * params.mu / eff.r_eff) * math.expm1(-eff.rho * t)
 
 
-def optimal_stock(
+def optimal_stock_scan(
     a: float,
     b: float,
     mu: float,
     r: float,
     k_max: int | None = None,
     growth: float = 0.0,
-) -> tuple[int, float]:
-    """Stock size maximising the perpetual value under linear costs.
+) -> tuple[int, float, list[tuple[int, float]]]:
+    """Stock size maximising the perpetual value under linear costs, with its scan.
 
     Scans v_k = (b*k - a) / (alpha^k - 1) upward from the first k with
     positive payoff.  The envelope b*k / (alpha^k - 1) is strictly
@@ -305,7 +315,8 @@ def optimal_stock(
     as the envelope falls below the incumbent; ``k_max`` (default 10^6)
     caps the search domain.  Ties break toward the smaller k.
 
-    Returns (k*, v*); raises if no k <= k_max has b*k > a.
+    Returns (k*, v*, scan), where scan lists (k, v_k) for every candidate
+    up to the stopping point; raises if no k <= k_max has b*k > a.
     """
     if not (_finite(a) and a >= 0):
         raise ValueError(f"fixed cost a must be a nonnegative real, got {a!r}")
@@ -325,17 +336,32 @@ def optimal_stock(
     first = max(1, math.floor(a / b) + 1)
     while first <= cap and b * first <= a:  # float guard at the feasibility edge
         first += 1
+    scan: list[tuple[int, float]] = []
     best_k, best_v = None, -math.inf
     for k in range(first, cap + 1):
         denom = math.expm1(k * log_alpha)
         if best_k is not None and b * k / denom < best_v:
             break
         value = (b * k - a) / denom
+        scan.append((k, value))
         if value > best_v:
             best_k, best_v = k, value
     if best_k is None:
         raise ValueError(f"no stock size up to k_max={cap} has positive payoff b*k - a")
-    return best_k, best_v
+    return best_k, best_v, scan
+
+
+def optimal_stock(
+    a: float,
+    b: float,
+    mu: float,
+    r: float,
+    k_max: int | None = None,
+    growth: float = 0.0,
+) -> tuple[int, float]:
+    """(k*, v*) of :func:`optimal_stock_scan`, without the scan."""
+    k_star, v_star, _ = optimal_stock_scan(a, b, mu, r, k_max=k_max, growth=growth)
+    return k_star, v_star
 
 
 def tilted_kernel_moments(params: ModelParams, abs_tol: float = 1e-10) -> tuple[float, float]:

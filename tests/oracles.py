@@ -74,15 +74,14 @@ def volterra_direct(params, grid):
     with a dot product per step.  Returns (times, values).
     """
     from restock.valuation import effective
-    from restock.volterra import erlang_cdf_grid
+    from restock.distributions import erlang_cdf_grid
 
     eff = effective(params)
     k, mu = params.k, params.mu
     h = grid.h
     n = grid.n_steps
     times = np.arange(n + 1) * h
-    cdf_k = erlang_cdf_grid(k, mu, times)
-    cdf_k1 = erlang_cdf_grid(k + 1, mu, times)
+    cdf_k, cdf_k1 = erlang_cdf_grid(k, mu, times)
     a_panel = cdf_k[1:] - cdf_k[:-1]
     first_moment = (k / mu) * (cdf_k1[1:] - cdf_k1[:-1])
     b_panel = (first_moment - times[:-1] * a_panel) / h

@@ -214,6 +214,18 @@ class TestOptimize:
         assert report["k_star"] == 1
         assert report["v_star"] == pytest.approx(50.0, rel=1e-12)
 
+    def test_scan_is_the_library_scan(self, capsys):
+        from restock.valuation import optimal_stock_scan
+
+        code, out, _ = run_cli(
+            capsys, "optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--k-max", "7", "--out", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        k_star, v_star, scan = optimal_stock_scan(1.0, 1.0, 1.0, 0.02, k_max=7)
+        assert (report["k_star"], report["v_star"]) == (k_star, v_star) == (7, scan[-1][1])
+        assert [(row["k"], row["v"]) for row in report["scan"]] == scan
+
     def test_infeasible_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "optimize", "--a", "10", "--b", "0.5", "--mu", "1", "--r", "0.02", "--k-max", "5"

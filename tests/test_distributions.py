@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from restock.distributions import (
     gamma_cdf,
     gamma_pdf,
     laplace_phi,
-    regularized_gamma_p,
+    poisson_tails,
     sample_renewal_time,
 )
 from restock.quadrature import adaptive_simpson
@@ -88,11 +90,44 @@ class TestGammaPdfCdf:
         lo, hi = sorted((t1, t2))
         assert gamma_cdf(hi, law) >= gamma_cdf(lo, law) - 1e-12
 
-    def test_regularized_gamma_p_domain(self):
+
+def mp_poisson_tail(lam: float, m: int) -> mpmath.mpf:
+    """P(Poisson(lam) >= m) = P(m, lam), regularized incomplete gamma at 50 digits."""
+    with mpmath.workdps(50):
+        return mpmath.gammainc(m, 0, lam, regularized=True)
+
+
+class TestPoissonTails:
+    def test_domain(self):
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                next(poisson_tails(lam, 2))
         with pytest.raises(ValueError):
-            regularized_gamma_p(0.0, 1.0)
-        with pytest.raises(ValueError):
-            regularized_gamma_p(2.0, -1.0)
+            next(poisson_tails(1.0, 0))
+        for step in (2.5, True):
+            with pytest.raises(TypeError):
+                next(poisson_tails(1.0, step))
+
+    def test_zero_mean_has_no_mass_above_zero(self):
+        assert list(itertools.islice(poisson_tails(0.0, 3), 4)) == [0.0] * 4
+
+    @given(lam=st.floats(0.0, 1e4), step=st.integers(1, 500))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mpmath(self, lam, step):
+        for n, got in zip(range(1, 6), poisson_tails(lam, step)):
+            exact = mp_poisson_tail(lam, n * step)
+            if exact >= 1e-290:
+                assert abs(got - exact) <= 1e-12 * exact
+            else:
+                assert 0.0 <= got <= 2e-290
+
+    @pytest.mark.parametrize("lam, step", [(5.0, 200), (1.0, 2), (2000.0, 10), (1e4, 1)])
+    def test_deep_tails_stay_relative(self, lam, step):
+        # thresholds far above the mean, where 1 - (lower sum) would be 0
+        for n, got in zip(range(1, 41), poisson_tails(lam, step)):
+            exact = mp_poisson_tail(lam, n * step)
+            if exact >= 1e-290:
+                assert abs(got - exact) <= 1e-12 * exact
 
 
 class TestConvolutions:

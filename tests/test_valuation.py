@@ -17,6 +17,7 @@ from restock.valuation import (
     effective,
     exact_k1_value,
     optimal_stock,
+    optimal_stock_scan,
     perpetual_value,
     residual_value,
     series_value,
@@ -178,17 +179,34 @@ class TestSeriesValue:
         # q = 1/(1 + 1e-6): the geometric bound alone needs ~3e7 terms, but
         # F*n(10) falls below double precision of the sum after a few dozen
         params = ModelParams(k=1, mu=1.0, r=1e-6, cost=FixedCost(theta=1.0))
-        calls = []
-        convolution_cdf = valuation.convolution_cdf
+        consumed = []
+        poisson_tails = valuation.poisson_tails
 
-        def counted(n, t, law):
-            calls.append(n)
-            return convolution_cdf(n, t, law)
+        def counted(lam, step):
+            for tail in poisson_tails(lam, step):
+                consumed.append(tail)
+                yield tail
 
-        monkeypatch.setattr(valuation, "convolution_cdf", counted)
+        monkeypatch.setattr(valuation, "poisson_tails", counted)
         value = series_value(params, 10.0)
-        assert len(calls) < 200
+        assert 0 < len(consumed) < 200
         assert value == pytest.approx(exact_k1_value(params, 10.0), abs=1e-9)
+
+    def test_deep_tail_term(self):
+        # w(5) at k=200 is q * P(Poisson(5) >= 200) to double precision
+        params = ModelParams(k=200, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        assert series_value(params, 5.0) == pytest.approx(1.038828971274116e-239, rel=1e-12)
+
+    def test_high_demand_matches_asymptotic(self):
+        # mu t = 1e6: ~1e5 terms; every pole but -rho decays like e^(-190 t),
+        # so the asymptotic form is exact here
+        params = ModelParams(k=10, mu=1e3, r=0.02, cost=LinearCost(a=1.0, b=1.0))
+        assert series_value(params, 1e3) == pytest.approx(asymptotic_value(params, 1e3), rel=1e-12)
+
+    def test_long_sum_rounding(self):
+        # ~1e4 terms near 1: tol bounds truncation only, rounding adds ~N 2^-53 |sum|
+        params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
+        assert series_value(params, 1e4) == pytest.approx(exact_k1_value(params, 1e4), rel=1e-12)
 
     @given(params=params_strategy(max_k=8), t1=st.floats(0.0, 80.0), t2=st.floats(0.0, 80.0))
     @settings(max_examples=30)
@@ -342,6 +360,30 @@ class TestOptimalStock:
     def test_infeasible_raises(self):
         with pytest.raises(ValueError, match="positive payoff"):
             optimal_stock(a=10.0, b=0.5, mu=1.0, r=0.02, k_max=5)
+
+    def test_scan_stops_at_the_proof(self):
+        k_star, v_star, scan = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)
+        assert (k_star, v_star) == optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
+        ks = [k for k, _ in scan]
+        assert ks == list(range(2, ks[-1] + 1))  # b*k > a from k = 2 on
+        assert max(scan, key=lambda kv: kv[1]) == (k_star, v_star)
+        # the next candidate's envelope b*k/(alpha^k - 1) proves optimality
+        k_next = ks[-1] + 1
+        assert k_next / math.expm1(k_next * math.log1p(0.02)) < v_star
+        assert ks[-1] / math.expm1(ks[-1] * math.log1p(0.02)) >= v_star
+
+    @pytest.mark.parametrize("k_max, k_star", [(7, 7), (10, 10), (11, 10)])
+    def test_scan_respects_the_cap(self, k_max, k_star):
+        got_k, got_v, scan = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02, k_max=k_max)
+        assert got_k == k_star
+        # the envelope stays above v* past k = 11, so the cap ends each scan
+        assert scan[-1][0] == k_max
+
+    def test_scan_starts_at_the_feasibility_edge(self):
+        # b*k > a first holds at k = 3 for a = 2, b = 1; k = 2 pays nothing
+        k_star, _, scan = optimal_stock_scan(a=2.0, b=1.0, mu=1.0, r=0.02, k_max=3)
+        assert scan == [(3, 1.0 / math.expm1(3 * math.log1p(0.02)))]
+        assert k_star == 3
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

@@ -1,15 +1,16 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import volterra_direct
-from restock.distributions import GammaLaw, gamma_cdf
+from oracles import poisson_tail, volterra_direct
+from restock.distributions import erlang_cdf_grid
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
-from restock.volterra import GridSpec, erlang_cdf_grid, solve_renewal
+from restock.volterra import GridSpec, solve_renewal
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -38,17 +39,35 @@ class TestGridSpec:
 class TestErlangGrid:
     @pytest.mark.parametrize("shape", [1, 2, 7, 25])
     def test_matches_scalar_cdf(self, shape):
-        law = GammaLaw(shape, 1.7)
         xs = np.linspace(0.0, 40.0, 101)
-        grid = erlang_cdf_grid(shape, 1.7, xs)
-        scalar = np.array([gamma_cdf(float(x), law) for x in xs])
-        assert np.abs(grid - scalar).max() < 1e-12
+        grid, grid_next = erlang_cdf_grid(shape, 1.7, xs)
+        for m, values in ((shape, grid), (shape + 1, grid_next)):
+            scalar = np.array([poisson_tail(m, 1.7 * float(x)) for x in xs])
+            assert np.abs(values - scalar).max() < 1e-12
 
     @given(shape=st.integers(1, 20), rate=st.floats(0.1, 5.0), x=st.floats(0.0, 60.0))
     @settings(max_examples=40)
     def test_pointwise_identity(self, shape, rate, x):
-        got = erlang_cdf_grid(shape, rate, np.array([x]))[0]
-        assert abs(got - gamma_cdf(x, GammaLaw(shape, rate))) < 1e-11
+        got, got_next = erlang_cdf_grid(shape, rate, np.array([x]))
+        assert abs(got[0] - poisson_tail(shape, rate * x)) < 1e-11
+        assert abs(got_next[0] - poisson_tail(shape + 1, rate * x)) < 1e-11
+
+    def test_large_shape_tail_is_relative(self):
+        # shape 200 at rate*x <= 100: every value is a deep upper tail, which
+        # 1 - (lower sum) would leave as rounding noise
+        xs = np.linspace(0.0, 100.0, 10_001)
+        cdf, cdf_next = erlang_cdf_grid(200, 1.0, xs)
+        with mpmath.workdps(50):
+            for i in range(1, xs.size, 40):
+                for m, values in ((200, cdf), (201, cdf_next)):
+                    exact = mpmath.gammainc(m, 0, xs[i], regularized=True)
+                    if exact >= 1e-290:
+                        assert abs(values[i] - exact) <= 1e-12 * exact
+                    else:
+                        assert 0.0 <= values[i] <= 2e-290
+        # the solver's panel masses and first moments are these differences
+        assert np.diff(cdf).min() >= 0.0
+        assert np.diff(cdf_next).min() >= 0.0
 
 
 class TestSolveRenewal:
