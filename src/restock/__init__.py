@@ -18,13 +18,9 @@ and a CLI (``restock``) that emits CSV/JSON reports.
 from restock.distributions import (
     GammaLaw,
     convolution_cdf,
-    counting_pgf,
-    counting_pmf,
     gamma_cdf,
     gamma_pdf,
-    laplace_phi,
     poisson_tails,
-    sample_renewal_time,
 )
 from restock.laplace import InversionConfig, invert, w_hat
 from restock.montecarlo import (
@@ -45,9 +41,7 @@ from restock.valuation import (
     optimal_stock,
     optimal_stock_scan,
     perpetual_value,
-    residual_value,
     series_value,
-    tail_weight,
     tilted_kernel_moments,
 )
 from restock.volterra import GridSpec, solve_renewal
@@ -60,10 +54,6 @@ __all__ = [
     "gamma_cdf",
     "convolution_cdf",
     "poisson_tails",
-    "counting_pmf",
-    "counting_pgf",
-    "laplace_phi",
-    "sample_renewal_time",
     "ModelParams",
     "FixedCost",
     "LinearCost",
@@ -72,8 +62,6 @@ __all__ = [
     "effective",
     "perpetual_value",
     "series_value",
-    "residual_value",
-    "tail_weight",
     "asymptotic_value",
     "exact_k1_value",
     "optimal_stock",

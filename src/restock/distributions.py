@@ -1,4 +1,4 @@
-"""Gamma renewal-time law, its convolutions, and the replacement counting process.
+"""Gamma renewal-time law and its convolutions.
 
 With unit Poisson demand of intensity ``mu``, a full stock of ``shape``
 units lasts a Gamma(shape, mu) time: the sum of ``shape`` exponential
@@ -11,11 +11,7 @@ here:
   P(Gamma(m, rate) <= t) = P(Poisson(rate*t) >= m),
 * ``erlang_cdf_grid``             -- its array form, two shapes in one sweep,
 * ``gamma_pdf`` / ``gamma_cdf``   -- density and distribution of one cycle,
-* ``convolution_cdf``             -- distribution of n consecutive cycles,
-* ``counting_pmf`` / ``counting_pgf`` -- law of the number of replacements
-  completed by time t,
-* ``laplace_phi``                 -- E[exp(-s X)] for one cycle,
-* ``sample_renewal_time``         -- exact draws from a caller-owned stream.
+* ``convolution_cdf``             -- distribution of n consecutive cycles.
 
 A Poisson tail is summed from its smaller side, starting from a pmf value
 anchored by Loader's saddle-point form (C. Loader, "Fast and Accurate
@@ -40,10 +36,6 @@ __all__ = [
     "gamma_pdf",
     "gamma_cdf",
     "convolution_cdf",
-    "counting_pmf",
-    "counting_pgf",
-    "laplace_phi",
-    "sample_renewal_time",
 ]
 
 
@@ -346,64 +338,3 @@ def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return next(poisson_tails(law.rate * t, n * law.shape)) if n else 1.0
-
-
-def counting_pmf(n: int, t: float, law: GammaLaw) -> float:
-    """P[N(t) = n]: exactly n replacements completed by time t.
-
-    N(t) >= n iff the n-th replacement epoch is <= t, so the pmf is the
-    difference of consecutive convolution cdfs.
-    """
-    p = convolution_cdf(n, t, law) - convolution_cdf(n + 1, t, law)
-    # clip the rounding residue of the difference
-    return min(1.0, max(0.0, p))
-
-
-def counting_pgf(t: float, s: float, law: GammaLaw, tol: float = 1e-12) -> float:
-    """E[s^N(t)] for s in [0, 1], truncated under a rigorous tail bound.
-
-    For s < 1 the tail beyond the n-th term is below s^n / (1 - s) because
-    every pmf value is at most 1; summation stops once that bound drops
-    under ``tol``.  For s = 1 the value is exactly 1 (pmf normalization).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if s == 1.0:
-        return 1.0
-    if t == 0.0:
-        return 1.0
-    total = 0.0
-    s_pow = 1.0
-    n = 0
-    while True:
-        total += s_pow * counting_pmf(n, t, law)
-        n += 1
-        s_pow *= s
-        if s_pow / (1.0 - s) < tol:
-            break
-    return total
-
-
-def laplace_phi(s: float, law: GammaLaw) -> float:
-    """E[exp(-s X)] = (rate / (s + rate))^shape for s > -rate.
-
-    Computed in log space so large shapes neither overflow nor underflow
-    prematurely.
-    """
-    if not s > -law.rate:
-        raise ValueError(f"transform diverges for s <= -rate ({s} <= {-law.rate})")
-    return math.exp(law.shape * (math.log(law.rate) - math.log(s + law.rate)))
-
-
-def sample_renewal_time(law: GammaLaw, stream: np.random.Generator) -> float:
-    """Exact draw of one availability time from a caller-owned stream.
-
-    Realized as the sum of ``shape`` unit-exponential inverse-transform
-    draws scaled by 1/rate; consumes exactly ``shape`` uniforms.
-    """
-    u = stream.random(law.shape)
-    return float(-np.log1p(-u).sum() / law.rate)

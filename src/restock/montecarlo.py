@@ -31,21 +31,29 @@ The perpetuity keeps simulating the discount products themselves: each
 round draws one Gamma(k, 1) variate per live path, mu times its cycle
 length, and stops a path once its discount falls below tail_tol; the
 perpetuity-equation checker tests that simulation against its defining
-identity.
+identity.  Its paths are split into fixed blocks of ``_BLOCK`` paths, and
+block b draws all of its rounds, in order, from one stream of its own.
+The blocks run on every CPU the process may use (numpy's samplers and
+ufuncs release the GIL), one thread per CPU up to the block count.
 
 Determinism: every draw comes from a Philox counter-based stream keyed by
-(seed, stream domain, round index), and arrays are reduced in fixed path
-order, so results are bit-reproducible from (seed, n_paths, params, t /
-tail_tol) on the same numpy version and unaffected by how the work would
-be scheduled.  The numpy version is part of the recipe because the
-horizon clock uses ``Generator.poisson`` and the perpetuity cycles use
-``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS 26(3), 2000),
-numpy's own samplers.
+(seed, stream domain, index) -- the horizon clock by index 1, a
+perpetuity block by its block number -- and arrays are reduced in fixed
+path order, so results are bit-reproducible from (seed, n_paths, params,
+t / tail_tol) on the same numpy version and do not depend on the number
+of cores or on how the blocks are scheduled (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011).  ``_BLOCK`` is part of
+the perpetuity's recipe.  The numpy version is part of it too, because
+the horizon clock uses ``Generator.poisson`` and the perpetuity cycles
+use ``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS 26(3),
+2000), numpy's own samplers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +64,19 @@ __all__ = ["MCEstimate", "simulate_wk", "simulate_vk", "verify_perpetuity_equati
 
 DEFAULT_TAIL_TOL = 1e-12
 
-# Stream domains; each (seed, domain, round) triple is an independent
+# Stream domains; each (seed, domain, index) triple is an independent
 # Philox substream.  The numbers key the draws, so they are part of the
 # reproducibility recipe and must never be reassigned.
 _WK_CLOCK = 0
 _VK_PRICE = 2
 _PERP_X = 3
 _PERP_V = 4
+
+# Paths per perpetuity block.  Block b owns paths [b * _BLOCK, (b+1) * _BLOCK)
+# and the stream (seed, domain, b), so the size is part of the recipe.
+# Smaller blocks spend more of their time in short numpy calls that hold
+# the GIL.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -74,9 +88,11 @@ class MCEstimate:
     sample rounds to the same value (a horizon so long that every q^N
     underflows) it is 0 or below one ulp of the mean.  The estimate is
     bit-reproducible from (seed, n_paths) and the call's parameters on the
-    same numpy version.  ``truncation_bias_bound`` is set on perpetuity
-    runs only: the stopped tail is worth D_stop * v in expectation, hence
-    at most tail_tol * |v|.
+    same numpy version; a perpetuity estimate also depends on the path
+    block size ``_BLOCK``, whose blocks draw from streams keyed by
+    (seed, stream, block), but not on how many cores ran them.
+    ``truncation_bias_bound`` is set on perpetuity runs only: the stopped
+    tail is worth D_stop * v in expectation, hence at most tail_tol * |v|.
     """
 
     mean: float
@@ -103,9 +119,17 @@ def _check_paths(n_paths: int, tail_tol: float | None = None) -> int:
     return int(n_paths)
 
 
-def _stream(seed: int, domain: int, round_index: int) -> np.random.Generator:
-    key = np.array([seed, (domain << 56) | round_index], dtype=np.uint64)
+def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
+    key = np.array([seed, (domain << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _estimate(samples: np.ndarray, seed: int, bias_bound: float | None = None) -> MCEstimate:
@@ -148,29 +172,73 @@ def _perpetuity_samples(
 ) -> np.ndarray:
     """Per-path discounted payment totals, truncated at discount < tail_tol.
 
-    The live arrays are kept compacted: a retiring path's total is written
-    once to its slot of the result, and the rest shrink to the survivors.
+    Block b fills paths [b * _BLOCK, (b+1) * _BLOCK) of the result, every
+    round drawn in order from the stream (seed, domain, b); the blocks run
+    on up to one thread per usable CPU.  A block's live arrays are kept
+    compacted: a retiring path's total is written once to its slot of the
+    result, and the rest shrink to the survivors.
     """
     eff = effective(params)
-    k, mu = params.k, params.mu
-    log_tail = math.log(tail_tol)
+    k, rate, log_tail = params.k, eff.r_eff / params.mu, math.log(tail_tol)
     out = np.empty(n_paths)
-    slots = np.arange(n_paths)
-    log_discount = np.zeros(n_paths)
-    payout = np.zeros(n_paths)
-    round_index = 0
-    while slots.size:
-        round_index += 1
-        cycle = _stream(seed, domain, round_index).standard_gamma(k, slots.size)
-        cycle *= eff.r_eff / mu
-        log_discount -= cycle
-        payout += eff.theta * np.exp(log_discount, out=cycle)
-        retired = log_discount < log_tail
-        if retired.any():
-            out[slots[retired]] = payout[retired]
-            live = ~retired
-            slots, log_discount, payout = slots[live], log_discount[live], payout[live]
+
+    def run(block: int) -> None:
+        stream = _stream(seed, domain, block)
+        part = out[block * _BLOCK : (block + 1) * _BLOCK]
+        slots = np.arange(part.size)
+        log_discount = np.zeros(part.size)
+        payout = np.zeros(part.size)
+        while slots.size:
+            cycle = stream.standard_gamma(k, slots.size)
+            cycle *= rate
+            log_discount -= cycle
+            payout += eff.theta * np.exp(log_discount, out=cycle)
+            retired = log_discount < log_tail
+            if retired.any():
+                part[slots[retired]] = payout[retired]
+                live = ~retired
+                slots, log_discount, payout = slots[live], log_discount[live], payout[live]
+
+    _run_blocks(run, -(-n_paths // _BLOCK))
     return out
+
+
+def _run_blocks(run, n_blocks: int) -> None:
+    """Call ``run(b)`` once for each block b < n_blocks, on up to one thread per CPU.
+
+    Workers take the next unclaimed block until none is left; the calling
+    thread is one of them, and a single worker runs every block inline.
+    The first exception stops further blocks from starting and is
+    re-raised once every worker has returned.
+    """
+    workers = min(_usable_cpus(), n_blocks)
+    if workers <= 1:
+        for block in range(n_blocks):
+            run(block)
+        return
+    blocks = iter(range(n_blocks))
+    claim = threading.Lock()
+    errors: list[BaseException] = []
+
+    def work() -> None:
+        while not errors:
+            with claim:
+                block = next(blocks, None)
+            if block is None:
+                return
+            try:
+                run(block)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def simulate_vk(

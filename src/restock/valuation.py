@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import GammaLaw, gamma_cdf, gamma_pdf, poisson_tails
+from restock.distributions import GammaLaw, gamma_pdf, poisson_tails
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -39,8 +39,6 @@ __all__ = [
     "effective",
     "perpetual_value",
     "series_value",
-    "residual_value",
-    "tail_weight",
     "asymptotic_value",
     "exact_k1_value",
     "optimal_stock",
@@ -258,18 +256,6 @@ def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL)
             if bound * chernoff <= _UNIT_ROUNDOFF * abs(eff.theta) * total:
                 break
     return eff.theta * total
-
-
-def residual_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """Remaining value v - w(t) still to accrue after horizon t."""
-    return effective(params).v - series_value(params, t, tol)
-
-
-def tail_weight(params: ModelParams, t: float) -> float:
-    """Forcing term v * (1 - F(t)) of the tilted residual equation."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return effective(params).v * (1.0 - gamma_cdf(t, params.law))
 
 
 def asymptotic_value(params: ModelParams, t: float) -> float:

@@ -2,9 +2,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import restock
 from restock import __version__
 from restock.cli import CSV_HEADER, main
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
@@ -342,3 +347,14 @@ class TestOutputHygiene:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+
+class TestStartup:
+    def test_import_leaves_the_executor_unloaded(self):
+        # concurrent.futures costs several ms of start-up after numpy; the
+        # perpetuity's block threads use threading, which numpy loads anyway
+        src = str(Path(restock.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import sys, restock.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -7,20 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restock.distributions import (
-    GammaLaw,
-    convolution_cdf,
-    counting_pgf,
-    counting_pmf,
-    gamma_cdf,
-    gamma_pdf,
-    laplace_phi,
-    poisson_tails,
-    sample_renewal_time,
-)
+from restock.distributions import GammaLaw, convolution_cdf, gamma_cdf, gamma_pdf, poisson_tails
 from restock.quadrature import adaptive_simpson
 
-from oracles import erlang_cdf, poisson_tail
+from oracles import counting_pgf, counting_pmf, erlang_cdf, laplace_phi, poisson_tail, sample_renewal_time
 
 # frozen from the Poisson-tail oracle
 F10_AT_10 = 0.5420702855281477  # P(Gamma(10,1) <= 10)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from restock.laplace import InversionConfig, _talbot_nodes, invert, w_hat
+from restock.laplace import InversionConfig, _talbot, _talbot_nodes, invert, w_hat
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 from restock.volterra import GridSpec, solve_renewal
 
@@ -89,6 +89,35 @@ class TestInvert:
             a = invert(TABLE, t, InversionConfig(node_count=32))
             b = invert(TABLE, t, InversionConfig(node_count=48))
             assert abs(a - b) < 2e-5 * max(1.0, abs(b))
+
+    @pytest.mark.parametrize("t", [150.0, 200.0])
+    def test_large_stock_gap_beyond_the_value_raises(self, t):
+        # k=200: the fine contour returns 1.71e-5 at t=150 (truth 1.09e-6)
+        # and 9.741e-3 at t=200 (truth 9.706e-3); both gaps are below 1e-3
+        # absolute but far above 1e-3 of the value
+        params = ModelParams(k=200, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        with pytest.raises(ArithmeticError, match="self-check"):
+            invert(params, t)
+
+    def test_overflowing_contour_raises(self):
+        # k=300 at t = 3 mean cycles: phi^k overflows on the contour and
+        # both resolutions come out nan
+        params = ModelParams(k=300, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="nan"):
+            invert(params, 900.0)
+
+    def test_values_far_below_v_are_checked_against_v(self):
+        # k=200, t=20: w is ~1e-123 and the two contours disagree by ~1e-30,
+        # which is far below 1e-9 * v; the value is returned, not raised on
+        params = ModelParams(k=200, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
+        assert abs(invert(params, 20.0)) < 1e-12 * perpetual_value(params)
+
+    @pytest.mark.parametrize("t", [50.0, 100.0, 250.0, 500.0])
+    def test_flagship_grid_passes_the_relative_gate(self, t):
+        cfg = InversionConfig()
+        coarse, fine = _talbot(TABLE, t, cfg.node_count), _talbot(TABLE, t, cfg.node_count + 16)
+        assert abs(coarse - fine) <= 3e-6 * abs(fine)
+        assert invert(TABLE, t) == fine
 
     def test_contour_is_conjugate_symmetric(self):
         # evaluating the full symmetric contour leaves no imaginary residue

@@ -1,11 +1,18 @@
 import math
+import sys
+import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from restock import montecarlo
 from restock.montecarlo import (
+    _BLOCK,
+    _VK_PRICE,
     _WK_CLOCK,
     MCEstimate,
+    _perpetuity_samples,
     _stream,
     simulate_vk,
     simulate_wk,
@@ -73,10 +80,10 @@ class TestDeterminism:
         assert a == b
 
     def test_vk_value_pinned(self):
-        # the perpetuity's stream domains and its standard_gamma cycle draw
-        # are part of the recipe: a shifted domain moves this mean by about
-        # one stderr (0.03)
-        assert simulate_vk(TABLE, 20_000, 7).mean == pytest.approx(41.104531861228274, rel=1e-12)
+        # the perpetuity's stream domains, its block size and its
+        # standard_gamma cycle draw are part of the recipe: a shifted domain
+        # moves this mean by about one stderr (0.03)
+        assert simulate_vk(TABLE, 20_000, 7).mean == pytest.approx(41.05828540110318, rel=1e-12)
 
     def test_seed_changes_result(self):
         a = simulate_wk(TABLE, 10.0, 40_000, 42)
@@ -193,6 +200,66 @@ class TestPerpetuity:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+class TestPerpetuityBlocks:
+    @pytest.mark.parametrize("n_paths", [_BLOCK, _BLOCK + 1, 50_000])
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, n_paths):
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            runs.append((simulate_vk(TABLE, n_paths, 7), verify_perpetuity_equation(UNIT, n_paths, 3)))
+        assert runs[0] == runs[1]
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a block that
+        # two workers both claimed, or that none did, shows in the keys used
+        claimed = []
+
+        def counting_stream(seed, domain, index):
+            claimed.append(index)
+            return _stream(seed, domain, index)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(montecarlo, "_stream", counting_stream)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=simulate_vk, args=(UNIT, 12 * _BLOCK, 9), daemon=True)
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert sorted(claimed) == list(range(12))
+
+    def test_a_block_owns_its_paths(self):
+        # block 0's samples do not depend on how many blocks follow it
+        whole = _perpetuity_samples(TABLE, 2 * _BLOCK + 5, 11, 1e-12, _VK_PRICE)
+        first = _perpetuity_samples(TABLE, _BLOCK, 11, 1e-12, _VK_PRICE)
+        assert np.array_equal(whole[:_BLOCK], first)
+
+    def test_a_failing_block_raises_without_hanging(self, monkeypatch):
+        def failing_stream(seed, domain, index):
+            if index == 1:
+                raise RuntimeError("block 1 failed")
+            return _stream(seed, domain, index)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_stream", failing_stream)
+        raised = []
+
+        def call():
+            try:
+                simulate_vk(TABLE, 3 * _BLOCK, 7)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == ["block 1 failed"]
 
 
 class TestPerpetuityEquation:

@@ -19,13 +19,12 @@ from restock.valuation import (
     optimal_stock,
     optimal_stock_scan,
     perpetual_value,
-    residual_value,
     series_value,
-    tail_weight,
     tilted_kernel_moments,
 )
 
 import oracles
+from oracles import residual_value, tail_weight
 
 # flagship parameter set: 10 units, unit demand, 2% discounting, unit margins
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
