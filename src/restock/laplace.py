@@ -25,9 +25,10 @@ practical facts shape the implementation:
 ``node_count + 16`` nodes, returns the finer result, and raises if the two
 resolutions disagree beyond a 1e-3 relative sanity gate, or if either is
 not finite.  The gate is relative to the returned value, down to an
-absolute floor of 1e-6 * |v|: a value that small is trusted only if the
-two resolutions agree to 1e-9 * |v|, the inversion's typical accuracy at
-values of order v.  Where w is a small fraction of v and the contour
+absolute floor of min(1, 1e-6 * |v|): a value that small is trusted only
+if the two resolutions agree to 1e-9 * |v|, the inversion's typical
+accuracy at values of order v, and never to worse than 1e-3 absolute, so
+a very large v (small r) cannot widen the gate on values below 1.  Where w is a small fraction of v and the contour
 passes near the pole ring (large k, t within a few mean cycles of
 k / mu), the gap is a large fraction of the value and the call raises.
 """
@@ -45,7 +46,8 @@ __all__ = ["InversionConfig", "w_hat", "invert"]
 
 _NODE_STEP = 16
 _SELF_CHECK_REL = 1e-3
-# Fraction of |v| below which the self-check stops being relative.
+# Fraction of |v| below which the self-check stops being relative; the
+# floor is capped at 1, where the gate becomes 1e-3 absolute.
 _SELF_CHECK_FLOOR = 1e-6
 
 
@@ -115,8 +117,8 @@ def invert(params: ModelParams, t: float, cfg: InversionConfig = InversionConfig
     without touching the contour; negative t is a domain error.  The
     coarse/fine node-count pair is the built-in self-check: their gap is
     the realized accuracy estimate, and a gap beyond 1e-3 of
-    max(|value|, 1e-6 * |v|), or a non-finite one, raises instead of
-    returning a silently wrong value.
+    max(|value|, min(1, 1e-6 * |v|)), or a non-finite one, raises instead
+    of returning a silently wrong value.
     """
     if not (isinstance(t, (int, float)) and math.isfinite(t)):
         raise ValueError(f"t must be a finite real, got {t!r}")
@@ -128,7 +130,7 @@ def invert(params: ModelParams, t: float, cfg: InversionConfig = InversionConfig
     coarse = _talbot(params, t, cfg.node_count)
     fine = _talbot(params, t, cfg.node_count + _NODE_STEP)
     gap = abs(coarse - fine)
-    scale = max(abs(fine), _SELF_CHECK_FLOOR * abs(effective(params).v))
+    scale = max(abs(fine), min(1.0, _SELF_CHECK_FLOOR * abs(effective(params).v)))
     if not gap <= _SELF_CHECK_REL * scale:
         raise ArithmeticError(
             f"contour inversion failed its resolution self-check at t={t}: "

@@ -206,35 +206,25 @@ def _perpetuity_samples(
 def _run_blocks(run, n_blocks: int) -> None:
     """Call ``run(b)`` once for each block b < n_blocks, on up to one thread per CPU.
 
-    Workers take the next unclaimed block until none is left; the calling
-    thread is one of them, and a single worker runs every block inline.
-    The first exception stops further blocks from starting and is
+    Worker i runs blocks i, i + workers, i + 2 * workers, ... in turn; the
+    calling thread is worker 0, so a single worker starts no thread.  A
+    worker stops at its first exception, and the first exception raised is
     re-raised once every worker has returned.
     """
     workers = min(_usable_cpus(), n_blocks)
-    if workers <= 1:
-        for block in range(n_blocks):
-            run(block)
-        return
-    blocks = iter(range(n_blocks))
-    claim = threading.Lock()
     errors: list[BaseException] = []
 
-    def work() -> None:
-        while not errors:
-            with claim:
-                block = next(blocks, None)
-            if block is None:
-                return
-            try:
+    def work(first: int) -> None:
+        try:
+            for block in range(first, n_blocks, workers):
                 run(block)
-            except BaseException as exc:
-                errors.append(exc)
+        except BaseException as exc:
+            errors.append(exc)
 
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, workers)]
     for thread in threads:
         thread.start()
-    work()
+    work(0)
     for thread in threads:
         thread.join()
     if errors:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from restock import laplace
 from restock.laplace import InversionConfig, _talbot, _talbot_nodes, invert, w_hat
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 from restock.volterra import GridSpec, solve_renewal
@@ -111,6 +112,24 @@ class TestInvert:
         # which is far below 1e-9 * v; the value is returned, not raised on
         params = ModelParams(k=200, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
         assert abs(invert(params, 20.0)) < 1e-12 * perpetual_value(params)
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, 50.0])
+    def test_tiny_rate_inverts_small_values(self, t):
+        # r = 1e-8 puts v at 1e8, far above the values w < 100 inverted here
+        params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
+        expected = exact_k1_value(params, t)
+        assert abs(invert(params, t) - expected) <= 1e-6 * expected
+
+    def test_large_v_does_not_widen_the_gate_below_one(self, monkeypatch):
+        # v = 1e8: a floor of 1e-6 * v alone would pass a 0.01 gap on a value
+        # of 0.5; the floor is capped at 1, so the gap must stay within 1e-3
+        params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
+        fine_nodes = InversionConfig().node_count + 16
+        monkeypatch.setattr(laplace, "_talbot", lambda p, t, m: 0.51 if m == fine_nodes else 0.5)
+        with pytest.raises(ArithmeticError, match="self-check"):
+            invert(params, 1.0)
+        monkeypatch.setattr(laplace, "_talbot", lambda p, t, m: 0.5009 if m == fine_nodes else 0.5)
+        assert invert(params, 1.0) == 0.5009
 
     @pytest.mark.parametrize("t", [50.0, 100.0, 250.0, 500.0])
     def test_flagship_grid_passes_the_relative_gate(self, t):

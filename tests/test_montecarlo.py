@@ -213,7 +213,7 @@ class TestPerpetuityBlocks:
 
     def test_every_block_runs_once_under_contention(self, monkeypatch):
         # more workers than cores and a short switch interval: a block that
-        # two workers both claimed, or that none did, shows in the keys used
+        # two workers both ran, or that none did, shows in the keys used
         claimed = []
 
         def counting_stream(seed, domain, index):
