@@ -18,8 +18,6 @@ and a CLI (``restock``) that emits CSV/JSON reports.
 from restock.distributions import (
     GammaLaw,
     convolution_cdf,
-    gamma_cdf,
-    gamma_pdf,
     poisson_tails,
 )
 from restock.laplace import InversionConfig, invert, w_hat
@@ -42,7 +40,6 @@ from restock.valuation import (
     optimal_stock_scan,
     perpetual_value,
     series_value,
-    tilted_kernel_moments,
 )
 from restock.volterra import GridSpec, solve_renewal
 
@@ -50,8 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GammaLaw",
-    "gamma_pdf",
-    "gamma_cdf",
     "convolution_cdf",
     "poisson_tails",
     "ModelParams",
@@ -66,7 +61,6 @@ __all__ = [
     "exact_k1_value",
     "optimal_stock",
     "optimal_stock_scan",
-    "tilted_kernel_moments",
     "GridSpec",
     "solve_renewal",
     "InversionConfig",

@@ -10,7 +10,6 @@ here:
   every gamma cdf in the package, since shapes are integers and
   P(Gamma(m, rate) <= t) = P(Poisson(rate*t) >= m),
 * ``erlang_cdf_grid``             -- its array form, two shapes in one sweep,
-* ``gamma_pdf`` / ``gamma_cdf``   -- density and distribution of one cycle,
 * ``convolution_cdf``             -- distribution of n consecutive cycles.
 
 A Poisson tail is summed from its smaller side, starting from a pmf value
@@ -33,8 +32,6 @@ __all__ = [
     "GammaLaw",
     "poisson_tails",
     "erlang_cdf_grid",
-    "gamma_pdf",
-    "gamma_cdf",
     "convolution_cdf",
 ]
 
@@ -300,28 +297,6 @@ def _lower_end(shape: int, lam: float) -> int:
         ratio *= j / lam
         j -= 1
     return j
-
-
-def gamma_pdf(x: float, law: GammaLaw) -> float:
-    """Density of the stock-availability time at x >= 0.
-
-    Equals rate * exp(-rate x) for shape 1 and vanishes at x = 0 for
-    shape >= 2 (the x^(shape-1) factor).
-    """
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    k, mu = law.shape, law.rate
-    if x == 0.0:
-        return mu if k == 1 else 0.0
-    log_pdf = k * math.log(mu) + (k - 1) * math.log(x) - mu * x - math.lgamma(k)
-    return math.exp(log_pdf)
-
-
-def gamma_cdf(x: float, law: GammaLaw) -> float:
-    """P(one full stock is exhausted by time x) = P(Poisson(rate*x) >= shape)."""
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return next(poisson_tails(law.rate * x, law.shape))
 
 
 def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:

@@ -28,9 +28,11 @@ not finite.  The gate is relative to the returned value, down to an
 absolute floor of min(1, 1e-6 * |v|): a value that small is trusted only
 if the two resolutions agree to 1e-9 * |v|, the inversion's typical
 accuracy at values of order v, and never to worse than 1e-3 absolute, so
-a very large v (small r) cannot widen the gate on values below 1.  Where w is a small fraction of v and the contour
-passes near the pole ring (large k, t within a few mean cycles of
-k / mu), the gap is a large fraction of the value and the call raises.
+a very large v (small r) cannot widen the gate on values below 1.
+
+Where w is a small fraction of v and the contour passes near the pole
+ring (large k, t within a few mean cycles of k / mu), the gap is a large
+fraction of the value and the call raises.
 """
 
 from __future__ import annotations
@@ -97,17 +99,11 @@ def _talbot_nodes(t: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
     return s, weights, r_scale
 
 
-def _talbot_products(params: ModelParams, t: float, m: int) -> tuple[np.ndarray, float]:
-    """Per-node summands gamma_j * w_hat(s_j) and the r/M prefactor."""
-    eff = effective(params)
-    s, weights, r_scale = _talbot_nodes(t, m)
-    values = _w_hat_raw(s, eff, params.k, params.mu)
-    return weights * values, r_scale / m
-
-
 def _talbot(params: ModelParams, t: float, m: int) -> float:
-    products, prefactor = _talbot_products(params, t, m)
-    return float(prefactor * np.sum(products.real))
+    """w(t) from the M-node contour: (r/M) * Re sum_j gamma_j * w_hat(s_j)."""
+    s, weights, r_scale = _talbot_nodes(t, m)
+    values = _w_hat_raw(s, effective(params), params.k, params.mu)
+    return float(r_scale / m * np.sum((weights * values).real))
 
 
 def invert(params: ModelParams, t: float, cfg: InversionConfig = InversionConfig()) -> float:

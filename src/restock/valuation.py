@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import GammaLaw, gamma_pdf, poisson_tails
+from restock.distributions import poisson_tails
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
-from restock.quadrature import adaptive_simpson, truncation_point
 
 __all__ = [
     "FixedCost",
@@ -43,7 +42,6 @@ __all__ = [
     "exact_k1_value",
     "optimal_stock",
     "optimal_stock_scan",
-    "tilted_kernel_moments",
 ]
 
 DEFAULT_SERIES_TOL = 1e-9
@@ -121,10 +119,6 @@ class ModelParams:
             raise TypeError(f"cost must be FixedCost or LinearCost, got {self.cost!r}")
         if not (_finite(self.growth) and self.growth >= 0):
             raise ValueError(f"growth must be a finite nonnegative real, got {self.growth!r}")
-
-    @property
-    def law(self) -> GammaLaw:
-        return GammaLaw(shape=self.k, rate=self.mu)
 
 
 @dataclass(frozen=True)
@@ -265,7 +259,7 @@ def asymptotic_value(params: ModelParams, t: float) -> float:
     kernel mean, theta*mu/(k*r_eff).  Deliberately not clamped: the raw
     approximation goes negative for small t, and callers should see that.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     eff = effective(params)
     coeff = eff.theta * params.mu / (params.k * eff.r_eff)
@@ -279,7 +273,7 @@ def exact_k1_value(params: ModelParams, t: float) -> float:
     """
     if params.k != 1:
         raise ValueError(f"closed form only holds for k = 1, got k = {params.k}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     eff = effective(params)
     return -(eff.theta * params.mu / eff.r_eff) * math.expm1(-eff.rho * t)
@@ -348,28 +342,3 @@ def optimal_stock(
     """(k*, v*) of :func:`optimal_stock_scan`, without the scan."""
     k_star, v_star, _ = optimal_stock_scan(a, b, mu, r, k_max=k_max, growth=growth)
     return k_star, v_star
-
-
-def tilted_kernel_moments(params: ModelParams, abs_tol: float = 1e-10) -> tuple[float, float]:
-    """Quadrature of the tilted kernel's mass and mean.
-
-    Integrates e^(rho s) q f(s) and s e^(rho s) q f(s) over [0, T] with T
-    chosen so the exactly-boundable gamma tails fall below abs_tol/100.
-    The closed forms say mass = 1 and mean = k*(r_eff+mu)/mu^2; this is
-    the independent numerical check guarding both.
-    """
-    eff = effective(params)
-    law = params.law
-    k, mu = params.k, params.mu
-    beta = mu - eff.rho  # tilted kernel decays like s^(k-1) e^(-beta s); beta > 0
-    scale = eff.phi_k * math.exp(k * math.log(mu) - math.lgamma(k))
-    tail_tol = abs_tol / 100.0
-    t_mass = truncation_point(k - 1, beta, scale, tail_tol, t0=law.mean)
-    t_mean = truncation_point(k, beta, scale, tail_tol, t0=law.mean)
-
-    def tilted(s: float) -> float:
-        return math.exp(eff.rho * s) * eff.phi_k * gamma_pdf(s, law)
-
-    mass = adaptive_simpson(tilted, 0.0, t_mass, abs_tol)
-    mean = adaptive_simpson(lambda s: s * tilted(s), 0.0, t_mean, abs_tol)
-    return mass, mean

@@ -8,6 +8,11 @@ tests were produced by these routines.  The one exception is
 ``volterra_direct``, which checks only the renewal solver's linear solve:
 it shares the solver's discretisation and solves it step by step.
 
+The tilted-kernel identities are checked with mpmath: the mass and mean
+of e^(rho s) q f(s), with rho and q from ``effective``, come from
+``mpmath.quad`` on the closed-form gamma density, so the check shares no
+quadrature or cdf code with the package.
+
 The last section holds derived quantities that only the tests use (the
 counting process of replacements, the cycle transform, a one-path cycle
 sampler, the residual value and the tilted forcing term).  They are built
@@ -19,10 +24,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 
 from restock import valuation
-from restock.distributions import GammaLaw, convolution_cdf, gamma_cdf
+from restock.distributions import GammaLaw, convolution_cdf, poisson_tails
 from restock.valuation import ModelParams, effective
 
 
@@ -109,6 +115,26 @@ def volterra_direct(params, grid):
     return times, w
 
 
+def tilted_kernel_moments(params: ModelParams) -> tuple[float, float]:
+    """Mass and mean of the tilted kernel e^(rho s) q f(s), by mpmath quadrature.
+
+    The kernel is the density q mu^k s^(k-1) e^(-(mu - rho) s) / (k-1)!,
+    integrated at mpmath's default 15 digits over [0, k/mu] and [k/mu, inf).
+    """
+    eff = effective(params)
+    k, mu = params.k, params.mu
+    front = eff.phi_k * mpmath.mpf(mu) ** k / mpmath.factorial(k - 1)
+    beta = mu - eff.rho
+
+    def kernel(s):
+        return front * s ** (k - 1) * mpmath.exp(-beta * s)
+
+    edges = [0, k / mu, mpmath.inf]
+    mass = mpmath.quad(kernel, edges)
+    mean = mpmath.quad(lambda s: s * kernel(s), edges)
+    return float(mass), float(mean)
+
+
 # Test-only quantities built on the package's primitives.
 
 
@@ -182,4 +208,4 @@ def tail_weight(params: ModelParams, t: float) -> float:
     """Forcing term v * (1 - F(t)) of the tilted residual equation."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return effective(params).v * (1.0 - gamma_cdf(t, params.law))
+    return effective(params).v * (1.0 - next(poisson_tails(params.mu * t, params.k)))

@@ -352,9 +352,12 @@ class TestOutputHygiene:
 class TestStartup:
     def test_import_leaves_the_executor_unloaded(self):
         # concurrent.futures costs several ms of start-up after numpy; the
-        # perpetuity's block threads use threading, which numpy loads anyway
+        # perpetuity's block threads use threading, which numpy loads anyway.
+        # The runtime needs numpy only: the test oracles' mpmath, hypothesis
+        # and pytest must stay out of it too.
         src = str(Path(restock.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = "import sys, restock.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        roots = "{'concurrent', 'mpmath', 'hypothesis', 'pytest', '_pytest'}"
+        code = f"import sys, restock.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots}))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
         assert proc.stdout.strip() == "[]"

@@ -1,12 +1,11 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from restock import valuation
-from restock.distributions import GammaLaw, gamma_cdf
-from restock.quadrature import adaptive_simpson, gamma_tail_bound
 from restock.valuation import (
     EffectiveParams,
     FixedCost,
@@ -20,11 +19,10 @@ from restock.valuation import (
     optimal_stock_scan,
     perpetual_value,
     series_value,
-    tilted_kernel_moments,
 )
 
 import oracles
-from oracles import residual_value, tail_weight
+from oracles import residual_value, tail_weight, tilted_kernel_moments
 
 # flagship parameter set: 10 units, unit demand, 2% discounting, unit margins
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -245,17 +243,12 @@ class TestResidualAndTail:
     def test_tilted_tail_integral_identity(self):
         # integral of e^(rho s) * tail_weight(s) ds == theta (r+mu) / (r mu)
         eff = effective(TABLE)
-        law = TABLE.law
-        beta = TABLE.mu - eff.rho
-        # tail of the integrand is bounded by v * sum_j mu^j/j! * tail(s^j e^{-beta s})
-        upper = 1.0
-        def tail_bound(T: float) -> float:
-            return eff.v * sum(
-                TABLE.mu**j / math.factorial(j) * gamma_tail_bound(j, beta, T) for j in range(TABLE.k)
+        integral = float(
+            mpmath.quad(
+                lambda s: mpmath.exp(eff.rho * s) * tail_weight(TABLE, float(s)),
+                [0, TABLE.k / TABLE.mu, mpmath.inf],
             )
-        while tail_bound(upper) > 1e-10:
-            upper *= 2.0
-        integral = adaptive_simpson(lambda s: math.exp(eff.rho * s) * tail_weight(TABLE, s), 0.0, upper, 1e-8)
+        )
         expected = eff.theta * (eff.r_eff + TABLE.mu) / (eff.r_eff * TABLE.mu)
         assert expected == pytest.approx(9.0 * 1.02 / 0.02, rel=1e-14)
         assert integral == pytest.approx(expected, abs=1e-4)
@@ -278,6 +271,12 @@ class TestAsymptoticValue:
     def test_gap_closes_at_long_horizon(self):
         gap = abs(asymptotic_value(TABLE, 200.0) - series_value(TABLE, 200.0, 1e-9))
         assert gap < 0.005 * V_TABLE
+        assert asymptotic_value(TABLE, math.inf) == perpetual_value(TABLE)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_rejects_bad_horizon(self, t):
+        with pytest.raises(ValueError):
+            asymptotic_value(TABLE, t)
 
     def test_tilted_residual_limit(self):
         # e^(rho t) * residual -> theta*mu/(k*r) = 45, monotonically on the probe grid
@@ -298,7 +297,13 @@ class TestExactK1:
 
     def test_limit_is_perpetual_value(self):
         assert exact_k1_value(K1, 1e6) == pytest.approx(50.0, rel=1e-12)
+        assert exact_k1_value(K1, math.inf) == pytest.approx(50.0, rel=1e-12)
         assert perpetual_value(K1) == pytest.approx(50.0, rel=1e-12)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan])
+    def test_rejects_bad_horizon(self, t):
+        with pytest.raises(ValueError):
+            exact_k1_value(K1, t)
 
     def test_unit_rate_point(self):
         p = ModelParams(k=1, mu=1.0, r=1.0, cost=FixedCost(1.0))
