@@ -20,13 +20,8 @@ from restock.distributions import (
     convolution_cdf,
     poisson_tails,
 )
-from restock.laplace import InversionConfig, invert, w_hat
-from restock.montecarlo import (
-    MCEstimate,
-    simulate_vk,
-    simulate_wk,
-    verify_perpetuity_equation,
-)
+from restock.laplace import invert, w_hat
+from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk
 from restock.valuation import (
     EffectiveParams,
     FixedCost,
@@ -36,7 +31,6 @@ from restock.valuation import (
     asymptotic_value,
     effective,
     exact_k1_value,
-    optimal_stock,
     optimal_stock_scan,
     perpetual_value,
     series_value,
@@ -59,16 +53,13 @@ __all__ = [
     "series_value",
     "asymptotic_value",
     "exact_k1_value",
-    "optimal_stock",
     "optimal_stock_scan",
     "GridSpec",
     "solve_renewal",
-    "InversionConfig",
     "w_hat",
     "invert",
     "MCEstimate",
     "simulate_wk",
     "simulate_vk",
-    "verify_perpetuity_equation",
     "__version__",
 ]

@@ -28,7 +28,7 @@ import sys
 from typing import Iterable
 
 from restock import __version__
-from restock.laplace import InversionConfig, invert
+from restock.laplace import invert
 from restock.montecarlo import DEFAULT_TAIL_TOL, MCEstimate, simulate_vk, simulate_wk
 from restock.valuation import (
     DEFAULT_SERIES_TOL,
@@ -162,8 +162,7 @@ def _method_rows(
         values = _volterra_values(params, times, args.h)
         return [(t, method, v, None) for t, v in zip(times, values)]
     if method == "laplace":
-        cfg = InversionConfig()
-        return [(t, method, invert(params, t, cfg), None) for t in times]
+        return [(t, method, invert(params, t), None) for t in times]
     if method == "asymptotic":
         return [(t, method, asymptotic_value(params, t), None) for t in times]
     if method == "exact_k1":

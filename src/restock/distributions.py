@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -34,6 +35,11 @@ __all__ = [
     "erlang_cdf_grid",
     "convolution_cdf",
 ]
+
+
+def _is_integer(x) -> bool:
+    """True for Python and numpy integers; bool is not a count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -49,16 +55,12 @@ class GammaLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.shape, (int, np.integer)) or isinstance(self.shape, bool):
+        if not _is_integer(self.shape):
             raise TypeError(f"shape must be an integer, got {self.shape!r}")
         if self.shape < 1:
             raise ValueError(f"shape must be >= 1, got {self.shape}")
         if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"rate must be a finite positive real, got {self.rate!r}")
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
 
 
 # Loader's Stirling-formula error ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for
@@ -145,7 +147,7 @@ def poisson_tails(lam: float, step: int) -> Iterator[float]:
     """
     if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
         raise ValueError(f"lam must be a finite nonnegative real, got {lam!r}")
-    if not isinstance(step, (int, np.integer)) or isinstance(step, bool):
+    if not _is_integer(step):
         raise TypeError(f"step must be an integer, got {step!r}")
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -306,7 +308,7 @@ def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
     The sum of n Gamma(shape, rate) cycles is Gamma(n*shape, rate), and the
     zero-fold convolution is identically 1.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+    if not _is_integer(n):
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

@@ -21,14 +21,14 @@ practical facts shape the implementation:
   worst-case absolute error near 1e-5 on that t-window (typical accuracy
   elsewhere is 1e-9 relative or better).
 
-``invert`` therefore evaluates the contour at ``node_count`` and at
-``node_count + 16`` nodes, returns the finer result, and raises if the two
-resolutions disagree beyond a 1e-3 relative sanity gate, or if either is
-not finite.  The gate is relative to the returned value, down to an
-absolute floor of min(1, 1e-6 * |v|): a value that small is trusted only
-if the two resolutions agree to 1e-9 * |v|, the inversion's typical
-accuracy at values of order v, and never to worse than 1e-3 absolute, so
-a very large v (small r) cannot widen the gate on values below 1.
+``invert`` therefore evaluates the contour at 32 and at 48 nodes, returns
+the finer result, and raises if the two resolutions disagree beyond a 1e-3
+relative sanity gate, or if either is not finite.  The gate is relative to
+the returned value, down to an absolute floor of min(1, 1e-6 * |v|): a
+value that small is trusted only if the two resolutions agree to
+1e-9 * |v|, the inversion's typical accuracy at values of order v, and
+never to worse than 1e-3 absolute, so a very large v (small r) cannot
+widen the gate on values below 1.
 
 Where w is a small fraction of v and the contour passes near the pole
 ring (large k, t within a few mean cycles of k / mu), the gap is a large
@@ -38,32 +38,20 @@ fraction of the value and the call raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from restock.valuation import EffectiveParams, ModelParams, effective
 
-__all__ = ["InversionConfig", "w_hat", "invert"]
+__all__ = ["w_hat", "invert"]
 
+# Nodes of the coarse contour; the fine one has _NODE_STEP more.
+_NODE_COUNT = 32
 _NODE_STEP = 16
 _SELF_CHECK_REL = 1e-3
 # Fraction of |v| below which the self-check stops being relative; the
 # floor is capped at 1, where the gate becomes 1e-3 absolute.
 _SELF_CHECK_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class InversionConfig:
-    """Contour resolution; the inversion refines node_count by +16 internally."""
-
-    node_count: int = 32
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.node_count, (int, np.integer)) or isinstance(self.node_count, bool):
-            raise TypeError(f"node_count must be an integer, got {self.node_count!r}")
-        if self.node_count < 8 or self.node_count % 2:
-            raise ValueError(f"node_count must be even and >= 8, got {self.node_count}")
 
 
 def _phi_k_complex(s: np.ndarray | complex, k: int, mu: float) -> np.ndarray | complex:
@@ -106,7 +94,7 @@ def _talbot(params: ModelParams, t: float, m: int) -> float:
     return float(r_scale / m * np.sum((weights * values).real))
 
 
-def invert(params: ModelParams, t: float, cfg: InversionConfig = InversionConfig()) -> float:
+def invert(params: ModelParams, t: float) -> float:
     """Value at horizon t by contour inversion of the transform.
 
     t = 0 returns 0 by convention (the value function starts at zero)
@@ -123,13 +111,13 @@ def invert(params: ModelParams, t: float, cfg: InversionConfig = InversionConfig
     if t == 0:
         effective(params)  # parameter validation still applies
         return 0.0
-    coarse = _talbot(params, t, cfg.node_count)
-    fine = _talbot(params, t, cfg.node_count + _NODE_STEP)
+    coarse = _talbot(params, t, _NODE_COUNT)
+    fine = _talbot(params, t, _NODE_COUNT + _NODE_STEP)
     gap = abs(coarse - fine)
     scale = max(abs(fine), min(1.0, _SELF_CHECK_FLOOR * abs(effective(params).v)))
     if not gap <= _SELF_CHECK_REL * scale:
         raise ArithmeticError(
             f"contour inversion failed its resolution self-check at t={t}: "
-            f"{cfg.node_count} vs {cfg.node_count + _NODE_STEP} nodes differ by {gap:.3e}"
+            f"{_NODE_COUNT} vs {_NODE_COUNT + _NODE_STEP} nodes differ by {gap:.3e}"
         )
     return fine

@@ -24,17 +24,17 @@ is the function the analytic methods compute.  Keeping the clock and the
 discounting independent mirrors the independence structure of the
 perpetuity identity V = e^(-rX) (theta + V).  (Discounting with the
 clock's own increments estimates a strictly larger function at finite
-horizons -- see the perpetuity-equation checker for the t = inf case where
-both coincide.)
+horizons; at t = inf both coincide.)
 
 The perpetuity keeps simulating the discount products themselves: each
 round draws one Gamma(k, 1) variate per live path, mu times its cycle
-length, and stops a path once its discount falls below tail_tol; the
-perpetuity-equation checker tests that simulation against its defining
-identity.  Its paths are split into fixed blocks of ``_BLOCK`` paths, and
-block b draws all of its rounds, in order, from one stream of its own.
-The blocks run on every CPU the process may use (numpy's samplers and
-ufuncs release the GIL), one thread per CPU up to the block count.
+length, and stops a path once its discount falls below tail_tol.  The
+perpetuity-equation checker in ``tests/oracles.py`` tests that simulation
+against its defining identity.  Its paths are split into fixed blocks of
+``_BLOCK`` paths, and block b draws all of its rounds, in order, from one
+stream of its own.  The blocks run on every CPU the process may use
+(numpy's samplers and ufuncs release the GIL), one thread per CPU up to
+the block count.
 
 Determinism: every draw comes from a Philox counter-based stream keyed by
 (seed, stream domain, index) -- the horizon clock by index 1, a
@@ -58,9 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from restock.distributions import _is_integer
 from restock.valuation import ModelParams, effective
 
-__all__ = ["MCEstimate", "simulate_wk", "simulate_vk", "verify_perpetuity_equation"]
+__all__ = ["MCEstimate", "simulate_wk", "simulate_vk"]
 
 DEFAULT_TAIL_TOL = 1e-12
 
@@ -69,6 +70,7 @@ DEFAULT_TAIL_TOL = 1e-12
 # reproducibility recipe and must never be reassigned.
 _WK_CLOCK = 0
 _VK_PRICE = 2
+# the cycle and the fresh perpetuity of the checker in tests/oracles.py
 _PERP_X = 3
 _PERP_V = 4
 
@@ -103,7 +105,7 @@ class MCEstimate:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+    if not _is_integer(seed):
         raise TypeError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
@@ -112,7 +114,7 @@ def _check_seed(seed: int) -> int:
 
 def _check_paths(n_paths: int, tail_tol: float | None = None) -> int:
     """Validate the path count and, for perpetuity runs, the stopping discount."""
-    if not (isinstance(n_paths, (int, np.integer)) and n_paths >= 2):
+    if not (_is_integer(n_paths) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
     if tail_tol is not None and not 0 < tail_tol < 1:
         raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
@@ -247,25 +249,3 @@ def simulate_vk(
     eff = effective(params)
     samples = _perpetuity_samples(params, n_paths, seed, tail_tol, _VK_PRICE)
     return _estimate(samples, seed, bias_bound=tail_tol * abs(eff.v))
-
-
-def verify_perpetuity_equation(
-    params: ModelParams, n_paths: int, seed: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[MCEstimate, MCEstimate]:
-    """Estimate both sides of V = e^(-r_eff X) (theta + V) with independent draws.
-
-    The left side is the plain perpetuity estimate; the right side prices
-    theta plus a *fresh* perpetuity sample behind one fresh cycle draw,
-    all from dedicated substreams.  The two means agree within sampling
-    error iff the simulated perpetuity satisfies its defining identity.
-    """
-    n_paths = _check_paths(n_paths, tail_tol)
-    seed = _check_seed(seed)
-    eff = effective(params)
-
-    lhs = simulate_vk(params, n_paths, seed, tail_tol)
-    x = _stream(seed, _PERP_X, 1).standard_gamma(params.k, n_paths) / params.mu
-    fresh_v = _perpetuity_samples(params, n_paths, seed, tail_tol, _PERP_V)
-    rhs_samples = np.exp(-eff.r_eff * x) * (eff.theta + fresh_v)
-    rhs = _estimate(rhs_samples, seed)
-    return lhs, rhs

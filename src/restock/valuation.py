@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import poisson_tails
+from restock.distributions import _is_integer, poisson_tails
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -40,7 +40,6 @@ __all__ = [
     "series_value",
     "asymptotic_value",
     "exact_k1_value",
-    "optimal_stock",
     "optimal_stock_scan",
 ]
 
@@ -107,7 +106,7 @@ class ModelParams:
     growth: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or isinstance(self.k, bool):
+        if not _is_integer(self.k):
             raise TypeError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -298,16 +297,11 @@ def optimal_stock_scan(
     Returns (k*, v*, scan), where scan lists (k, v_k) for every candidate
     up to the stopping point; raises if no k <= k_max has b*k > a.
     """
-    if not (_finite(a) and a >= 0):
-        raise ValueError(f"fixed cost a must be a nonnegative real, got {a!r}")
-    if not (_finite(b) and b > 0):
-        raise ValueError(f"unit margin b must be a positive real, got {b!r}")
-    if not (_finite(mu) and mu > 0):
-        raise ValueError(f"mu must be a finite positive real, got {mu!r}")
-    if not (_finite(r) and r > 0):
-        raise ValueError(f"r must be a finite positive real, got {r!r}")
-    if not (_finite(growth) and 0 <= growth < r):
+    ModelParams(k=1, mu=mu, r=r, cost=LinearCost(a=a, b=b), growth=growth)  # input checks
+    if not growth < r:
         raise ValueError(f"growth must satisfy 0 <= growth < r, got {growth!r}")
+    if k_max is not None and not _is_integer(k_max):
+        raise TypeError(f"k_max must be an integer, got {k_max!r}")
     cap = DEFAULT_KMAX if k_max is None else int(k_max)
     if cap < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max!r}")
@@ -329,16 +323,3 @@ def optimal_stock_scan(
     if best_k is None:
         raise ValueError(f"no stock size up to k_max={cap} has positive payoff b*k - a")
     return best_k, best_v, scan
-
-
-def optimal_stock(
-    a: float,
-    b: float,
-    mu: float,
-    r: float,
-    k_max: int | None = None,
-    growth: float = 0.0,
-) -> tuple[int, float]:
-    """(k*, v*) of :func:`optimal_stock_scan`, without the scan."""
-    k_star, v_star, _ = optimal_stock_scan(a, b, mu, r, k_max=k_max, growth=growth)
-    return k_star, v_star

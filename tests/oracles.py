@@ -15,9 +15,9 @@ quadrature or cdf code with the package.
 
 The last section holds derived quantities that only the tests use (the
 counting process of replacements, the cycle transform, a one-path cycle
-sampler, the residual value and the tilted forcing term).  They are built
-on the package's own primitives, and their tests check identities between
-those primitives.
+sampler, the residual value, the tilted forcing term and both sides of
+the perpetuity equation).  They are built on the package's own
+primitives, and their tests check identities between those primitives.
 """
 
 from __future__ import annotations
@@ -29,6 +29,16 @@ import numpy as np
 
 from restock import valuation
 from restock.distributions import GammaLaw, convolution_cdf, poisson_tails
+from restock.montecarlo import (
+    _PERP_V,
+    _PERP_X,
+    DEFAULT_TAIL_TOL,
+    MCEstimate,
+    _estimate,
+    _perpetuity_samples,
+    _stream,
+    simulate_vk,
+)
 from restock.valuation import ModelParams, effective
 
 
@@ -209,3 +219,22 @@ def tail_weight(params: ModelParams, t: float) -> float:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return effective(params).v * (1.0 - next(poisson_tails(params.mu * t, params.k)))
+
+
+def verify_perpetuity_equation(
+    params: ModelParams, n_paths: int, seed: int, tail_tol: float = DEFAULT_TAIL_TOL
+) -> tuple[MCEstimate, MCEstimate]:
+    """Estimate both sides of V = e^(-r_eff X) (theta + V) with independent draws.
+
+    The left side is the plain perpetuity estimate, which also checks the
+    arguments; the right side prices theta plus a *fresh* perpetuity sample
+    behind one fresh cycle draw, from the package's stream domains reserved
+    for this check.  The two means agree within sampling error iff the
+    simulated perpetuity satisfies its defining identity.
+    """
+    lhs = simulate_vk(params, n_paths, seed, tail_tol)
+    eff = effective(params)
+    x = _stream(seed, _PERP_X, 1).standard_gamma(params.k, n_paths) / params.mu
+    fresh_v = _perpetuity_samples(params, n_paths, seed, tail_tol, _PERP_V)
+    rhs = _estimate(np.exp(-eff.r_eff * x) * (eff.theta + fresh_v), seed)
+    return lhs, rhs

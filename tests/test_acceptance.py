@@ -20,14 +20,14 @@ import numpy as np
 import pytest
 
 from restock.cli import main as cli_main
-from restock.laplace import InversionConfig, invert
+from restock.laplace import invert
 from restock.montecarlo import simulate_vk, simulate_wk
 from restock.valuation import (
     FixedCost,
     LinearCost,
     ModelParams,
     effective,
-    optimal_stock,
+    optimal_stock_scan,
     perpetual_value,
     series_value,
 )
@@ -69,7 +69,7 @@ def test_c1_perpetual_value():
 
 
 def test_c2_optimal_stock():
-    k_star, v_star = optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
+    k_star, v_star = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)[:2]
     assert k_star == 10
     report(f"[criterion 2] optimal stock k* = {k_star} (v* = {v_star:.4f}): PASS")
 
@@ -90,7 +90,7 @@ def test_c3_single_unit_exactness_and_order():
 
 
 def test_c4_four_way_agreement(series_on_grid, volterra_on_grid):
-    laplace_on_grid = {t: invert(TABLE, t, InversionConfig()) for t in ACCEPTANCE_TIMES}
+    laplace_on_grid = {t: invert(TABLE, t) for t in ACCEPTANCE_TIMES}
     worst = 0.0
     for t in ACCEPTANCE_TIMES:
         values = (series_on_grid[t], volterra_on_grid[t], laplace_on_grid[t])
@@ -218,8 +218,8 @@ def test_c8_metamorphic_suite():
         scaled = ModelParams(k=10, mu=1.0, r=0.02, cost=FixedCost(9.0 * c))
         assert perpetual_value(scaled) == c * perpetual_value(base)
         assert abs(series_value(scaled, 50.0) - c * series_value(base, 50.0)) < (1 + c) * 1e-9
-        k_base, v_base = optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
-        k_scaled, v_scaled = optimal_stock(a=c, b=c, mu=1.0, r=0.02)
+        k_base, v_base = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)[:2]
+        k_scaled, v_scaled = optimal_stock_scan(a=c, b=c, mu=1.0, r=0.02)[:2]
         assert k_scaled == k_base
         assert v_scaled == c * v_base
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from restock import laplace
-from restock.laplace import InversionConfig, _talbot, _talbot_nodes, invert, w_hat
+from restock.laplace import _NODE_COUNT, _NODE_STEP, _talbot, _talbot_nodes, invert, w_hat
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 from restock.volterra import GridSpec, solve_renewal
 
@@ -13,16 +13,6 @@ from oracles import trapezoid_transform
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
-
-
-class TestInversionConfig:
-    def test_default(self):
-        assert InversionConfig().node_count == 32
-
-    @pytest.mark.parametrize("n", [6, 7, 33, 0])
-    def test_rejects_small_or_odd(self, n):
-        with pytest.raises(ValueError):
-            InversionConfig(node_count=n)
 
 
 class TestTransform:
@@ -85,10 +75,11 @@ class TestInvert:
             invert(TABLE, -1.0)
 
     def test_resolutions_agree(self):
-        # base and +16-node contours must stay close wherever we invert
+        # the returned 48-node value and a 64-node contour must stay close
+        # wherever we invert
         for t in (1.0, 10.0, 60.0, 300.0):
-            a = invert(TABLE, t, InversionConfig(node_count=32))
-            b = invert(TABLE, t, InversionConfig(node_count=48))
+            a = invert(TABLE, t)
+            b = _talbot(TABLE, t, 64)
             assert abs(a - b) < 2e-5 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("t", [150.0, 200.0])
@@ -124,7 +115,7 @@ class TestInvert:
         # v = 1e8: a floor of 1e-6 * v alone would pass a 0.01 gap on a value
         # of 0.5; the floor is capped at 1, so the gap must stay within 1e-3
         params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
-        fine_nodes = InversionConfig().node_count + 16
+        fine_nodes = _NODE_COUNT + _NODE_STEP
         monkeypatch.setattr(laplace, "_talbot", lambda p, t, m: 0.51 if m == fine_nodes else 0.5)
         with pytest.raises(ArithmeticError, match="self-check"):
             invert(params, 1.0)
@@ -133,8 +124,7 @@ class TestInvert:
 
     @pytest.mark.parametrize("t", [50.0, 100.0, 250.0, 500.0])
     def test_flagship_grid_passes_the_relative_gate(self, t):
-        cfg = InversionConfig()
-        coarse, fine = _talbot(TABLE, t, cfg.node_count), _talbot(TABLE, t, cfg.node_count + 16)
+        coarse, fine = _talbot(TABLE, t, _NODE_COUNT), _talbot(TABLE, t, _NODE_COUNT + _NODE_STEP)
         assert abs(coarse - fine) <= 3e-6 * abs(fine)
         assert invert(TABLE, t) == fine
 

@@ -16,7 +16,6 @@ from restock.montecarlo import (
     _stream,
     simulate_vk,
     simulate_wk,
-    verify_perpetuity_equation,
 )
 from restock.valuation import (
     FixedCost,
@@ -26,6 +25,8 @@ from restock.valuation import (
     perpetual_value,
     series_value,
 )
+
+from oracles import verify_perpetuity_equation
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from restock.valuation import (
     asymptotic_value,
     effective,
     exact_k1_value,
-    optimal_stock,
     optimal_stock_scan,
     perpetual_value,
     series_value,
@@ -317,12 +317,12 @@ class TestExactK1:
 
 class TestOptimalStock:
     def test_flagship_maximum(self):
-        k_star, v_star = optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
+        k_star, v_star = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)[:2]
         assert k_star == 10
         assert v_star == pytest.approx(V_TABLE, rel=1e-12)
 
     def test_no_fixed_cost_prefers_single_unit(self):
-        k_star, v_star = optimal_stock(a=0.0, b=1.0, mu=1.0, r=0.02)
+        k_star, v_star = optimal_stock_scan(a=0.0, b=1.0, mu=1.0, r=0.02)[:2]
         assert k_star == 1
         assert v_star == pytest.approx(50.0, rel=1e-12)
         # runner-up for context: v_2 = 2/(1.02^2 - 1) ~= 49.505 < 50
@@ -340,7 +340,7 @@ class TestOptimalStock:
                         best = (k, v)
             return best
 
-        got = optimal_stock(a=5.0, b=1.0, mu=1.0, r=0.02)
+        got = optimal_stock_scan(a=5.0, b=1.0, mu=1.0, r=0.02)[:2]
         expected = brute(5.0, 1.0, 1.0, 0.02)
         assert got[0] == expected[0]
         assert got[1] == pytest.approx(expected[1], rel=1e-10)
@@ -353,7 +353,7 @@ class TestOptimalStock:
     )
     @settings(max_examples=30)
     def test_bruteforce_property(self, a, b, mu, r):
-        k_star, v_star = optimal_stock(a=a, b=b, mu=mu, r=r, k_max=2000)
+        k_star, v_star = optimal_stock_scan(a=a, b=b, mu=mu, r=r, k_max=2000)[:2]
         alpha = r / mu + 1.0
         by_k = {k: (b * k - a) / (alpha**k - 1.0) for k in range(1, 400) if b * k > a}
         best_k = min(by_k, key=lambda k: (-by_k[k], k))
@@ -363,11 +363,10 @@ class TestOptimalStock:
 
     def test_infeasible_raises(self):
         with pytest.raises(ValueError, match="positive payoff"):
-            optimal_stock(a=10.0, b=0.5, mu=1.0, r=0.02, k_max=5)
+            optimal_stock_scan(a=10.0, b=0.5, mu=1.0, r=0.02, k_max=5)
 
     def test_scan_stops_at_the_proof(self):
         k_star, v_star, scan = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)
-        assert (k_star, v_star) == optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
         ks = [k for k, _ in scan]
         assert ks == list(range(2, ks[-1] + 1))  # b*k > a from k = 2 on
         assert max(scan, key=lambda kv: kv[1]) == (k_star, v_star)
@@ -376,7 +375,7 @@ class TestOptimalStock:
         assert k_next / math.expm1(k_next * math.log1p(0.02)) < v_star
         assert ks[-1] / math.expm1(ks[-1] * math.log1p(0.02)) >= v_star
 
-    @pytest.mark.parametrize("k_max, k_star", [(7, 7), (10, 10), (11, 10)])
+    @pytest.mark.parametrize("k_max, k_star", [(7, 7), (10, 10), (11, 10), (np.int64(7), 7)])
     def test_scan_respects_the_cap(self, k_max, k_star):
         got_k, got_v, scan = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02, k_max=k_max)
         assert got_k == k_star
@@ -390,10 +389,24 @@ class TestOptimalStock:
         assert k_star == 3
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            optimal_stock(a=-1.0, b=1.0, mu=1.0, r=0.02)
-        with pytest.raises(ValueError):
-            optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02, growth=0.02)
+        cases = [
+            ({"a": -1.0}, "fixed cost a must be a nonnegative real"),
+            ({"b": 0.0}, "unit margin b must be a positive real"),
+            ({"mu": 0.0}, "mu must be a finite positive real"),
+            ({"r": -1.0}, "r must be a finite positive real"),
+            ({"growth": 0.02}, "growth must satisfy 0 <= growth < r"),
+            ({"growth": -0.01}, "growth must be a finite nonnegative real"),
+            ({"k_max": 0}, "k_max must be >= 1"),
+        ]
+        for change, message in cases:
+            with pytest.raises(ValueError, match=message):
+                optimal_stock_scan(**({"a": 1.0, "b": 1.0, "mu": 1.0, "r": 0.02} | change))
+
+    @pytest.mark.parametrize("k_max", [2.5, 10.0, True])
+    def test_rejects_non_integer_cap(self, k_max):
+        # int(2.5) would scan only k <= 2 and True would become 1, silently
+        with pytest.raises(TypeError, match="k_max must be an integer"):
+            optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02, k_max=k_max)
 
 
 class TestMetamorphic:
@@ -433,8 +446,8 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 16.0])
     def test_optimal_stock_scale_invariant(self, c):
-        k1, v1 = optimal_stock(a=1.0, b=1.0, mu=1.0, r=0.02)
-        k2, v2 = optimal_stock(a=c * 1.0, b=c * 1.0, mu=1.0, r=0.02)
+        k1, v1 = optimal_stock_scan(a=1.0, b=1.0, mu=1.0, r=0.02)[:2]
+        k2, v2 = optimal_stock_scan(a=c * 1.0, b=c * 1.0, mu=1.0, r=0.02)[:2]
         assert k2 == k1
         assert v2 == c * v1
 
