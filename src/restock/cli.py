@@ -29,7 +29,7 @@ from typing import Iterable
 
 from restock import __version__
 from restock.laplace import invert
-from restock.montecarlo import DEFAULT_TAIL_TOL, MCEstimate, simulate_vk, simulate_wk
+from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk
 from restock.valuation import (
     DEFAULT_SERIES_TOL,
     FixedCost,
@@ -370,16 +370,15 @@ def cmd_paper_table(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args)
     if args.perpetual:
-        est = simulate_vk(params, args.paths, args.seed, args.tail_tol)
+        est = simulate_vk(params, args.paths, args.seed)
         mode = "perpetual"
     else:
         est = simulate_wk(params, args.horizon, args.paths, args.seed)
         mode = "horizon"
     if args.out == "csv":
-        header = "mode,horizon,mean,stderr,n_paths,seed,truncation_bias_bound"
+        header = "mode,horizon,mean,stderr,n_paths,seed"
         horizon = "" if args.perpetual else _fmt(args.horizon)
-        bias = "" if est.truncation_bias_bound is None else _fmt(est.truncation_bias_bound)
-        _emit([header, f"{mode},{horizon},{_fmt(est.mean)},{_fmt(est.stderr)},{est.n_paths},{est.seed},{bias}"])
+        _emit([header, f"{mode},{horizon},{_fmt(est.mean)},{_fmt(est.stderr)},{est.n_paths},{est.seed}"])
     else:
         _emit_json(
             {
@@ -387,13 +386,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "params": _params_echo(params),
                 "mode": mode,
                 "horizon": None if args.perpetual else args.horizon,
-                "tail_tol": args.tail_tol if args.perpetual else None,
                 "estimate": {
                     "mean": est.mean,
                     "stderr": est.stderr,
                     "n_paths": est.n_paths,
                     "seed": est.seed,
-                    "truncation_bias_bound": est.truncation_bias_bound,
                 },
                 "metadata": {"version": __version__},
             }
@@ -461,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--perpetual", action="store_true")
     p_sim.add_argument("--paths", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--tail-tol", type=float, default=DEFAULT_TAIL_TOL, dest="tail_tol")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
 

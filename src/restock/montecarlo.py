@@ -28,25 +28,32 @@ horizons; at t = inf both coincide.)
 
 The perpetuity keeps simulating the discount products themselves: each
 round draws one Gamma(k, 1) variate per live path, mu times its cycle
-length, and stops a path once its discount falls below tail_tol.  The
-perpetuity-equation checker in ``tests/oracles.py`` tests that simulation
-against its defining identity.  Its paths are split into fixed blocks of
-``_BLOCK`` paths, and block b draws all of its rounds, in order, from one
-stream of its own.  The blocks run on every CPU the process may use
-(numpy's samplers and ufuncs release the GIL), one thread per CPU up to
-the block count.
+length.  Once a path's discount D falls below the window c = ``_WINDOW``
+it plays weight-window Russian roulette (Spanier & Gelbard, *Monte Carlo
+Principles and Neutron Transport Problems*, 1969): it survives with
+probability D / c, carrying D = c on, and retires otherwise.  Every path
+ends after finitely many rounds, and because a survivor's weight times
+its survival probability is the discount it had, the estimate is exactly
+unbiased, with no truncation (the argument of Rhee & Glynn, Oper. Res.
+63(5), 2015).  The perpetuity-equation checker in ``tests/oracles.py``
+tests that simulation against its defining identity.  Its paths are
+split into fixed blocks of ``_BLOCK`` paths, and block b draws all of its
+rounds, in order, from one stream of its own: each round's cycles, then,
+in rounds where some discount is below c, its roulette uniforms.  The
+blocks run on every CPU the process may use (numpy's samplers and ufuncs
+release the GIL), one thread per CPU up to the block count.
 
 Determinism: every draw comes from a Philox counter-based stream keyed by
 (seed, stream domain, index) -- the horizon clock by index 1, a
 perpetuity block by its block number -- and arrays are reduced in fixed
 path order, so results are bit-reproducible from (seed, n_paths, params,
-t / tail_tol) on the same numpy version and do not depend on the number
-of cores or on how the blocks are scheduled (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011).  ``_BLOCK`` is part of
-the perpetuity's recipe.  The numpy version is part of it too, because
-the horizon clock uses ``Generator.poisson`` and the perpetuity cycles
-use ``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS 26(3),
-2000), numpy's own samplers.
+t) for the horizon and (seed, n_paths, params, ``_BLOCK``, ``_WINDOW``)
+for the perpetuity, and do not depend on the number of cores or on how
+the blocks are scheduled (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011).  The numpy version is part of the recipe
+too, because the horizon clock uses ``Generator.poisson`` and the
+perpetuity ``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS
+26(3), 2000) and ``Generator.random``, numpy's own samplers.
 """
 
 from __future__ import annotations
@@ -63,8 +70,6 @@ from restock.valuation import ModelParams, effective
 
 __all__ = ["MCEstimate", "simulate_wk", "simulate_vk"]
 
-DEFAULT_TAIL_TOL = 1e-12
-
 # Stream domains; each (seed, domain, index) triple is an independent
 # Philox substream.  The numbers key the draws, so they are part of the
 # reproducibility recipe and must never be reassigned.
@@ -80,6 +85,12 @@ _PERP_V = 4
 # the GIL.
 _BLOCK = 8192
 
+# Roulette window c: a path whose discount falls below c survives with
+# probability D / c and carries D = c on.  Part of the perpetuity's recipe.
+# A larger c ends paths sooner but spreads their totals wider.
+_WINDOW = 0.03
+_LOG_WINDOW = math.log(_WINDOW)
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -91,17 +102,16 @@ class MCEstimate:
     underflows) it is 0 or below one ulp of the mean.  The estimate is
     bit-reproducible from (seed, n_paths) and the call's parameters on the
     same numpy version; a perpetuity estimate also depends on the path
-    block size ``_BLOCK``, whose blocks draw from streams keyed by
-    (seed, stream, block), but not on how many cores ran them.
-    ``truncation_bias_bound`` is set on perpetuity runs only: the stopped
-    tail is worth D_stop * v in expectation, hence at most tail_tol * |v|.
+    block size ``_BLOCK`` and on its roulette window ``_WINDOW``, and its
+    blocks draw from streams keyed by (seed, stream, block), but not on how
+    many cores ran them.  Neither estimator truncates, so neither carries
+    a bias term: each is unbiased for the function it estimates.
     """
 
     mean: float
     stderr: float
     n_paths: int
     seed: int
-    truncation_bias_bound: float | None = None
 
 
 def _check_seed(seed: int) -> int:
@@ -112,12 +122,9 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_paths(n_paths: int, tail_tol: float | None = None) -> int:
-    """Validate the path count and, for perpetuity runs, the stopping discount."""
+def _check_paths(n_paths: int) -> int:
     if not (_is_integer(n_paths) and n_paths >= 2):
         raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    if tail_tol is not None and not 0 < tail_tol < 1:
-        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     return int(n_paths)
 
 
@@ -134,11 +141,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _estimate(samples: np.ndarray, seed: int, bias_bound: float | None = None) -> MCEstimate:
+def _estimate(samples: np.ndarray, seed: int) -> MCEstimate:
     n = samples.size
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n))
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=n, seed=seed, truncation_bias_bound=bias_bound)
+    return MCEstimate(mean=mean, stderr=stderr, n_paths=n, seed=seed)
 
 
 def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEstimate:
@@ -169,19 +176,26 @@ def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEst
     return _estimate(scale * np.expm1(cycles * log_q), seed)
 
 
-def _perpetuity_samples(
-    params: ModelParams, n_paths: int, seed: int, tail_tol: float, domain: int
-) -> np.ndarray:
-    """Per-path discounted payment totals, truncated at discount < tail_tol.
+def _perpetuity_samples(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:
+    """Per-path discounted payment totals, ended by weight-window roulette.
+
+    Once a round's payment theta * D_n is added, a path whose discount
+    D_n has fallen below the window c = _WINDOW survives with probability
+    D_n / c and carries D = c on; the rest retire.  Survival draws one
+    uniform u per live path and keeps the path iff log c + log u < log D,
+    so a path at or above c always survives.  A retired path's expected
+    remaining payout, D_n times a perpetuity, equals that of a survivor
+    weighted by survival, so the totals stay exact in expectation.
 
     Block b fills paths [b * _BLOCK, (b+1) * _BLOCK) of the result, every
-    round drawn in order from the stream (seed, domain, b); the blocks run
-    on up to one thread per usable CPU.  A block's live arrays are kept
-    compacted: a retiring path's total is written once to its slot of the
-    result, and the rest shrink to the survivors.
+    round's cycles and then (in rounds where some discount is below c)
+    its uniforms drawn in order from the stream (seed, domain, b); the
+    blocks run on up to one thread per usable CPU.  A block's live arrays
+    are kept compacted: a retiring path's total is written once to its
+    slot of the result, and the rest shrink to the survivors.
     """
     eff = effective(params)
-    k, rate, log_tail = params.k, eff.r_eff / params.mu, math.log(tail_tol)
+    k, rate, theta = params.k, eff.r_eff / params.mu, eff.theta
     out = np.empty(n_paths)
 
     def run(block: int) -> None:
@@ -194,12 +208,21 @@ def _perpetuity_samples(
             cycle = stream.standard_gamma(k, slots.size)
             cycle *= rate
             log_discount -= cycle
-            payout += eff.theta * np.exp(log_discount, out=cycle)
-            retired = log_discount < log_tail
-            if retired.any():
-                part[slots[retired]] = payout[retired]
-                live = ~retired
-                slots, log_discount, payout = slots[live], log_discount[live], payout[live]
+            np.exp(log_discount, out=cycle)
+            cycle *= theta
+            payout += cycle
+            if log_discount.min() < _LOG_WINDOW:
+                # the spent cycle buffer takes log c + log u (u = 0 gives
+                # -inf, and the path survives, as u < D / c says it should)
+                stream.random(out=cycle)
+                np.log(cycle, out=cycle)
+                cycle += _LOG_WINDOW
+                retired = cycle >= log_discount
+                np.maximum(log_discount, _LOG_WINDOW, out=log_discount)
+                if retired.any():
+                    part[slots[retired]] = payout[retired]
+                    live = ~retired
+                    slots, log_discount, payout = slots[live], log_discount[live], payout[live]
 
     _run_blocks(run, -(-n_paths // _BLOCK))
     return out
@@ -233,19 +256,14 @@ def _run_blocks(run, n_blocks: int) -> None:
         raise errors[0]
 
 
-def simulate_vk(
-    params: ModelParams, n_paths: int, seed: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> MCEstimate:
-    """Estimate the perpetual value; paths stop when their discount factor
-    falls below tail_tol.
+def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
+    """Estimate the perpetual value v by simulating the discount products.
 
-    The payment at the stopping replacement is still collected, so the
-    untallied remainder is D_stop times an independent perpetuity and the
-    estimate is biased low by at most tail_tol * |v| (reported, not
-    corrected).
+    Each path collects theta * D_n at every replacement until weight-window
+    roulette ends it (see ``_perpetuity_samples``).  The roulette leaves
+    every path's expected total equal to v, so the estimate has no
+    truncation bias and its error is the sampling error ``stderr``.
     """
-    n_paths = _check_paths(n_paths, tail_tol)
+    n_paths = _check_paths(n_paths)
     seed = _check_seed(seed)
-    eff = effective(params)
-    samples = _perpetuity_samples(params, n_paths, seed, tail_tol, _VK_PRICE)
-    return _estimate(samples, seed, bias_bound=tail_tol * abs(eff.v))
+    return _estimate(_perpetuity_samples(params, n_paths, seed, _VK_PRICE), seed)

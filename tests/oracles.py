@@ -32,7 +32,6 @@ from restock.distributions import GammaLaw, convolution_cdf, poisson_tails
 from restock.montecarlo import (
     _PERP_V,
     _PERP_X,
-    DEFAULT_TAIL_TOL,
     MCEstimate,
     _estimate,
     _perpetuity_samples,
@@ -221,9 +220,7 @@ def tail_weight(params: ModelParams, t: float) -> float:
     return effective(params).v * (1.0 - next(poisson_tails(params.mu * t, params.k)))
 
 
-def verify_perpetuity_equation(
-    params: ModelParams, n_paths: int, seed: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[MCEstimate, MCEstimate]:
+def verify_perpetuity_equation(params: ModelParams, n_paths: int, seed: int) -> tuple[MCEstimate, MCEstimate]:
     """Estimate both sides of V = e^(-r_eff X) (theta + V) with independent draws.
 
     The left side is the plain perpetuity estimate, which also checks the
@@ -232,9 +229,9 @@ def verify_perpetuity_equation(
     for this check.  The two means agree within sampling error iff the
     simulated perpetuity satisfies its defining identity.
     """
-    lhs = simulate_vk(params, n_paths, seed, tail_tol)
+    lhs = simulate_vk(params, n_paths, seed)
     eff = effective(params)
     x = _stream(seed, _PERP_X, 1).standard_gamma(params.k, n_paths) / params.mu
-    fresh_v = _perpetuity_samples(params, n_paths, seed, tail_tol, _PERP_V)
+    fresh_v = _perpetuity_samples(params, n_paths, seed, _PERP_V)
     rhs = _estimate(np.exp(-eff.r_eff * x) * (eff.theta + fresh_v), seed)
     return lhs, rhs

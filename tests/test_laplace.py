@@ -91,12 +91,13 @@ class TestInvert:
         with pytest.raises(ArithmeticError, match="self-check"):
             invert(params, t)
 
-    def test_overflowing_contour_raises(self):
-        # k=300 at t = 3 mean cycles: phi^k overflows on the contour and
-        # both resolutions come out nan
-        params = ModelParams(k=300, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
-        with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="nan"):
-            invert(params, 900.0)
+    def test_large_stock_contour_near_minus_mu_inverts(self):
+        # k=300 at t = 3 mean cycles: the contour passes near s = -mu, where
+        # q phi^k exceeds 1e308; the transform is -theta/s there, not nan
+        params = ModelParams(k=300, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
+        with np.errstate(over="raise"):
+            got = invert(params, 900.0)
+        assert got == pytest.approx(series_value(params, 900.0, 1e-14), rel=1e-6)
 
     def test_values_far_below_v_are_checked_against_v(self):
         # k=200, t=20: w is ~1e-123 and the two contours disagree by ~1e-30,
