@@ -184,9 +184,14 @@ def effective(params: ModelParams) -> EffectiveParams:
     ratio = r_eff / params.mu
     alpha = ratio + 1.0
     log_alpha = math.log1p(ratio)
-    phi_k = math.exp(-params.k * log_alpha)
-    # alpha^k - 1 via expm1 keeps v accurate when r_eff/mu is tiny
-    v = theta / math.expm1(params.k * log_alpha)
+    k_log_alpha = params.k * log_alpha
+    phi_k = math.exp(-k_log_alpha)
+    # alpha^k - 1 via expm1 keeps v accurate when r_eff/mu is tiny; past
+    # e^700 it would overflow, so v = theta alpha^-k / (1 - alpha^-k) there
+    if k_log_alpha <= 700.0:
+        v = theta / math.expm1(k_log_alpha)
+    else:
+        v = theta * phi_k / -math.expm1(-k_log_alpha)
     rho = r_eff * params.mu / (r_eff + params.mu)
     mu0 = params.k * (r_eff + params.mu) / params.mu**2
     return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=mu0, v=v)

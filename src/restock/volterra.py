@@ -25,14 +25,18 @@ global error is a transient O(h^2).
 
 The discrete equation is a lower-triangular Toeplitz system,
 C(x) W(x) = G(x) mod x^(n+1) in power-series form, so it is solved as one
-power-series division: Newton's iteration y <- y - y (C y - 1) doubles the
-correct terms of 1/C per step, and every product is an FFT convolution
-(Brent & Kung, J. ACM 25(4), 1978; Hairer, Lubich & Schlichte, SIAM J. Sci.
-Stat. Comput. 6(3), 1985).  That is O(n log n) work and O(n) memory in
-place of n step-by-step dot products.  The system is implicit only through
-C's constant term 1 - q * int_panel1 (1 - s/h) f(s) ds, which is strictly
-positive, so the scheme is unconditionally solvable (the classic k = 1 step
-bound is still validated to keep the documented step contract).
+power-series division with FFT products (Brent & Kung, J. ACM 25(4), 1978;
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): Newton's
+iteration y <- y - y (C y - 1) over the balanced sizes ..., ceil(n/4),
+ceil(n/2), its last step folded into the division (Karp & Markstein, ACM
+TOMS 23(4), 1997), and every product at the shortest exact cyclic length
+(for the error block, the middle product's: Hanrot, Quercia & Zimmermann,
+AAECC 14, 2004) rounded up to a 2^a 3^b 5^c size.  That is O(n log n) work
+and O(n) memory in place of n step-by-step dot products.  The system is
+implicit only through C's constant term 1 - q * int_panel1 (1 - s/h) f(s) ds,
+which is strictly positive, so the scheme is unconditionally solvable (the
+classic k = 1 step bound is still validated to keep the documented step
+contract).
 """
 
 from __future__ import annotations
@@ -73,32 +77,53 @@ class GridSpec:
         return round(self.t_max / self.h)
 
 
-def _product(a: np.ndarray, b: np.ndarray, nfft: int, lo: int, hi: int) -> np.ndarray:
-    """Coefficients lo..hi-1 of the length-nfft cyclic convolution of a and b."""
-    spec = np.fft.rfft(a, nfft)
-    spec *= np.fft.rfft(b, nfft)
-    return np.fft.irfft(spec, nfft)[lo:hi].copy()
+def _fft_length(m: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= m, a length numpy's FFT transforms fast."""
+    best, p5 = 1 << (m - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << ((m - 1) // p35).bit_length())  # least p35 * 2^a >= m
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _series_inverse(c: np.ndarray) -> np.ndarray:
-    """First c.size coefficients of 1/C(x) by Newton iteration, c[0] != 0.
+def _series_divide(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """First c.size coefficients of G(x)/C(x), for g.size == c.size and c[0] != 0.
 
-    Once y is correct to ``half`` terms, C y - 1 starts at x^half, so each
-    step computes only that error block and y's next ``size - half`` terms.
-    A cyclic length of 2*half is exact for both products: the wrapped
-    coefficients of C[:size] * y[:half] land below ``half``, where they
-    are not read.
+    Newton's iteration takes y = 1/C to top = ceil(m/2) terms over the sizes
+    ..., ceil(top/4), ceil(top/2), top.  Once y is correct to ``half``
+    terms, C y - 1 starts at x^half, so a cyclic length of ``size`` is exact
+    for that error block: the wrapped coefficients of C[:size] * y[:half]
+    land below ``half``, where they are not read.  The same length holds all
+    of y[:half] * err, so one spectrum of y serves both products.  The last
+    Newton step is folded into the division: W = G y to top terms, then the
+    upper terms are y times the residual G - C W, all at a length >= m.
     """
+    rfft, irfft = np.fft.rfft, np.fft.irfft
     m = c.size
-    y = np.empty(m)
+    top = (m + 1) // 2
+    sizes = [top]
+    while sizes[0] > 1:
+        sizes.insert(0, (sizes[0] + 1) // 2)
+    y = np.empty(top)
     y[0] = 1.0 / c[0]
-    half = 1
-    while half < m:
-        size = min(2 * half, m)
-        err = _product(c[:size], y[:half], 2 * half, half, size)
-        y[half:size] = -_product(y[: size - half], err, 2 * half, 0, size - half)
-        half = size
-    return y
+    for half, size in zip(sizes, sizes[1:]):
+        nfft = _fft_length(size)
+        y_spec = rfft(y[:half], nfft)
+        err = irfft(rfft(c[:size], nfft) * y_spec, nfft)[half:size]
+        y[half:size] = -irfft(rfft(err, nfft) * y_spec, nfft)[: size - half]
+    nfft = _fft_length(m)
+    y_spec = rfft(y, nfft)
+    del y
+    w = np.empty(m)
+    w[:top] = irfft(rfft(g[:top], nfft) * y_spec, nfft)[:top]
+    residual = rfft(c, nfft)  # C W, multiplied in place to keep the peak memory down
+    residual *= rfft(w[:top], nfft)
+    residual = g[top:] - irfft(residual, nfft)[top:m]
+    w[top:] = irfft(rfft(residual, nfft) * y_spec, nfft)[: m - top]
+    return w
 
 
 def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
@@ -145,10 +170,6 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     g = cdf_k[1:]
     g *= eff.theta * q
 
-    inverse = _series_inverse(c)
-    del c
-    w = np.empty(n + 1)
-    w[0] = 0.0
-    w[1:] = _product(g, inverse, 1 << (2 * n - 1).bit_length(), 0, n)
+    w = np.concatenate(([0.0], _series_divide(g, c)))
     np.maximum(w, 0.0, out=w)
     return ValueCurve(times=np.arange(n + 1) * h, values=w, method="volterra")

@@ -121,6 +121,20 @@ class TestEffective:
         with pytest.raises(ValueError, match="non-positive replacement payoff"):
             effective(p)
 
+    @pytest.mark.parametrize("k", [390, 391, 400])
+    def test_alpha_power_past_float_range(self, k):
+        # k ln(alpha) is 698.8, 700.6 and 716.7: alpha^k - 1 overflows a float
+        # at k = 400, where v is subnormal (its ulp is ~1e-12 of v)
+        eff = effective(ModelParams(k=k, mu=0.1, r=0.5, cost=FixedCost(1.0)))
+        with mpmath.workdps(40):
+            exact = float(1 / (mpmath.mpf(6) ** k - 1))
+        assert abs(eff.v - exact) <= 1e-12 * exact + 4 * math.ulp(0.0)
+
+    def test_extreme_stock_value_underflows_to_zero(self):
+        eff = effective(ModelParams(k=2000, mu=0.1, r=0.5, cost=FixedCost(1.0)))
+        assert eff.phi_k == 0.0
+        assert eff.v == 0.0
+
     @given(params=params_strategy())
     def test_invariant_identities(self, params):
         eff = effective(params)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import poisson_tail, volterra_direct
 from restock.distributions import erlang_cdf_grid
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
-from restock.volterra import GridSpec, solve_renewal
+from restock.volterra import GridSpec, _fft_length, _series_divide, solve_renewal
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -68,6 +69,33 @@ class TestErlangGrid:
         # the solver's panel masses and first moments are these differences
         assert np.diff(cdf).min() >= 0.0
         assert np.diff(cdf_next).min() >= 0.0
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+class TestSeriesDivide:
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        for m in range(1, 5001):
+            assert _fft_length(m) == next(j for j in itertools.count(m) if _is_5_smooth(j))
+
+    def test_matches_forward_substitution(self):
+        # every size exercises a different Newton schedule and set of lengths
+        rng = np.random.default_rng(7)
+        for n in range(1, 301):
+            # the renewal system's shape: c[0] > 0 > c[1:] with sum(c) > 0
+            c = np.empty(n)
+            c[0] = 1.0
+            c[1:] = -0.9 / n * rng.random(n - 1)
+            g = rng.random(n)
+            direct = np.empty(n)
+            for i in range(n):
+                direct[i] = (g[i] - np.dot(c[i:0:-1], direct[:i])) / c[0]
+            assert np.abs(_series_divide(g, c) - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
 class TestSolveRenewal:
@@ -128,7 +156,7 @@ class TestSolveRenewal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4.2e6
+        assert peak < 3.0e6
 
     def test_defective_kernel_mass(self):
         # the kernel mass phi^k is strictly inside (0, 1) for every valid model
@@ -182,3 +210,8 @@ class TestAgainstDirectRecursion:
 
     def test_flagship_fine_grid(self):
         self._check(TABLE, GridSpec(t_max=500.0, h=0.01))
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 97, 1001, 4099])
+    def test_odd_prime_and_tiny_grids(self, n):
+        params = ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0))
+        self._check(params, GridSpec(t_max=n * 0.1, h=0.1))
