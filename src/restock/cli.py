@@ -11,25 +11,29 @@ paper-table the published 10-unit example table re-derived three ways,
             with a note on the inconsistency in its printed entries
 simulate    seeded Monte Carlo run (finite horizon or perpetuity)
 
-Reports go to stdout as CSV (curve-like commands; bit-exact header
-``t,method,value,stderr``, LF endings, 10 significant digits) or JSON
-(lossless floats).  Diagnostics go to stderr only, so stdout can be
-piped.  Every command is deterministic given its full flag set; exit code
-0 means the command completed and its tolerance gates passed, 1 a failed
-gate, 2 a usage or validation error.
+The CLI only parses and formats: :func:`_method_rows` maps a method tag to
+library values and :func:`_report` writes every report to stdout, as CSV
+(curve-like commands: bit-exact header ``t,method,value,stderr``, LF
+endings, 10 significant digits) or JSON (lossless floats, ``metadata``
+last).  Diagnostics go to stderr only, so stdout can be piped.  Every
+command is deterministic given its full flag set; exit code 0 means the
+command completed and its tolerance gates passed, 1 a failed gate, 2 a
+usage or validation error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import math
 import sys
-from typing import Iterable
 
 from restock import __version__
+# perfbench/spans.py wraps invert, simulate_vk, simulate_wk, series_value and solve_renewal on restock.cli
 from restock.laplace import invert
-from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk
+from restock.montecarlo import simulate_vk, simulate_wk
 from restock.valuation import (
     DEFAULT_SERIES_TOL,
     FixedCost,
@@ -51,7 +55,7 @@ ANALYTIC_COMPARE = ("series", "volterra", "laplace")
 
 # Published 10-unit example: the literal printed approximation is
 # 41.097 - 45 e^(-t/101); the model-consistent tilt rate is 1/51.
-_TABLE_PARAMS = dict(k=10, mu=1.0, r=0.02, a=1.0, b=1.0)
+_TABLE_PARAMS = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 _TABLE_TIMES = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0)
 _AS_PRINTED_LEVEL = 41.097
 _AS_PRINTED_COEFF = 45.0
@@ -68,14 +72,6 @@ _ERRATUM_NOTE = (
 
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
-
-
-def _emit(lines: Iterable[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _diag(message: str) -> None:
@@ -97,11 +93,9 @@ def _out_flag(parser: argparse.ArgumentParser, default: str) -> None:
 
 
 def _build_params(args: argparse.Namespace) -> ModelParams:
-    has_theta = args.theta is not None
-    has_linear = args.a is not None or args.b is not None
-    if has_theta and has_linear:
+    if args.theta is not None and (args.a is not None or args.b is not None):
         raise ValueError("give either --theta or --a with --b, not both")
-    if has_theta:
+    if args.theta is not None:
         cost: FixedCost | LinearCost = FixedCost(theta=args.theta)
     elif args.a is not None and args.b is not None:
         cost = LinearCost(a=args.a, b=args.b)
@@ -133,103 +127,78 @@ def _time_grid(t_max: float, step: float | None) -> list[float]:
     return [i * step for i in range(n + 1)]
 
 
-def _volterra_values(params: ModelParams, times: list[float], h: float) -> list[float]:
-    positive = [t for t in times if t > 0]
-    if not positive:
-        return [0.0 for _ in times]
-    t_max = max(positive)
-    curve = solve_renewal(params, GridSpec(t_max=t_max, h=h))
-    values = []
-    for t in times:
-        index = round(t / h)
-        if abs(index * h - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"grid time {t} is not a multiple of the solver step --h {h}")
-        values.append(float(curve.values[index]))
-    return values
+def _mc_point(params: ModelParams, t: float, args: argparse.Namespace, tol: float) -> tuple[float, float]:
+    if t == 0:
+        return 0.0, 0.0
+    est = simulate_wk(params, t, args.paths, args.seed)
+    return est.mean, est.stderr
+
+
+# (value, stderr-or-None) of each pointwise method at one time; the lambdas
+# look the library functions up in this module's globals at call time
+_POINTWISE = {
+    "series": lambda params, t, args, tol: (series_value(params, t, tol), None),
+    "laplace": lambda params, t, args, tol: (invert(params, t), None),
+    "asymptotic": lambda params, t, args, tol: (asymptotic_value(params, t), None),
+    "exact_k1": lambda params, t, args, tol: (exact_k1_value(params, t), None),
+    "mc": _mc_point,
+    "as_printed": lambda params, t, args, tol: (
+        _AS_PRINTED_LEVEL - _AS_PRINTED_COEFF * math.exp(-_AS_PRINTED_RATE * t), None
+    ),
+}
 
 
 def _method_rows(
     params: ModelParams,
     method: str,
-    times: list[float],
+    times: list[float] | tuple[float, ...],
     args: argparse.Namespace,
     series_tol: float = DEFAULT_SERIES_TOL,
 ) -> list[tuple]:
-    """Rows (t, method, value, stderr-or-None) for one method tag."""
-    if method == "series":
-        return [(t, method, series_value(params, t, series_tol), None) for t in times]
-    if method == "volterra":
-        values = _volterra_values(params, times, args.h)
-        return [(t, method, v, None) for t, v in zip(times, values)]
-    if method == "laplace":
-        return [(t, method, invert(params, t), None) for t in times]
-    if method == "asymptotic":
-        return [(t, method, asymptotic_value(params, t), None) for t in times]
-    if method == "exact_k1":
-        return [(t, method, exact_k1_value(params, t), None) for t in times]
-    if method == "mc":
-        rows = []
-        for t in times:
-            if t == 0:
-                rows.append((t, method, 0.0, 0.0))
-            else:
-                est = simulate_wk(params, t, args.paths, args.seed)
-                rows.append((t, method, est.mean, est.stderr))
-        return rows
-    raise ValueError(f"unknown method {method!r}")
+    """Rows (t, method, value, stderr-or-None) for one method tag; volterra solves once, to times[-1]."""
+    if method != "volterra":
+        return [(t, method, *_POINTWISE[method](params, t, args, series_tol)) for t in times]
+    if times[-1] == 0:
+        return [(t, method, 0.0, None) for t in times]
+    h = args.h
+    values = solve_renewal(params, GridSpec(t_max=times[-1], h=h)).values
+    rows = []
+    for t in times:
+        index = round(t / h)
+        if abs(index * h - t) > 1e-9 * max(1.0, t):
+            raise ValueError(f"grid time {t} is not a multiple of the solver step --h {h}")
+        rows.append((t, method, float(values[index]), None))
+    return rows
 
 
-def _rows_to_csv(rows: list[tuple]) -> list[str]:
-    lines = [CSV_HEADER]
-    for t, method, value, stderr in rows:
-        tail = "" if stderr is None else _fmt(stderr)
-        lines.append(f"{_fmt(t)},{method},{_fmt(value)},{tail}")
-    return lines
+def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = None,
+            csv: list[str] | None = None, **fields) -> None:
+    """Write one report to stdout in the format ``args.out`` names.
 
-
-def _rows_to_json(rows: list[tuple]) -> list[dict]:
-    return [{"t": t, "method": method, "value": value, "stderr": stderr} for t, method, value, stderr in rows]
+    CSV: the given ``csv`` lines, else the rows under CSV_HEADER.  JSON: one
+    object with ``command`` first, then ``fields`` in order, ``rows`` (when
+    given) and ``metadata`` last.
+    """
+    if args.out == "csv":
+        if csv is None:
+            csv = [CSV_HEADER]
+            for t, method, value, stderr in rows:
+                csv.append(f"{_fmt(t)},{method},{_fmt(value)},{'' if stderr is None else _fmt(stderr)}")
+        sys.stdout.write("\n".join([*csv, ""]))  # LF-terminated without a second copy of the text
+        return
+    if rows is not None:
+        fields["rows"] = [{"t": t, "method": m, "value": v, "stderr": e} for t, m, v, e in rows]
+    payload = {"command": command, **fields, "metadata": {"version": __version__}}
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_value(args: argparse.Namespace) -> int:
     params = _build_params(args)
-    eff = effective(params)
-    if args.out == "csv":
-        header = "k,mu,r,growth,theta,r_eff,alpha,phi_k,rho,mu0,v"
-        row = ",".join(
-            _fmt(x)
-            for x in (
-                params.k,
-                params.mu,
-                params.r,
-                params.growth,
-                eff.theta,
-                eff.r_eff,
-                eff.alpha,
-                eff.phi_k,
-                eff.rho,
-                eff.mu0,
-                eff.v,
-            )
-        )
-        _emit([header, row])
-    else:
-        _emit_json(
-            {
-                "command": "value",
-                "params": _params_echo(params),
-                "effective": {
-                    "theta": eff.theta,
-                    "r_eff": eff.r_eff,
-                    "alpha": eff.alpha,
-                    "phi_k": eff.phi_k,
-                    "rho": eff.rho,
-                    "mu0": eff.mu0,
-                },
-                "v": eff.v,
-                "metadata": {"version": __version__},
-            }
-        )
+    eff = dataclasses.asdict(effective(params))
+    row = {"k": params.k, "mu": params.mu, "r": params.r, "growth": params.growth, **eff}
+    v = eff.pop("v")
+    csv = [",".join(row), ",".join(_fmt(x) for x in row.values())]
+    _report(args, "value", csv=csv, params=_params_echo(params), effective=eff, v=v)
     return 0
 
 
@@ -244,67 +213,46 @@ def cmd_curve(args: argparse.Namespace) -> int:
             methods.append("mc")
     else:
         methods = [args.method]
-    rows: list[tuple] = []
-    for method in methods:
-        rows.extend(_method_rows(params, method, times, args, series_tol=args.tol))
-    if args.out == "csv":
-        _emit(_rows_to_csv(rows))
-    else:
-        _emit_json(
-            {
-                "command": "curve",
-                "params": _params_echo(params),
-                "methods": methods,
-                "grid": {"t_max": args.t_max, "step": args.step},
-                "tolerances": {"series_tol": args.tol, "volterra_h": args.h},
-                "seed": args.seed if "mc" in methods else None,
-                "rows": _rows_to_json(rows),
-                "metadata": {"version": __version__},
-            }
-        )
+    rows = [row for method in methods for row in _method_rows(params, method, times, args, series_tol=args.tol)]
+    _report(
+        args,
+        "curve",
+        rows,
+        params=_params_echo(params),
+        methods=methods,
+        grid={"t_max": args.t_max, "step": args.step},
+        tolerances={"series_tol": args.tol, "volterra_h": args.h},
+        seed=args.seed if "mc" in methods else None,
+    )
     return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _build_params(args)
     times = _time_grid(args.t_max, args.step)
-    per_method: dict[str, list[tuple]] = {}
+    methods = (*ANALYTIC_COMPARE, "mc") if args.with_mc else ANALYTIC_COMPARE
     # --tol is the agreement gate only: the series is the ground truth at
     # its default tolerance, whatever the gate
-    for method in ANALYTIC_COMPARE:
-        per_method[method] = _method_rows(params, method, times, args)
-    if args.with_mc:
-        per_method["mc"] = _method_rows(params, "mc", times, args)
-
-    max_gap = 0.0
-    arg_gap = None
-    names = list(ANALYTIC_COMPARE)
+    per_method = {method: _method_rows(params, method, times, args) for method in methods}
+    max_gap, arg_gap = 0.0, None
     for i, t in enumerate(times):
-        for x in range(len(names)):
-            for y in range(x + 1, len(names)):
-                gap = abs(per_method[names[x]][i][2] - per_method[names[y]][i][2])
-                if gap > max_gap:
-                    max_gap, arg_gap = gap, (t, names[x], names[y])
-
-    rows = [row for method in per_method for row in per_method[method]]
+        for x, y in itertools.combinations(ANALYTIC_COMPARE, 2):
+            gap = abs(per_method[x][i][2] - per_method[y][i][2])
+            if gap > max_gap:
+                max_gap, arg_gap = gap, (t, x, y)
     passed = max_gap <= args.tol
-    if args.out == "csv":
-        _emit(_rows_to_csv(rows))
-    else:
-        _emit_json(
-            {
-                "command": "compare",
-                "params": _params_echo(params),
-                "methods": list(per_method),
-                "grid": {"t_max": args.t_max, "step": args.step},
-                "tolerances": {"agreement": args.tol, "volterra_h": args.h},
-                "seed": args.seed if args.with_mc else None,
-                "max_pairwise_discrepancy": max_gap,
-                "agreement_passed": passed,
-                "rows": _rows_to_json(rows),
-                "metadata": {"version": __version__},
-            }
-        )
+    _report(
+        args,
+        "compare",
+        [row for rows in per_method.values() for row in rows],
+        params=_params_echo(params),
+        methods=methods,
+        grid={"t_max": args.t_max, "step": args.step},
+        tolerances={"agreement": args.tol, "volterra_h": args.h},
+        seed=args.seed if args.with_mc else None,
+        max_pairwise_discrepancy=max_gap,
+        agreement_passed=passed,
+    )
     where = f" at t={_fmt(arg_gap[0])} ({arg_gap[1]} vs {arg_gap[2]})" if arg_gap else ""
     _diag(f"max analytic discrepancy {max_gap:.3e}{where}; gate {args.tol:.3e}: " + ("pass" if passed else "FAIL"))
     return 0 if passed else 1
@@ -312,57 +260,34 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     k_star, v_star, scan = optimal_stock_scan(args.a, args.b, args.mu, args.r, k_max=args.k_max, growth=args.growth)
-    if args.out == "csv":
-        lines = ["k,v,is_optimal"]
-        lines.extend(f"{kk},{_fmt(vv)},{1 if kk == k_star else 0}" for kk, vv in scan)
-        _emit(lines)
-    else:
-        _emit_json(
-            {
-                "command": "optimize",
-                "inputs": {"a": args.a, "b": args.b, "mu": args.mu, "r": args.r, "growth": args.growth, "k_max": args.k_max},
-                "k_star": k_star,
-                "v_star": v_star,
-                "scan": [{"k": kk, "v": vv} for kk, vv in scan],
-                "metadata": {"version": __version__},
-            }
-        )
+    _report(
+        args,
+        "optimize",
+        csv=["k,v,is_optimal", *(f"{kk},{_fmt(vv)},{int(kk == k_star)}" for kk, vv in scan)],
+        inputs={name: getattr(args, name) for name in ("a", "b", "mu", "r", "growth", "k_max")},
+        k_star=k_star,
+        v_star=v_star,
+        scan=[{"k": kk, "v": vv} for kk, vv in scan],
+    )
     _diag(f"k* = {k_star}, v* = {_fmt(v_star)}")
     return 0
 
 
 def cmd_paper_table(args: argparse.Namespace) -> int:
-    params = ModelParams(
-        k=_TABLE_PARAMS["k"],
-        mu=_TABLE_PARAMS["mu"],
-        r=_TABLE_PARAMS["r"],
-        cost=LinearCost(a=_TABLE_PARAMS["a"], b=_TABLE_PARAMS["b"]),
+    params = _TABLE_PARAMS
+    v = effective(params).v
+    rows = []
+    for method, limit in (("as_printed", _AS_PRINTED_LEVEL), ("asymptotic", v), ("series", v)):
+        rows += _method_rows(params, method, _TABLE_TIMES, args)
+        rows.append((math.inf, method, limit, None))
+    _report(
+        args,
+        "paper-table",
+        rows,
+        params=_params_echo(params),
+        tolerances={"series_tol": DEFAULT_SERIES_TOL},
+        erratum_note=_ERRATUM_NOTE,
     )
-    eff = effective(params)
-    rows: list[tuple] = []
-    for t in _TABLE_TIMES:
-        rows.append((t, "as_printed", _AS_PRINTED_LEVEL - _AS_PRINTED_COEFF * math.exp(-_AS_PRINTED_RATE * t), None))
-    rows.append((math.inf, "as_printed", _AS_PRINTED_LEVEL, None))
-    for t in _TABLE_TIMES:
-        rows.append((t, "asymptotic", asymptotic_value(params, t), None))
-    rows.append((math.inf, "asymptotic", eff.v, None))
-    for t in _TABLE_TIMES:
-        rows.append((t, "series", series_value(params, t, DEFAULT_SERIES_TOL), None))
-    rows.append((math.inf, "series", eff.v, None))
-
-    if args.out == "csv":
-        _emit(_rows_to_csv(rows))
-    else:
-        _emit_json(
-            {
-                "command": "paper-table",
-                "params": _params_echo(params),
-                "tolerances": {"series_tol": DEFAULT_SERIES_TOL},
-                "erratum_note": _ERRATUM_NOTE,
-                "rows": _rows_to_json(rows),
-                "metadata": {"version": __version__},
-            }
-        )
     _diag(_ERRATUM_NOTE)
     return 0
 
@@ -370,31 +295,14 @@ def cmd_paper_table(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args)
     if args.perpetual:
-        est = simulate_vk(params, args.paths, args.seed)
-        mode = "perpetual"
+        mode, horizon, est = "perpetual", None, simulate_vk(params, args.paths, args.seed)
     else:
-        est = simulate_wk(params, args.horizon, args.paths, args.seed)
-        mode = "horizon"
-    if args.out == "csv":
-        header = "mode,horizon,mean,stderr,n_paths,seed"
-        horizon = "" if args.perpetual else _fmt(args.horizon)
-        _emit([header, f"{mode},{horizon},{_fmt(est.mean)},{_fmt(est.stderr)},{est.n_paths},{est.seed}"])
-    else:
-        _emit_json(
-            {
-                "command": "simulate",
-                "params": _params_echo(params),
-                "mode": mode,
-                "horizon": None if args.perpetual else args.horizon,
-                "estimate": {
-                    "mean": est.mean,
-                    "stderr": est.stderr,
-                    "n_paths": est.n_paths,
-                    "seed": est.seed,
-                },
-                "metadata": {"version": __version__},
-            }
-        )
+        mode, horizon, est = "horizon", args.horizon, simulate_wk(params, args.horizon, args.paths, args.seed)
+    estimate = dataclasses.asdict(est)
+    cells = [mode, "" if horizon is None else _fmt(horizon)]
+    cells += [_fmt(x) if isinstance(x, float) else str(x) for x in estimate.values()]
+    csv = [",".join(["mode", "horizon", *estimate]), ",".join(cells)]
+    _report(args, "simulate", csv=csv, params=_params_echo(params), mode=mode, horizon=horizon, estimate=estimate)
     return 0
 
 
@@ -437,10 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_opt = sub.add_parser("optimize", help="stock size maximising the perpetual value")
-    p_opt.add_argument("--a", type=float, required=True)
-    p_opt.add_argument("--b", type=float, required=True)
-    p_opt.add_argument("--mu", type=float, required=True)
-    p_opt.add_argument("--r", type=float, required=True)
+    for flag in ("--a", "--b", "--mu", "--r"):
+        p_opt.add_argument(flag, type=float, required=True)
     p_opt.add_argument("--growth", type=float, default=0.0)
     p_opt.add_argument("--k-max", type=int, default=None, dest="k_max")
     _out_flag(p_opt, "csv")

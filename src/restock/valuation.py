@@ -162,6 +162,21 @@ class ValueCurve:
             raise ValueError("times must be nonnegative and strictly ascending")
 
 
+def _perpetuity(theta: float, k_log_alpha: float) -> float:
+    """theta / (alpha^k - 1), given k ln(alpha) > 0.
+
+    expm1 keeps the value accurate when r_eff/mu is tiny; past e^700 alpha^k
+    would overflow, so theta alpha^-k / (1 - alpha^-k) is used there, and it
+    underflows to 0 for large enough k ln(alpha).
+    """
+    if k_log_alpha <= 700.0:
+        denom = math.expm1(k_log_alpha)
+        if denom == 0.0:
+            raise ValueError(f"alpha^k - 1 rounds to 0 (k ln(alpha) = {k_log_alpha!r}): r/mu underflows")
+        return theta / denom
+    return theta * math.exp(-k_log_alpha) / -math.expm1(-k_log_alpha)
+
+
 def effective(params: ModelParams) -> EffectiveParams:
     """Resolve the cost specification and derive all method inputs.
 
@@ -186,12 +201,7 @@ def effective(params: ModelParams) -> EffectiveParams:
     log_alpha = math.log1p(ratio)
     k_log_alpha = params.k * log_alpha
     phi_k = math.exp(-k_log_alpha)
-    # alpha^k - 1 via expm1 keeps v accurate when r_eff/mu is tiny; past
-    # e^700 it would overflow, so v = theta alpha^-k / (1 - alpha^-k) there
-    if k_log_alpha <= 700.0:
-        v = theta / math.expm1(k_log_alpha)
-    else:
-        v = theta * phi_k / -math.expm1(-k_log_alpha)
+    v = _perpetuity(theta, k_log_alpha)
     rho = r_eff * params.mu / (r_eff + params.mu)
     mu0 = params.k * (r_eff + params.mu) / params.mu**2
     return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=mu0, v=v)
@@ -296,11 +306,12 @@ def optimal_stock_scan(
     Scans v_k = (b*k - a) / (alpha^k - 1) upward from the first k with
     positive payoff.  The envelope b*k / (alpha^k - 1) is strictly
     decreasing in k, so the scan stops with a proof of optimality as soon
-    as the envelope falls below the incumbent; ``k_max`` (default 10^6)
-    caps the search domain.  Ties break toward the smaller k.
+    as the envelope is no longer above the incumbent; ``k_max`` (default
+    10^6) caps the search domain.  Ties break toward the smaller k.
 
     Returns (k*, v*, scan), where scan lists (k, v_k) for every candidate
-    up to the stopping point; raises if no k <= k_max has b*k > a.
+    up to the stopping point; raises if no k <= k_max has b*k > a, or if
+    v* underflows to 0 (alpha^k past the double range at every candidate).
     """
     ModelParams(k=1, mu=mu, r=r, cost=LinearCost(a=a, b=b), growth=growth)  # input checks
     if not growth < r:
@@ -318,13 +329,17 @@ def optimal_stock_scan(
     scan: list[tuple[int, float]] = []
     best_k, best_v = None, -math.inf
     for k in range(first, cap + 1):
-        denom = math.expm1(k * log_alpha)
-        if best_k is not None and b * k / denom < best_v:
+        if best_k is not None and _perpetuity(b * k, k * log_alpha) <= best_v:
             break
-        value = (b * k - a) / denom
+        value = _perpetuity(b * k - a, k * log_alpha)
         scan.append((k, value))
         if value > best_v:
             best_k, best_v = k, value
     if best_k is None:
         raise ValueError(f"no stock size up to k_max={cap} has positive payoff b*k - a")
+    if best_v == 0.0:
+        raise ValueError(
+            f"optimal value underflows to 0: alpha^-k is below the double range from the first "
+            f"feasible k = {first} on (k ln(alpha) = {first * log_alpha:.6g})"
+        )
     return best_k, best_v, scan

@@ -137,8 +137,8 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     below 0 is clipped.
     """
     eff = effective(params)
-    if not 0.0 < eff.phi_k < 1.0:
-        raise ArithmeticError(f"kernel mass {eff.phi_k} outside (0, 1); equation not defective")
+    if not eff.phi_k < 1.0:
+        raise ArithmeticError(f"kernel mass {eff.phi_k} is not below 1; equation not defective")
     k, mu = params.k, params.mu
     h = grid.h
     n = grid.n_steps

@@ -77,6 +77,12 @@ class TestValue:
         assert code == 2
         assert "cost specification" in err
 
+    def test_unit_rate_ratio_underflow_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "value", "--k", "1", "--mu", "1e300", "--r", "1e-300", "--theta", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha^k - 1 rounds to 0 (k ln(alpha) = 0.0): r/mu underflows\n"
+
 
 class TestCurve:
     def test_series_grid(self, capsys):
@@ -149,6 +155,14 @@ class TestCurve:
         t10 = [row for row in report["rows"] if row["t"] == 10.0][0]
         params = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(1.0, 1.0))
         assert t10["value"] == series_value(params, 10.0, report["tolerances"]["series_tol"])
+
+    def test_volterra_at_underflowed_kernel_mass(self, capsys):
+        # q = alpha^-k underflows to 0; every method agrees the value is 0
+        argv = ["--k", "5000", "--mu", "0.0236", "--r", "0.0346", "--theta", "1", "--t-max", "349.2", "--step", "174.6"]
+        for method in ("volterra", "series", "laplace"):
+            code, out, err = run_cli(capsys, "curve", "--method", method, *argv, "--h", "174.6")
+            assert (code, err) == (0, "")
+            assert [float(row["value"]) for row in parse_csv(out)] == [0.0, 0.0, 0.0]
 
     def test_step_must_tile_horizon(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10", "--step", "3")
@@ -238,6 +252,14 @@ class TestOptimize:
         assert code == 2
         assert "positive payoff" in err
 
+    @pytest.mark.parametrize("a, b, mu, r, first", [("1000", "1", "0.1", "0.5", 1001),
+                                                    ("1000", "0.0248", "0.011", "0.0359", 40323)])
+    def test_underflowed_optimum_is_named(self, capsys, a, b, mu, r, first):
+        code, out, err = run_cli(capsys, "optimize", "--a", a, "--b", b, "--mu", mu, "--r", r)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: optimal value underflows to 0: alpha^-k is below the double range "
+                              f"from the first feasible k = {first} on")
+
 
 class TestPaperTable:
     def test_csv_columns_and_diagnosis(self, capsys):
@@ -320,6 +342,60 @@ class TestSimulate:
         assert len(rows) == 1
         assert rows[0]["mode"] == "horizon"
         assert list(rows[0]) == ["mode", "horizon", "mean", "stderr", "n_paths", "seed"]
+
+
+class TestReportLayout:
+    """Key order of every JSON report and the CSV columns taken from dataclasses."""
+
+    GRID = ["--t-max", "10", "--step", "5", "--out", "json"]
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (["value", *TABLE_FLAGS], ["command", "params", "effective", "v", "metadata"]),
+            (
+                ["curve", "--method", "series", *TABLE_FLAGS, *GRID],
+                ["command", "params", "methods", "grid", "tolerances", "seed", "rows", "metadata"],
+            ),
+            (
+                ["compare", *TABLE_FLAGS, *GRID],
+                ["command", "params", "methods", "grid", "tolerances", "seed",
+                 "max_pairwise_discrepancy", "agreement_passed", "rows", "metadata"],
+            ),
+            (
+                ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--out", "json"],
+                ["command", "inputs", "k_star", "v_star", "scan", "metadata"],
+            ),
+            (["paper-table", "--out", "json"], ["command", "params", "tolerances", "erratum_note", "rows", "metadata"]),
+            (
+                ["simulate", "--perpetual", *TABLE_FLAGS, "--paths", "1000"],
+                ["command", "params", "mode", "horizon", "estimate", "metadata"],
+            ),
+        ],
+        ids=["value", "curve", "compare", "optimize", "paper-table", "simulate"],
+    )
+    def test_json_key_order(self, capsys, argv, keys):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == keys
+        assert list(report["metadata"]) == ["version"]
+        for row in report.get("rows", []):
+            assert list(row) == ["t", "method", "value", "stderr"]
+
+    def test_nested_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "value", *TABLE_FLAGS)
+        report = json.loads(out)
+        assert list(report["params"]) == ["k", "mu", "r", "growth", "cost"]
+        assert list(report["effective"]) == ["theta", "r_eff", "alpha", "phi_k", "rho", "mu0"]
+        _, out, _ = run_cli(capsys, "optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--out", "json")
+        assert list(json.loads(out)["inputs"]) == ["a", "b", "mu", "r", "growth", "k_max"]
+        _, out, _ = run_cli(capsys, "simulate", "--perpetual", *TABLE_FLAGS, "--paths", "1000")
+        assert list(json.loads(out)["estimate"]) == ["mean", "stderr", "n_paths", "seed"]
+
+    def test_value_csv_columns(self, capsys):
+        _, out, _ = run_cli(capsys, "value", *TABLE_FLAGS, "--out", "csv")
+        assert out.splitlines()[0] == "k,mu,r,growth,theta,r_eff,alpha,phi_k,rho,mu0,v"
 
 
 class TestOutputHygiene:

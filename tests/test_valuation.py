@@ -135,6 +135,11 @@ class TestEffective:
         assert eff.phi_k == 0.0
         assert eff.v == 0.0
 
+    def test_alpha_power_rounding_to_one_is_named(self):
+        # r/mu = 1e-600 underflows, so alpha^k - 1 is 0 and v would divide by it
+        with pytest.raises(ValueError, match=r"alpha\^k - 1 rounds to 0"):
+            effective(ModelParams(k=1, mu=1e300, r=1e-300, cost=FixedCost(1.0)))
+
     @given(params=params_strategy())
     def test_invariant_identities(self, params):
         eff = effective(params)
@@ -415,6 +420,27 @@ class TestOptimalStock:
         for change, message in cases:
             with pytest.raises(ValueError, match=message):
                 optimal_stock_scan(**({"a": 1.0, "b": 1.0, "mu": 1.0, "r": 0.02} | change))
+
+    def test_scan_past_float_range(self):
+        # k ln(alpha) = 700.6 at the first feasible k = 391, so every candidate
+        # takes the alpha^-k branch; v_k = (k - 390) / (6^k - 1) peaks there
+        k_star, v_star, scan = optimal_stock_scan(a=390.0, b=1.0, mu=0.1, r=0.5)
+        with mpmath.workdps(40):
+            exact = {k: float((k - 390) / (mpmath.mpf(6) ** k - 1)) for k, _ in scan}
+        assert k_star == 391
+        assert all(abs(v - exact[k]) <= 1e-12 * exact[k] for k, v in scan)
+        assert [k for k, _ in scan] == [391, 392, 393, 394]
+
+    @pytest.mark.parametrize("a, b, mu, r", [(1000.0, 1.0, 0.1, 0.5), (1000.0, 0.0248, 0.011, 0.0359)])
+    def test_underflowed_optimum_is_named(self, monkeypatch, a, b, mu, r):
+        # every candidate value underflows to 0; the scan must stop at the
+        # second candidate (envelope 0 <= v* = 0), not run on to k_max = 10^6
+        calls = []
+        perpetuity = valuation._perpetuity
+        monkeypatch.setattr(valuation, "_perpetuity", lambda *xs: calls.append(xs) or perpetuity(*xs))
+        with pytest.raises(ValueError, match="optimal value underflows to 0"):
+            optimal_stock_scan(a=a, b=b, mu=mu, r=r)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("k_max", [2.5, 10.0, True])
     def test_rejects_non_integer_cap(self, k_max):

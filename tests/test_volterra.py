@@ -158,8 +158,18 @@ class TestSolveRenewal:
             tracemalloc.stop()
         assert peak < 3.0e6
 
+    def test_underflowed_kernel_mass_solves_to_zero(self):
+        # q = alpha^-k underflows to 0 at k ln(alpha) ~ 1920: the exact discrete
+        # solution is 0, as are the series and v
+        params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
+        curve = solve_renewal(params, GridSpec(t_max=349.2, h=174.6))
+        assert perpetual_value(params) == 0.0
+        assert curve.values.tolist() == [0.0, 0.0, 0.0]
+        assert series_value(params, 349.2) == 0.0
+
     def test_defective_kernel_mass(self):
-        # the kernel mass phi^k is strictly inside (0, 1) for every valid model
+        # the kernel mass phi^k is below 1 for every valid model, and above 0
+        # short of underflow
         from restock.valuation import effective
 
         assert 0.0 < effective(TABLE).phi_k < 1.0
