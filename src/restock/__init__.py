@@ -12,14 +12,13 @@ by four mutually cross-checking routes:
 * seeded Monte Carlo simulation              (:mod:`restock.montecarlo`)
 
 plus a discrete search for the stock size maximising the perpetual value,
-and a CLI (``restock``) that emits CSV/JSON reports.
+and a CLI (``restock``) that emits CSV/JSON reports.  Every gamma cdf comes
+from one primitive, :func:`restock.distributions.erlang_cdf_grid`; the
+series is one walk of the Poisson pmf, accurate relative to itself, with
+no tolerance to set.
 """
 
-from restock.distributions import (
-    GammaLaw,
-    convolution_cdf,
-    poisson_tails,
-)
+from restock.distributions import GammaLaw, convolution_cdf
 from restock.laplace import invert, w_hat
 from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk
 from restock.valuation import (
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GammaLaw",
     "convolution_cdf",
-    "poisson_tails",
     "ModelParams",
     "FixedCost",
     "LinearCost",

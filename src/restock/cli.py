@@ -35,7 +35,6 @@ from restock import __version__
 from restock.laplace import invert
 from restock.montecarlo import simulate_vk, simulate_wk
 from restock.valuation import (
-    DEFAULT_SERIES_TOL,
     FixedCost,
     LinearCost,
     ModelParams,
@@ -66,7 +65,7 @@ _ERRATUM_NOTE = (
     "rho = r*mu/(r+mu) = 1/51 and the convolution series gives w(10) ~= 4.023 "
     "rather than the printed 0.339. Columns: as_printed evaluates the printed "
     "approximation literally; asymptotic uses the model-consistent rate; "
-    "series is the solver ground truth at tolerance 1e-09."
+    "series is the solver ground truth, accurate to double precision."
 )
 
 
@@ -113,21 +112,21 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _time_grid(t_max: float, step: float | None) -> list[float]:
-    if t_max < 0:
-        raise ValueError(f"--t-max must be nonnegative, got {t_max}")
+    if not (math.isfinite(t_max) and t_max >= 0):
+        raise ValueError(f"--t-max must be a finite nonnegative number, got {t_max}")
     if t_max == 0:
         return [0.0]
     if step is None:
         raise ValueError("--step is required when --t-max > 0")
-    if step <= 0:
-        raise ValueError(f"--step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"--step must be a finite positive number, got {step}")
     n = round(t_max / step)
     if n < 1 or abs(n * step - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"--step {step} does not tile --t-max {t_max}")
     return [i * step for i in range(n + 1)]
 
 
-def _mc_point(params: ModelParams, t: float, args: argparse.Namespace, tol: float) -> tuple[float, float]:
+def _mc_point(params: ModelParams, t: float, args: argparse.Namespace) -> tuple[float, float]:
     if t == 0:
         return 0.0, 0.0
     est = simulate_wk(params, t, args.paths, args.seed)
@@ -137,12 +136,12 @@ def _mc_point(params: ModelParams, t: float, args: argparse.Namespace, tol: floa
 # (value, stderr-or-None) of each pointwise method at one time; the lambdas
 # look the library functions up in this module's globals at call time
 _POINTWISE = {
-    "series": lambda params, t, args, tol: (series_value(params, t, tol), None),
-    "laplace": lambda params, t, args, tol: (invert(params, t), None),
-    "asymptotic": lambda params, t, args, tol: (asymptotic_value(params, t), None),
-    "exact_k1": lambda params, t, args, tol: (exact_k1_value(params, t), None),
+    "series": lambda params, t, args: (series_value(params, t), None),
+    "laplace": lambda params, t, args: (invert(params, t), None),
+    "asymptotic": lambda params, t, args: (asymptotic_value(params, t), None),
+    "exact_k1": lambda params, t, args: (exact_k1_value(params, t), None),
     "mc": _mc_point,
-    "as_printed": lambda params, t, args, tol: (
+    "as_printed": lambda params, t, args: (
         _AS_PRINTED_LEVEL - _AS_PRINTED_COEFF * math.exp(-_AS_PRINTED_RATE * t), None
     ),
 }
@@ -153,11 +152,10 @@ def _method_rows(
     method: str,
     times: list[float] | tuple[float, ...],
     args: argparse.Namespace,
-    series_tol: float = DEFAULT_SERIES_TOL,
 ) -> list[tuple]:
     """Rows (t, method, value, stderr-or-None) for one method tag; volterra solves once, to times[-1]."""
     if method != "volterra":
-        return [(t, method, *_POINTWISE[method](params, t, args, series_tol)) for t in times]
+        return [(t, method, *_POINTWISE[method](params, t, args)) for t in times]
     if times[-1] == 0:
         return [(t, method, 0.0, None) for t in times]
     h = args.h
@@ -213,7 +211,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
             methods.append("mc")
     else:
         methods = [args.method]
-    rows = [row for method in methods for row in _method_rows(params, method, times, args, series_tol=args.tol)]
+    rows = [row for method in methods for row in _method_rows(params, method, times, args)]
     _report(
         args,
         "curve",
@@ -221,7 +219,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         params=_params_echo(params),
         methods=methods,
         grid={"t_max": args.t_max, "step": args.step},
-        tolerances={"series_tol": args.tol, "volterra_h": args.h},
+        tolerances={"volterra_h": args.h},
         seed=args.seed if "mc" in methods else None,
     )
     return 0
@@ -229,10 +227,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _build_params(args)
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol}")
     times = _time_grid(args.t_max, args.step)
     methods = (*ANALYTIC_COMPARE, "mc") if args.with_mc else ANALYTIC_COMPARE
-    # --tol is the agreement gate only: the series is the ground truth at
-    # its default tolerance, whatever the gate
     per_method = {method: _method_rows(params, method, times, args) for method in methods}
     max_gap, arg_gap = 0.0, None
     for i, t in enumerate(times):
@@ -285,7 +283,6 @@ def cmd_paper_table(args: argparse.Namespace) -> int:
         "paper-table",
         rows,
         params=_params_echo(params),
-        tolerances={"series_tol": DEFAULT_SERIES_TOL},
         erratum_note=_ERRATUM_NOTE,
     )
     _diag(_ERRATUM_NOTE)
@@ -326,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--t-max", type=float, required=True, dest="t_max")
     p_curve.add_argument("--step", type=float, default=None)
     p_curve.add_argument("--h", type=float, default=DEFAULT_STEP, help="renewal-equation solver step")
-    p_curve.add_argument("--tol", type=float, default=DEFAULT_SERIES_TOL, help="series truncation tolerance")
     p_curve.add_argument("--with-mc", action="store_true", dest="with_mc", help="append Monte Carlo rows to --method all")
     p_curve.add_argument("--paths", type=int, default=100_000)
     p_curve.add_argument("--seed", type=int, default=0)

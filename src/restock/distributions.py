@@ -2,36 +2,32 @@
 
 With unit Poisson demand of intensity ``mu``, a full stock of ``shape``
 units lasts a Gamma(shape, mu) time: the sum of ``shape`` exponential
-inter-demand gaps.  Everything downstream (series, renewal equation,
-transform inversion, simulation) is built on the handful of primitives
-here:
+inter-demand gaps.  Since shapes are integers,
+P(Gamma(m, rate) <= t) = P(Poisson(rate*t) >= m), so every gamma cdf in the
+package is a Poisson tail, and all of them come from one primitive:
 
-* ``poisson_tails``               -- P(Poisson(lam) >= n*step), n = 1, 2, ...:
-  every gamma cdf in the package, since shapes are integers and
-  P(Gamma(m, rate) <= t) = P(Poisson(rate*t) >= m),
-* ``erlang_cdf_grid``             -- its array form, two shapes in one sweep,
-* ``convolution_cdf``             -- distribution of n consecutive cycles.
+* ``erlang_cdf_grid``             -- Gamma(shape) and Gamma(shape + 1) cdfs
+  on an array of points, in one sweep,
+* ``convolution_cdf``             -- distribution of n consecutive cycles,
+  one call into ``erlang_cdf_grid``.
 
 A Poisson tail is summed from its smaller side, starting from a pmf value
 anchored by Loader's saddle-point form (C. Loader, "Fast and Accurate
 Computation of Binomial Probabilities", 2000), so each cdf is accurate
-relative to itself, deep tails included, and one walk of the pmf serves
-every threshold at one point.
+relative to itself, deep tails included.  The scalar pmf ``_pmf`` also
+anchors the convolution series' walk (:func:`restock.valuation.series_value`).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
     "GammaLaw",
-    "poisson_tails",
     "erlang_cdf_grid",
     "convolution_cdf",
 ]
@@ -85,8 +81,7 @@ _STIRLERR = (
 _SQRT_2PI = 2.5066282746310007
 # unit roundoff of a double
 _EPS = 2.0**-53
-# P(Poisson(lam) < lam - 9 sqrt(lam)) < exp(-81/2) < 2^-58: the walk to a
-# threshold at or below the mean starts this many standard deviations down
+# P(Poisson(lam) < lam - 9 sqrt(lam)) < exp(-81/2) < 2^-58
 _LOWER_SPAN = 9.0
 # points per sweep of erlang_cdf_grid
 _GRID_CHUNK = 8192
@@ -125,83 +120,11 @@ def _pmf(x: int, lam: float) -> float:
     return math.exp(-_stirlerr(x) - _bd0(x, lam)) / (_SQRT_2PI * math.sqrt(x))
 
 
-def poisson_tails(lam: float, step: int) -> Iterator[float]:
-    """P(Poisson(lam) >= n*step) for n = 1, 2, ..., without end.
-
-    Since P(Gamma(n*step, rate) <= t) = P(Poisson(rate*t) >= n*step), this
-    yields the cdfs of 1, 2, ... consecutive Gamma(step, rate) cycles at
-    one t.  Each value is summed from its smaller side, so it is accurate
-    relative to itself, including deep tails:
-
-    * thresholds at or below lam: one pmf walk up from lam - 9 sqrt(lam)
-      gives 1 - P(X < n*step) for all of them;
-    * thresholds above lam: the pmf is anchored exactly at the threshold
-      and walked up in blocks of ``step`` until it falls below 2^-106 of
-      their total; the tails are the block sums added from the top down,
-      and every one that is at least 2^-53 of the total is yielded.  The
-      next threshold is anchored afresh.
-
-    The pmf anchor is Loader's (2000) saddle-point form, so nothing
-    overflows or underflows before the value itself does.  As with any
-    generator, the arguments are checked when the first value is drawn.
-    """
-    if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lam must be a finite nonnegative real, got {lam!r}")
-    if not _is_integer(step):
-        raise TypeError(f"step must be an integer, got {step!r}")
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    lam, step = float(lam), int(step)
-    if lam == 0.0:
-        yield from itertools.repeat(0.0)
-    m = step
-    if m <= lam:
-        j = max(0, math.floor(lam - _LOWER_SPAN * math.sqrt(lam)))
-        # thresholds up to j have all but < 2^-58 of the mass above them
-        yield from itertools.repeat(1.0, j // step)
-        m += j // step * step
-        p = _pmf(j, lam)
-        below = 0.0  # P(start <= X < j)
-        while m <= lam:
-            for i in range(j + 1, m + 1):
-                below += p
-                p *= lam / i
-            j = m
-            yield 1.0 - below
-            m += step
-    while True:
-        p = _pmf(m, lam)
-        if p == 0.0:
-            yield from itertools.repeat(0.0)
-        blocks = []
-        total = 0.0
-        j = m
-        while p > _EPS * _EPS * total:
-            block = 0.0
-            for i in range(j + 1, j + step + 1):
-                block += p
-                p *= lam / i
-            j += step
-            blocks.append(block)
-            total += block
-        tail = 0.0
-        for i in reversed(range(len(blocks))):
-            tail += blocks[i]
-            blocks[i] = tail
-        # what the walk left out is below 2^-53 of each tail yielded here
-        floor = _EPS * total
-        for tail in blocks:
-            if tail < floor:
-                break
-            yield tail
-            m += step
-
-
 def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(shape, rate) and Gamma(shape + 1, rate) cdfs on an array of points.
 
-    The array form of :func:`poisson_tails`: with lam = rate*x,
-    F_shape = P(Poisson(lam) >= shape), summed from the smaller side,
+    With lam = rate*x, F_shape = P(Poisson(lam) >= shape), summed from the
+    smaller side,
 
     * where lam >= shape: 1 - sum_{j<shape} pmf_j, walked down from
       pmf_(shape-1);
@@ -265,9 +188,12 @@ def _pmf_grid(j: int, lam: np.ndarray) -> np.ndarray:
     if j == 0:
         return np.exp(-lam)
     diff = j - lam
-    with np.errstate(over="ignore"):  # lam below ~j/1e308: the pmf is 0
+    # lam below ~j/1e308 overflows diff/lam, and above j 2^53 rounds it to
+    # -1, where log1p is -inf; the pmf is 0 at both ends
+    with np.errstate(over="ignore", divide="ignore"):
         out = diff / lam
-    np.log1p(out, out=out)
+        np.log1p(out, out=out)
+    np.maximum(out, -40.0, out=out)  # else log1p >= ln(2^-53); keeps that pmf 0, not inf
     out *= j
     out -= diff
     out += _stirlerr(j)
@@ -312,6 +238,8 @@ def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return next(poisson_tails(law.rate * t, n * law.shape)) if n else 1.0
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+    if n == 0:
+        return 1.0
+    return float(erlang_cdf_grid(n * law.shape, law.rate, np.array([t]))[0][0])

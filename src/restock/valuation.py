@@ -6,11 +6,15 @@ then contributes theta * q^n * F*n(t) to the expected present value at
 horizon t, giving
 
     w(t)   = theta * sum_{n>=1} q^n F*n(t),
-    w(inf) = v = theta * q / (1 - q) = theta / (alpha^k - 1),
+    w(inf) = v = theta * q / (1 - q) = theta / (alpha^k - 1).
 
-and the exponentially tilted kernel e^(rho s) q f(s) -- with the tilt
-rho = r*mu/(r+mu) that restores unit kernel mass -- yields the large-t
-approximation w(t) ~= v - (theta*mu/(k*r)) e^(-rho t).
+Under Poisson demand F*n(t) = P(N >= n k) with N ~ Poisson(mu t), so the
+series sums by parts to one expectation over the count,
+w(t) = v * E[1 - q^floor(N/k)], which :func:`series_value` evaluates as one
+walk of the Poisson pmf with no tolerance to set.  The exponentially
+tilted kernel e^(rho s) q f(s) -- with the tilt rho = r*mu/(r+mu) that
+restores unit kernel mass -- yields the large-t approximation
+w(t) ~= v - (theta*mu/(k*r)) e^(-rho t).
 
 Cost growth at rate ``growth`` < r is handled by valuing everything at
 the effective rate r - growth; all operations route through
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import _is_integer, poisson_tails
+from restock.distributions import _EPS, _LOWER_SPAN, _is_integer, _pmf
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -43,12 +47,10 @@ __all__ = [
     "optimal_stock_scan",
 ]
 
-DEFAULT_SERIES_TOL = 1e-9
 DEFAULT_KMAX = 10**6
 
-# unit roundoff of a double: a tail below this fraction of a sum is within
-# the rounding error of the sum itself
-_UNIT_ROUNDOFF = 2.0**-53
+# ln(2^-54): 1 - x rounds to 1 for 0 <= x < 2^-54
+_LOG_HALF_ULP = -54 * math.log(2.0)
 
 
 def _finite(x) -> bool:
@@ -130,7 +132,7 @@ class EffectiveParams:
     phi_k: per-cycle discount factor alpha^(-k), in (0, 1)
     rho:   tilt rate r_eff*mu/(r_eff+mu) = r_eff/alpha restoring unit
            kernel mass; governs the exponential approach of w(t) to v
-    mu0:   mean of the tilted kernel, k*(r_eff+mu)/mu^2 (time units)
+    mu0:   mean of the tilted kernel, k*(r_eff+mu)/mu^2 = k*alpha/mu (time units)
     v:     perpetual value theta*phi_k/(1-phi_k) (currency)
     """
 
@@ -167,14 +169,19 @@ def _perpetuity(theta: float, k_log_alpha: float) -> float:
 
     expm1 keeps the value accurate when r_eff/mu is tiny; past e^700 alpha^k
     would overflow, so theta alpha^-k / (1 - alpha^-k) is used there, and it
-    underflows to 0 for large enough k ln(alpha).
+    underflows to 0 for large enough k ln(alpha).  A value past the double
+    range raises.
     """
     if k_log_alpha <= 700.0:
         denom = math.expm1(k_log_alpha)
         if denom == 0.0:
             raise ValueError(f"alpha^k - 1 rounds to 0 (k ln(alpha) = {k_log_alpha!r}): r/mu underflows")
-        return theta / denom
-    return theta * math.exp(-k_log_alpha) / -math.expm1(-k_log_alpha)
+        value = theta / denom
+    else:
+        value = theta * math.exp(-k_log_alpha) / -math.expm1(-k_log_alpha)
+    if not math.isfinite(value):
+        raise ValueError(f"perpetual value overflows: theta = {theta!r}, k ln(alpha) = {k_log_alpha!r}")
+    return value
 
 
 def effective(params: ModelParams) -> EffectiveParams:
@@ -203,7 +210,7 @@ def effective(params: ModelParams) -> EffectiveParams:
     phi_k = math.exp(-k_log_alpha)
     v = _perpetuity(theta, k_log_alpha)
     rho = r_eff * params.mu / (r_eff + params.mu)
-    mu0 = params.k * (r_eff + params.mu) / params.mu**2
+    mu0 = params.k * alpha / params.mu
     return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=mu0, v=v)
 
 
@@ -212,58 +219,66 @@ def perpetual_value(params: ModelParams) -> float:
     return effective(params).v
 
 
-def series_value(params: ModelParams, t: float, tol: float = DEFAULT_SERIES_TOL) -> float:
-    """w(t) by the convolution series, truncated under a rigorous tail bound.
+def series_value(params: ModelParams, t: float) -> float:
+    """w(t) by the convolution series, summed as one walk of the Poisson pmf.
 
-    Every F*m(t) with m > N is at most F*(N+1)(t), so the tail after N
-    terms is at most tail(N) * F*(N+1)(t) with tail(N) = q^(N+1) / (1 - q).
-    Summation stops after N terms once either
+    With F*n(t) = P(N >= n k) for N ~ Poisson(mu t), summing the series
+    theta * sum_n q^n F*n(t) by parts gives one expectation over N:
 
-    - |theta| * tail(N) < tol, using only F* <= 1: the result is within
-      ``tol`` of the full series; or
-    - tail(N) * C(N+1) <= 2^-53 * (sum so far), where C(m) bounds
-      F*m(t) = P(Poisson(mu t) >= m k) by Chernoff's
-      exp(m k - mu t - m k ln(m k / (mu t))) once m k > mu t: the rest of
-      the series is below the rounding error of the double-precision sum.
+        w(t) = v * E[1 - q^floor(N/k)] = v * sum_{j>=k} P(N = j) (1 - q^floor(j/k)).
 
-    The second rule ends the series after a few dozen terms where q is
-    close to 1 (small r), which the first alone would need ~1/(1 - q)
-    terms for.
-
-    ``tol`` bounds the truncation only.  Rounding of the N-term sum adds up
-    to about N * 2^-53 * |sum| (each F*n is exact to a few ulps), which is
-    above ``tol`` for long sums: ~1e4 terms of a value near 1e4 at k = 1,
-    r = 1e-8, t = 1e4 carry ~2e-9.  All terms F*n(t) for one t come from a
-    single walk of the Poisson(mu t) pmf (:func:`poisson_tails`).
+    Every term is nonnegative, so the sum is accurate relative to itself,
+    deep tails and q near 1 included.  The walk starts at
+    j0 = max(k, floor(mu t)) from Loader's pmf and goes block by block, over
+    j in [nk, nk+k) where the weight -expm1(n ln q) is constant: up until
+    the rest, at most p_j (j+1)/(j+1-mu t), is at most 2^-53 of the sum,
+    then down to k until the rest, at most p_j j/(mu t-j) times the next
+    weight, is; about 17 sqrt(mu t) pmf steps.  All but 2^-58 of the mass
+    is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
+    weight that counts rounds to 1, and v is returned without a walk.
     """
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
     eff = effective(params)
-    if t == 0.0:
+    lam = params.mu * t
+    if lam == 0.0:
         return 0.0
     k = params.k
-    lam = params.mu * t
-    tails = poisson_tails(lam, k)  # F*n(t) = P(Poisson(mu t) >= n k), n = 1, 2, ...
-    q = eff.phi_k
-    tail_scale = abs(eff.theta) / (1.0 - q)
+    log_q = -k * math.log1p(eff.r_eff / params.mu)
+    bulk = lam - _LOWER_SPAN * math.sqrt(lam)
+    if bulk >= k and math.floor(bulk / k) * log_q < _LOG_HALF_ULP:
+        return eff.v
+    j0 = max(k, math.floor(lam))
+    p0 = _pmf(j0, lam)
+    top = j0 // k
+
     total = 0.0
-    q_pow = 1.0
-    n = 0
-    while True:
+    n, j, p = top, j0, p0  # block n holds j in [nk, nk + k)
+    while True:  # up, block by block, from p_j0
+        block = 0.0
+        end = (n + 1) * k
+        while j < end:
+            block += p
+            j += 1
+            p *= lam / j
+        total += block * -math.expm1(n * log_q)
         n += 1
-        q_pow *= q
-        total += q_pow * next(tails)
-        bound = tail_scale * q_pow * q
-        if bound < tol:
+        if p * (j + 1) <= _EPS * total * (j + 1 - lam):
             break
-        x = (n + 1) * k
-        if x > lam:
-            chernoff = math.exp(x - lam - x * math.log(x / lam))
-            if bound * chernoff <= _UNIT_ROUNDOFF * abs(eff.theta) * total:
-                break
-    return eff.theta * total
+
+    n, j, p = top, j0, p0
+    while j > k:  # down, block by block, from p_(j0-1)
+        weight = -math.expm1(n * log_q)
+        if p * j * weight <= _EPS * total * (lam - j):
+            break
+        block = 0.0
+        while j > n * k:
+            p *= j / lam
+            j -= 1
+            block += p
+        total += block * weight
+        n -= 1
+    return eff.v * total
 
 
 def asymptotic_value(params: ModelParams, t: float) -> float:

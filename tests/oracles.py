@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from restock import valuation
-from restock.distributions import GammaLaw, convolution_cdf, poisson_tails
+from restock.distributions import GammaLaw, convolution_cdf
 from restock.montecarlo import (
     _PERP_V,
     _PERP_X,
@@ -208,16 +208,16 @@ def sample_renewal_time(law: GammaLaw, stream: np.random.Generator) -> float:
     return float(-np.log1p(-u).sum() / law.rate)
 
 
-def residual_value(params: ModelParams, t: float, tol: float = valuation.DEFAULT_SERIES_TOL) -> float:
+def residual_value(params: ModelParams, t: float) -> float:
     """Remaining value v - w(t) still to accrue after horizon t."""
-    return effective(params).v - valuation.series_value(params, t, tol)
+    return effective(params).v - valuation.series_value(params, t)
 
 
 def tail_weight(params: ModelParams, t: float) -> float:
     """Forcing term v * (1 - F(t)) of the tilted residual equation."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return effective(params).v * (1.0 - next(poisson_tails(params.mu * t, params.k)))
+    return effective(params).v * (1.0 - convolution_cdf(1, t, GammaLaw(params.k, params.mu)))
 
 
 def verify_perpetuity_equation(params: ModelParams, n_paths: int, seed: int) -> tuple[MCEstimate, MCEstimate]:

@@ -53,7 +53,7 @@ def report(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def series_on_grid() -> dict[float, float]:
-    return {t: series_value(TABLE, t, 1e-9) for t in ACCEPTANCE_TIMES}
+    return {t: series_value(TABLE, t) for t in ACCEPTANCE_TIMES}
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ def test_c6_tilted_residual_approaches_its_limit():
     assert eff.rho == pytest.approx(1.0 / 51.0, rel=1e-13)
     distances = []
     for t in (50.0, 100.0, 150.0, 200.0):
-        scaled = math.exp(eff.rho * t) * (eff.v - series_value(TABLE, t, 1e-9))
+        scaled = math.exp(eff.rho * t) * (eff.v - series_value(TABLE, t))
         distances.append(abs(scaled - 45.0))
     floor = 1e-9 * 45.0  # below this the gap is series-truncation and rounding noise
     for earlier, later in zip(distances, distances[1:]):
@@ -225,7 +225,7 @@ def test_c8_metamorphic_suite():
 
     # monotonicity in t and the perpetual bound
     grid = [0.0, 5.0, 20.0, 50.0, 100.0, 250.0, 500.0]
-    values = [series_value(TABLE, t, 1e-9) for t in grid]
+    values = [series_value(TABLE, t) for t in grid]
     v = perpetual_value(TABLE)
     assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
     assert all(value <= v + 1e-9 for value in values)

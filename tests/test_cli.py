@@ -84,6 +84,16 @@ class TestValue:
         assert err == "error: alpha^k - 1 rounds to 0 (k ln(alpha) = 0.0): r/mu underflows\n"
 
 
+    def test_extreme_demand(self, capsys):
+        # mu^2 overflows a double, k*alpha/mu does not; a v past the double range is named
+        code, out, _ = run_cli(capsys, "value", "--k", "1", "--mu", "1e200", "--r", "1", "--theta", "1")
+        assert code == 0
+        assert json.loads(out)["effective"]["mu0"] == 1e-200
+        code, out, err = run_cli(capsys, "value", "--k", "1", "--mu", "1e300", "--r", "1e-10", "--theta", "1")
+        assert (code, out) == (2, "")
+        assert "perpetual value overflows" in err
+
+
 class TestCurve:
     def test_series_grid(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "500", "--step", "10")
@@ -154,7 +164,8 @@ class TestCurve:
         report = json.loads(out)
         t10 = [row for row in report["rows"] if row["t"] == 10.0][0]
         params = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(1.0, 1.0))
-        assert t10["value"] == series_value(params, 10.0, report["tolerances"]["series_tol"])
+        assert t10["value"] == series_value(params, 10.0)
+        assert report["tolerances"] == {"volterra_h": 0.01}
 
     def test_volterra_at_underflowed_kernel_mass(self, capsys):
         # q = alpha^-k underflows to 0; every method agrees the value is 0
@@ -163,6 +174,28 @@ class TestCurve:
             code, out, err = run_cli(capsys, "curve", "--method", method, *argv, "--h", "174.6")
             assert (code, err) == (0, "")
             assert [float(row["value"]) for row in parse_csv(out)] == [0.0, 0.0, 0.0]
+
+    def test_overflowing_perpetual_value_is_named(self, capsys):
+        # v is past the double range: a named error, not a walk without end
+        argv = ["--k", "1", "--mu", "1", "--r", "1e-10", "--theta", "1e300"]
+        for command in (["curve", "--method", "series", *argv, "--t-max", "10", "--step", "5"], ["value", *argv]):
+            code, out, err = run_cli(capsys, *command)
+            assert (code, out) == (2, "")
+            assert "perpetual value overflows" in err
+
+    @pytest.mark.parametrize(
+        "grid, flag",
+        [
+            (["--t-max", "nan", "--step", "5"], "--t-max"),
+            (["--t-max", "inf", "--step", "5"], "--t-max"),
+            (["--t-max", "10", "--step", "nan"], "--step"),
+            (["--t-max", "10", "--step", "inf"], "--step"),
+        ],
+    )
+    def test_nonfinite_grid_is_named(self, capsys, grid, flag):
+        code, out, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, *grid)
+        assert (code, out) == (2, "")
+        assert f"error: {flag} must be a finite" in err
 
     def test_step_must_tile_horizon(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10", "--step", "3")
@@ -187,8 +220,14 @@ class TestCompare:
         assert code == 1
         assert "FAIL" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_gate_is_named(self, capsys, tol):
+        code, out, err = run_cli(capsys, "compare", *TABLE_FLAGS, "--t-max", "10", "--step", "5", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert "error: --tol must be a finite nonnegative number" in err
+
     def test_gate_leaves_the_series_ground_truth(self, capsys):
-        # a loose agreement gate must not loosen the series truncation
+        # a loose agreement gate must not loosen the series
         code, out, _ = run_cli(
             capsys, "compare", "--k", "1", "--mu", "1", "--r", "0.02", "--a", "0", "--b", "1",
             "--t-max", "500", "--step", "250", "--tol", "0.05", "--out", "json",
@@ -211,7 +250,7 @@ class TestCompare:
         params = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(1.0, 1.0))
         for row in rows:
             if row["method"] == "mc" and row["t"] > 0:
-                target = series_value(params, row["t"], 1e-9)
+                target = series_value(params, row["t"])
                 assert abs(row["value"] - target) < 4.0 * row["stderr"]
 
 
@@ -366,7 +405,7 @@ class TestReportLayout:
                 ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--out", "json"],
                 ["command", "inputs", "k_star", "v_star", "scan", "metadata"],
             ),
-            (["paper-table", "--out", "json"], ["command", "params", "tolerances", "erratum_note", "rows", "metadata"]),
+            (["paper-table", "--out", "json"], ["command", "params", "erratum_note", "rows", "metadata"]),
             (
                 ["simulate", "--perpetual", *TABLE_FLAGS, "--paths", "1000"],
                 ["command", "params", "mode", "horizon", "estimate", "metadata"],

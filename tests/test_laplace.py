@@ -54,12 +54,12 @@ class TestInvert:
         assert abs(got - expected) <= 1e-6 * abs(expected)
 
     def test_flagship_point(self):
-        assert invert(TABLE, 10.0) == pytest.approx(series_value(TABLE, 10.0, 1e-9), abs=1e-4)
+        assert invert(TABLE, 10.0) == pytest.approx(series_value(TABLE, 10.0), abs=1e-4)
         assert invert(TABLE, 10.0) == pytest.approx(4.023, abs=5e-3)
 
     @pytest.mark.parametrize("t", [10.0, 20.0, 50.0, 100.0, 200.0, 500.0])
     def test_flagship_grid_tracks_series(self, t):
-        value = series_value(TABLE, t, 1e-9)
+        value = series_value(TABLE, t)
         assert abs(invert(TABLE, t) - value) < 1e-4 * max(1.0, value)
 
     def test_zero_horizon_convention(self):
@@ -97,7 +97,7 @@ class TestInvert:
         params = ModelParams(k=300, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
         with np.errstate(over="raise"):
             got = invert(params, 900.0)
-        assert got == pytest.approx(series_value(params, 900.0, 1e-14), rel=1e-6)
+        assert got == pytest.approx(series_value(params, 900.0), rel=1e-6)
 
     def test_values_far_below_v_are_checked_against_v(self):
         # k=200, t=20: w is ~1e-123 and the two contours disagree by ~1e-30,
@@ -144,7 +144,7 @@ class TestInvert:
         base = weights[0] * _w_hat_raw(s[0], eff, TABLE.k, TABLE.mu)
         total = (r_scale / m) * (base + 0.5 * np.sum(upper + mirror))
         assert abs(total.imag) <= 1e-8 * max(1.0, abs(total.real))
-        assert total.real == pytest.approx(series_value(TABLE, t, 1e-9), abs=1e-5)
+        assert total.real == pytest.approx(series_value(TABLE, t), abs=1e-5)
 
 
 class TestTransformConsistency:

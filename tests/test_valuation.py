@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -23,6 +25,10 @@ from restock.valuation import (
 
 import oracles
 from oracles import residual_value, tail_weight, tilted_kernel_moments
+
+# the benchmark's 50-digit residue expansion of w(t), shared as an oracle
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import reference  # noqa: E402
 
 # flagship parameter set: 10 units, unit demand, 2% discounting, unit margins
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -140,6 +146,16 @@ class TestEffective:
         with pytest.raises(ValueError, match=r"alpha\^k - 1 rounds to 0"):
             effective(ModelParams(k=1, mu=1e300, r=1e-300, cost=FixedCost(1.0)))
 
+    @pytest.mark.parametrize("mu, r, theta", [(1.0, 1e-10, 1e300), (1e300, 1e-10, 1.0)])
+    def test_overflowing_perpetual_value_is_named(self, mu, r, theta):
+        # theta / (alpha^k - 1) is past the double range
+        with pytest.raises(ValueError, match="perpetual value overflows"):
+            effective(ModelParams(k=1, mu=mu, r=r, cost=FixedCost(theta)))
+
+    def test_tilted_mean_at_extreme_demand(self):
+        # mu^2 overflows a double; k*alpha/mu does not
+        assert effective(ModelParams(k=1, mu=1e200, r=1.0, cost=FixedCost(1.0))).mu0 == 1e-200
+
     @given(params=params_strategy())
     def test_invariant_identities(self, params):
         eff = effective(params)
@@ -173,39 +189,27 @@ class TestSeriesValue:
         assert series_value(TABLE, 0.0) == 0.0
 
     def test_flagship_two_term_oracle(self):
-        got = series_value(TABLE, 10.0, tol=1e-6)
+        got = series_value(TABLE, 10.0)
         assert got == pytest.approx(W10_TWO_TERM, abs=3e-6)
         assert got == pytest.approx(4.023, abs=5e-3)
 
     @pytest.mark.parametrize("t,expected", sorted(W_TABLE.items()))
     def test_flagship_grid_frozen(self, t, expected):
-        assert series_value(TABLE, t, tol=1e-9) == pytest.approx(expected, abs=5e-13)
+        assert series_value(TABLE, t) == pytest.approx(expected, abs=5e-13)
         assert oracles.series_value(10, 1.0, 0.02, 9.0, t, tol=1e-9) == pytest.approx(expected, abs=1e-12)
 
     def test_long_horizon_approaches_perpetual(self):
         assert series_value(K1, 500.0) == pytest.approx(50.0, abs=5e-3)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            series_value(TABLE, -1.0)
-        with pytest.raises(ValueError):
-            series_value(TABLE, 1.0, tol=0.0)
+        for t in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                series_value(TABLE, t)
 
-    def test_small_rate_stops_on_the_poisson_tail(self, monkeypatch):
-        # q = 1/(1 + 1e-6): the geometric bound alone needs ~3e7 terms, but
-        # F*n(10) falls below double precision of the sum after a few dozen
+    def test_small_rate_stops_on_the_poisson_tail(self):
+        # q = 1/(1 + 1e-6): a geometric stop alone would need ~3e7 terms
         params = ModelParams(k=1, mu=1.0, r=1e-6, cost=FixedCost(theta=1.0))
-        consumed = []
-        poisson_tails = valuation.poisson_tails
-
-        def counted(lam, step):
-            for tail in poisson_tails(lam, step):
-                consumed.append(tail)
-                yield tail
-
-        monkeypatch.setattr(valuation, "poisson_tails", counted)
         value = series_value(params, 10.0)
-        assert 0 < len(consumed) < 200
         assert value == pytest.approx(exact_k1_value(params, 10.0), abs=1e-9)
 
     def test_deep_tail_term(self):
@@ -214,13 +218,13 @@ class TestSeriesValue:
         assert series_value(params, 5.0) == pytest.approx(1.038828971274116e-239, rel=1e-12)
 
     def test_high_demand_matches_asymptotic(self):
-        # mu t = 1e6: ~1e5 terms; every pole but -rho decays like e^(-190 t),
-        # so the asymptotic form is exact here
+        # mu t = 1e6: ~17,000 pmf steps; every pole but -rho decays like
+        # e^(-190 t), so the asymptotic form is exact here
         params = ModelParams(k=10, mu=1e3, r=0.02, cost=LinearCost(a=1.0, b=1.0))
         assert series_value(params, 1e3) == pytest.approx(asymptotic_value(params, 1e3), rel=1e-12)
 
     def test_long_sum_rounding(self):
-        # ~1e4 terms near 1: tol bounds truncation only, rounding adds ~N 2^-53 |sum|
+        # q near 1 and a value near 1e4: every term of the pmf sum is nonnegative
         params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
         assert series_value(params, 1e4) == pytest.approx(exact_k1_value(params, 1e4), rel=1e-12)
 
@@ -229,15 +233,38 @@ class TestSeriesValue:
     def test_monotone_and_bounded(self, params, t1, t2):
         lo, hi = sorted((t1, t2))
         tol = 1e-9
-        w_lo = series_value(params, lo, tol)
-        w_hi = series_value(params, hi, tol)
+        w_lo = series_value(params, lo)
+        w_hi = series_value(params, hi)
         assert w_hi >= w_lo - 2 * tol
         assert w_hi <= perpetual_value(params) + 2 * tol
+
+    @given(
+        k=st.integers(1, 10),
+        mu=st.floats(0.1, 10.0),
+        log_r=st.floats(math.log(1e-8), math.log(0.5)),
+        log_cycles=st.floats(math.log(0.05), math.log(100.0)),
+    )
+    @settings(max_examples=30)
+    def test_matches_residue_reference(self, k, mu, log_r, log_cycles):
+        # t from 0.05 to 100 mean cycles k/mu; at k >> 10 the residue sum cancels
+        r, t = math.exp(log_r), math.exp(log_cycles) * k / mu
+        exact = reference.horizon_value(reference.Store(k=k, mu=mu, r=r, a=0.0, b=1.0), t)
+        got = series_value(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(float(k))), t)
+        assert abs(got - exact) <= 1e-12 * exact
+
+    def test_long_horizon_returns_v_without_a_walk(self, monkeypatch):
+        # r t = 2e10: every weight rounds to 1; a walk would take ~1.7e7 pmf steps
+        def no_walk(*args):
+            raise AssertionError("the pmf was evaluated")
+
+        monkeypatch.setattr(valuation, "_pmf", no_walk)
+        v = perpetual_value(TABLE)
+        assert abs(series_value(TABLE, 1e12) - v) <= math.ulp(v)
 
     @pytest.mark.parametrize("t", [0.0, 1.0, 13.7, 100.0, 500.0])
     def test_k1_matches_closed_form(self, t):
         tol = 1e-9
-        assert abs(series_value(K1, t, tol) - exact_k1_value(K1, t)) < 10 * tol
+        assert abs(series_value(K1, t) - exact_k1_value(K1, t)) < 10 * tol
 
 
 class TestResidualAndTail:
@@ -288,7 +315,7 @@ class TestAsymptoticValue:
         assert asymptotic_value(K1, t) == pytest.approx(exact_k1_value(K1, t), rel=1e-12, abs=1e-12)
 
     def test_gap_closes_at_long_horizon(self):
-        gap = abs(asymptotic_value(TABLE, 200.0) - series_value(TABLE, 200.0, 1e-9))
+        gap = abs(asymptotic_value(TABLE, 200.0) - series_value(TABLE, 200.0))
         assert gap < 0.005 * V_TABLE
         assert asymptotic_value(TABLE, math.inf) == perpetual_value(TABLE)
 
@@ -302,7 +329,7 @@ class TestAsymptoticValue:
         eff = effective(TABLE)
         distances = []
         for t in (50.0, 100.0, 150.0, 200.0):
-            scaled = math.exp(eff.rho * t) * residual_value(TABLE, t, 1e-9)
+            scaled = math.exp(eff.rho * t) * residual_value(TABLE, t)
             distances.append(abs(scaled / 45.0 - 1.0))
         floor = 1e-9
         for earlier, later in zip(distances, distances[1:]):
@@ -480,8 +507,8 @@ class TestMetamorphic:
         tol = 1e-9
         base = ModelParams(k=4, mu=1.0, r=0.05, cost=FixedCost(2.0))
         scaled = ModelParams(k=4, mu=1.0, r=0.05, cost=FixedCost(2.0 * c))
-        lhs = series_value(scaled, 30.0, tol)
-        rhs = c * series_value(base, 30.0, tol)
+        lhs = series_value(scaled, 30.0)
+        rhs = c * series_value(base, 30.0)
         assert abs(lhs - rhs) <= (1.0 + c) * tol + 1e-12 * abs(rhs)
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 16.0])
