@@ -77,20 +77,6 @@ def _diag(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _params_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k", type=int, required=True, help="stock size (units)")
-    parser.add_argument("--mu", type=float, required=True, help="demand intensity (per unit time)")
-    parser.add_argument("--r", type=float, required=True, help="discount rate (per unit time)")
-    parser.add_argument("--theta", type=float, default=None, help="flat payment per replacement")
-    parser.add_argument("--a", type=float, default=None, help="fixed cost per restocking operation")
-    parser.add_argument("--b", type=float, default=None, help="unit margin per item")
-    parser.add_argument("--growth", type=float, default=0.0, help="cost inflation rate (default 0)")
-
-
-def _out_flag(parser: argparse.ArgumentParser, default: str) -> None:
-    parser.add_argument("--out", choices=("csv", "json"), default=default, help=f"output format (default {default})")
-
-
 def _build_params(args: argparse.Namespace) -> ModelParams:
     if args.theta is not None and (args.a is not None or args.b is not None):
         raise ValueError("give either --theta or --a with --b, not both")
@@ -204,11 +190,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
     params = _build_params(args)
     times = _time_grid(args.t_max, args.step)
     if args.method == "all":
-        methods = ["series", "volterra", "laplace", "asymptotic"]
-        if params.k == 1:
-            methods.append("exact_k1")
-        if args.with_mc:
-            methods.append("mc")
+        optional = {"exact_k1": params.k == 1, "mc": args.with_mc, "all": False}
+        methods = [method for method in CURVE_METHODS if optional.get(method, True)]
     else:
         methods = [args.method]
     rows = [row for method in methods for row in _method_rows(params, method, times, args)]
@@ -304,6 +287,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flag groups shared by several subcommands, each flag declared once
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--k", type=int, required=True, help="stock size (units)")
+    model.add_argument("--mu", type=float, required=True, help="demand intensity (per unit time)")
+    model.add_argument("--r", type=float, required=True, help="discount rate (per unit time)")
+    model.add_argument("--theta", type=float, default=None, help="flat payment per replacement")
+    model.add_argument("--a", type=float, default=None, help="fixed cost per restocking operation")
+    model.add_argument("--b", type=float, default=None, help="unit margin per item")
+    model.add_argument("--growth", type=float, default=0.0, help="cost inflation rate (default 0)")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--t-max", type=float, required=True, help="last report time; the grid starts at 0")
+    grid.add_argument("--step", type=float, default=None, help="report spacing; must tile --t-max (required if > 0)")
+    grid.add_argument("--h", type=float, default=DEFAULT_STEP, help="Volterra solver step (default %(default)s)")
+    mc = argparse.ArgumentParser(add_help=False)
+    mc.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths (default %(default)s)")
+    mc.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
+
     parser = argparse.ArgumentParser(
         prog="restock",
         description="Replenishment-cost valuation of a k-unit store under Poisson demand.",
@@ -311,56 +311,31 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"restock {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_value = sub.add_parser("value", help="perpetual value and derived constants")
-    _params_flags(p_value)
-    _out_flag(p_value, "json")
-    p_value.set_defaults(func=cmd_value)
+    def add(name, func, out, summary, *parents):
+        command = sub.add_parser(name, help=summary, parents=parents)
+        command.add_argument("--out", choices=("csv", "json"), default=out, help="output format (default %(default)s)")
+        command.set_defaults(func=func)
+        return command
 
-    p_curve = sub.add_parser("curve", help="one method on a horizon grid")
-    _params_flags(p_curve)
-    _out_flag(p_curve, "csv")
-    p_curve.add_argument("--method", choices=CURVE_METHODS, required=True)
-    p_curve.add_argument("--t-max", type=float, required=True, dest="t_max")
-    p_curve.add_argument("--step", type=float, default=None)
-    p_curve.add_argument("--h", type=float, default=DEFAULT_STEP, help="renewal-equation solver step")
-    p_curve.add_argument("--with-mc", action="store_true", dest="with_mc", help="append Monte Carlo rows to --method all")
-    p_curve.add_argument("--paths", type=int, default=100_000)
-    p_curve.add_argument("--seed", type=int, default=0)
-    p_curve.set_defaults(func=cmd_curve)
+    add("value", cmd_value, "json", "perpetual value and derived constants", model)
+    curve = add("curve", cmd_curve, "csv", "one method on a horizon grid", model, grid, mc)
+    curve.add_argument("--method", choices=CURVE_METHODS, required=True, help="valuation method")
+    compare = add("compare", cmd_compare, "csv", "cross-validate the analytic methods", model, grid, mc)
+    compare.add_argument("--tol", type=float, default=1e-4, help="agreement gate (default %(default)s)")
+    for command in (curve, compare):
+        command.add_argument("--with-mc", action="store_true", help="add seeded Monte Carlo rows (curve: --method all)")
 
-    p_cmp = sub.add_parser("compare", help="cross-validate the analytic methods")
-    _params_flags(p_cmp)
-    _out_flag(p_cmp, "csv")
-    p_cmp.add_argument("--t-max", type=float, required=True, dest="t_max")
-    p_cmp.add_argument("--step", type=float, default=None)
-    p_cmp.add_argument("--h", type=float, default=DEFAULT_STEP, help="renewal-equation solver step")
-    p_cmp.add_argument("--tol", type=float, default=1e-4, help="max allowed analytic discrepancy")
-    p_cmp.add_argument("--with-mc", action="store_true", dest="with_mc")
-    p_cmp.add_argument("--paths", type=int, default=100_000)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_opt = sub.add_parser("optimize", help="stock size maximising the perpetual value")
+    optimize = add("optimize", cmd_optimize, "csv", "stock size maximising the perpetual value")
     for flag in ("--a", "--b", "--mu", "--r"):
-        p_opt.add_argument(flag, type=float, required=True)
-    p_opt.add_argument("--growth", type=float, default=0.0)
-    p_opt.add_argument("--k-max", type=int, default=None, dest="k_max")
-    _out_flag(p_opt, "csv")
-    p_opt.set_defaults(func=cmd_optimize)
+        optimize.add_argument(flag, type=float, required=True, help="as for value (required here)")
+    optimize.add_argument("--growth", type=float, default=0.0, help="as for value (default 0)")
+    optimize.add_argument("--k-max", type=int, default=None, help="largest stock size scanned")
 
-    p_tab = sub.add_parser("paper-table", help="re-derive the published example table and diagnose it")
-    _out_flag(p_tab, "csv")
-    p_tab.set_defaults(func=cmd_paper_table)
-
-    p_sim = sub.add_parser("simulate", help="seeded Monte Carlo estimate")
-    _params_flags(p_sim)
-    _out_flag(p_sim, "json")
-    mode = p_sim.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--horizon", type=float, default=None)
-    mode.add_argument("--perpetual", action="store_true")
-    p_sim.add_argument("--paths", type=int, default=100_000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.set_defaults(func=cmd_simulate)
+    add("paper-table", cmd_paper_table, "csv", "re-derive the published example table and diagnose it")
+    simulate = add("simulate", cmd_simulate, "json", "seeded Monte Carlo estimate", model, mc)
+    mode = simulate.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--horizon", type=float, default=None, help="finite horizon t")
+    mode.add_argument("--perpetual", action="store_true", help="perpetual value (infinite horizon)")
     return parser
 
 

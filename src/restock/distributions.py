@@ -136,9 +136,16 @@ def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray,
     are swept in chunks of ``_GRID_CHUNK``, so the working arrays stay
     small next to the two results.
     """
+    if not _is_integer(shape):
+        raise TypeError(f"shape must be an integer, got {shape!r}")
+    if shape < 1:
+        raise ValueError(f"shape must be >= 1, got {shape}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be a finite positive real, got {rate!r}")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("x must be nonnegative")
+    # min and max reduce without a temporary the size of x; nan fails both
+    if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
+        raise ValueError("x must be finite and nonnegative")
     cdf = np.empty(x.shape)
     cdf_next = np.empty(x.shape)
     flat_x, flat_cdf, flat_next = x.ravel(), cdf.ravel(), cdf_next.ravel()

@@ -16,12 +16,18 @@ practical facts shape the implementation:
   accuracy *degrades* past M ~ 50-60; node counts are kept in the 24..64
   sweet spot and never doubled blindly.
 * The transform has a ring of complex poles at mu*(e^(2*pi*i*j/k)/alpha - 1).
-  For intermediate t the narrowing contour passes near the first pair
-  before their residue contribution has fully decayed, which caps the
-  worst-case absolute error near 1e-5 on that t-window (typical accuracy
-  elsewhere is 1e-9 relative or better).
+  For intermediate t the narrowing contour passes near them before their
+  residue contribution has fully decayed.  Typical accuracy is 1e-9
+  relative or better, but these points (theta = 1) pass the gate below
+  while off ``series_value`` by
 
-``invert`` therefore evaluates the contour at 32 and at 48 nodes, returns
+      k    mu     r       t      absolute  relative
+      50   51.16  0.0574  12.38  7.7e-4    9.0e-5
+      200  1      0.02    400    7.4e-6    3.9e-4
+      500  10     0.02    150    1.19e-3   2.2e-3
+      500  10     1e-4    50     2.81e-3   5.6e-3
+
+``invert`` evaluates the contour at 32 and at 48 nodes, returns
 the finer result, and raises if the two resolutions disagree beyond a 1e-3
 relative sanity gate, or if either is not finite.  The gate is relative to
 the returned value, down to an absolute floor of min(1, 1e-6 * |v|): a
@@ -36,9 +42,7 @@ fraction of the value and the call raises.
 
 Near s = -mu at large k, q * phi^k(s) overflows a double; the transform
 is evaluated from L = ln(q * phi^k(s)) so that it tends to -theta/s there
-(see ``_w_hat_raw``).  The gate does not catch every error on such
-contours: at k = 500, mu = 10, r = 1e-4, t = 50 the returned value is
-5.6e-3 off in relative terms.
+(see ``_w_hat_raw``).
 """
 
 from __future__ import annotations

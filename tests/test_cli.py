@@ -11,7 +11,8 @@ import pytest
 
 import restock
 from restock import __version__
-from restock.cli import CSV_HEADER, main
+from restock import cli
+from restock.cli import CSV_HEADER, build_parser, main
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 
 TABLE_FLAGS = ["--k", "10", "--mu", "1", "--r", "0.02", "--a", "1", "--b", "1"]
@@ -435,6 +436,48 @@ class TestReportLayout:
     def test_value_csv_columns(self, capsys):
         _, out, _ = run_cli(capsys, "value", *TABLE_FLAGS, "--out", "csv")
         assert out.splitlines()[0] == "k,mu,r,growth,theta,r_eff,alpha,phi_k,rho,mu0,v"
+
+
+class TestParserPin:
+    """Every dest and default of each subcommand, from its minimal argv."""
+
+    MODEL = ["--k", "1", "--mu", "1", "--r", "1"]
+    MODEL_DESTS = {"k": 1, "mu": 1.0, "r": 1.0, "theta": None, "a": None, "b": None, "growth": 0.0}
+    GRID_DESTS = {"t_max": 10.0, "step": None, "h": 0.01}
+    MC_DESTS = {"paths": 100_000, "seed": 0}
+
+    @pytest.mark.parametrize(
+        "argv, func, expected",
+        [
+            (["value", *MODEL], "cmd_value", {**MODEL_DESTS, "out": "json"}),
+            (
+                ["curve", "--method", "series", *MODEL, "--t-max", "10"],
+                "cmd_curve",
+                {**MODEL_DESTS, "out": "csv", "method": "series", **GRID_DESTS, "with_mc": False, **MC_DESTS},
+            ),
+            (
+                ["compare", *MODEL, "--t-max", "10"],
+                "cmd_compare",
+                {**MODEL_DESTS, "out": "csv", **GRID_DESTS, "tol": 1e-4, "with_mc": False, **MC_DESTS},
+            ),
+            (
+                ["optimize", "--a", "1", "--b", "2", "--mu", "3", "--r", "4"],
+                "cmd_optimize",
+                {"a": 1.0, "b": 2.0, "mu": 3.0, "r": 4.0, "growth": 0.0, "k_max": None, "out": "csv"},
+            ),
+            (["paper-table"], "cmd_paper_table", {"out": "csv"}),
+            (
+                ["simulate", "--perpetual", *MODEL],
+                "cmd_simulate",
+                {**MODEL_DESTS, "out": "json", "horizon": None, "perpetual": True, **MC_DESTS},
+            ),
+        ],
+        ids=["value", "curve", "compare", "optimize", "paper-table", "simulate"],
+    )
+    def test_dests_and_defaults(self, argv, func, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        assert parsed.pop("func") is getattr(cli, func)
+        assert parsed == {"command": argv[0], **expected}
 
 
 class TestOutputHygiene:

@@ -70,6 +70,29 @@ class TestErlangGrid:
         assert np.diff(cdf).min() >= 0.0
         assert np.diff(cdf_next).min() >= 0.0
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_points(self, x):
+        with pytest.raises(ValueError, match="x must be finite and nonnegative"):
+            erlang_cdf_grid(3, 1.0, np.array([0.0, x, 1.0]))
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, np.nan, np.inf])
+    def test_rejects_bad_rate(self, rate):
+        with pytest.raises(ValueError, match="rate must be a finite positive real"):
+            erlang_cdf_grid(3, rate, np.array([1.0]))
+
+    def test_rejects_zero_shape(self):
+        with pytest.raises(ValueError, match="shape must be >= 1"):
+            erlang_cdf_grid(0, 1.0, np.array([1.0]))
+
+    @pytest.mark.parametrize("shape", [2.5, 3.0, True])
+    def test_rejects_noninteger_shape(self, shape):
+        with pytest.raises(TypeError, match="shape must be an integer"):
+            erlang_cdf_grid(shape, 1.0, np.array([1.0]))
+
+    def test_empty_grid(self):
+        cdf, cdf_next = erlang_cdf_grid(3, 1.0, np.array([]))
+        assert cdf.shape == cdf_next.shape == (0,)
+
 
 def _is_5_smooth(m):
     for p in (2, 3, 5):
