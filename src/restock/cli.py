@@ -35,6 +35,7 @@ from restock import __version__
 from restock.laplace import invert
 from restock.montecarlo import simulate_vk, simulate_wk
 from restock.valuation import (
+    DEFAULT_KMAX,
     FixedCost,
     LinearCost,
     ModelParams,
@@ -113,8 +114,6 @@ def _time_grid(t_max: float, step: float | None) -> list[float]:
 
 
 def _mc_point(params: ModelParams, t: float, args: argparse.Namespace) -> tuple[float, float]:
-    if t == 0:
-        return 0.0, 0.0
     est = simulate_wk(params, t, args.paths, args.seed)
     return est.mean, est.stderr
 
@@ -142,17 +141,8 @@ def _method_rows(
     """Rows (t, method, value, stderr-or-None) for one method tag; volterra solves once, to times[-1]."""
     if method != "volterra":
         return [(t, method, *_POINTWISE[method](params, t, args)) for t in times]
-    if times[-1] == 0:
-        return [(t, method, 0.0, None) for t in times]
-    h = args.h
-    values = solve_renewal(params, GridSpec(t_max=times[-1], h=h)).values
-    rows = []
-    for t in times:
-        index = round(t / h)
-        if abs(index * h - t) > 1e-9 * max(1.0, t):
-            raise ValueError(f"grid time {t} is not a multiple of the solver step --h {h}")
-        rows.append((t, method, float(values[index]), None))
-    return rows
+    values = solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
+    return [(t, method, float(values[GridSpec(t_max=t, h=args.h).n_steps]), None) for t in times]
 
 
 def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = None,
@@ -251,6 +241,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         scan=[{"k": kk, "v": vv} for kk, vv in scan],
     )
     _diag(f"k* = {k_star}, v* = {_fmt(v_star)}")
+    cap = DEFAULT_KMAX if args.k_max is None else args.k_max
+    if scan[-1][0] == cap:  # the scan ran out before the envelope bound stopped it
+        _diag(f"note: the scan stopped at k_max = {cap} before the envelope bound proved an optimum")
     return 0
 
 

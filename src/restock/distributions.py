@@ -38,6 +38,12 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _check_horizon(t) -> None:
+    """The horizon check every pointwise method shares: t finite and >= 0."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+
+
 @dataclass(frozen=True)
 class GammaLaw:
     """Gamma(shape, rate) law of the time one full stock lasts.
@@ -245,8 +251,7 @@ def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
         raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+    _check_horizon(t)
     if n == 0:
         return 1.0
     return float(erlang_cdf_grid(n * law.shape, law.rate, np.array([t]))[0][0])

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restock.distributions import _is_integer
+from restock.distributions import _check_horizon, _is_integer
 from restock.valuation import ModelParams, effective
 
 __all__ = ["MCEstimate", "simulate_wk", "simulate_vk"]
@@ -155,19 +155,21 @@ def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEst
     N = floor(Poisson(mu*t) / k), from one clock stream, and its sample is
     the exact conditional payout theta * sum_{n=1}^{N} q^n.  The geometric
     sum is evaluated as theta * q * expm1(N ln q) / expm1(ln q), which keeps
-    full relative accuracy when q is close to 1.  Raises ValueError for a
-    non-finite t: the infinite-horizon value is :func:`simulate_vk`.
+    full relative accuracy when q is close to 1.  t = 0 gives the exact 0
+    from no path (n_paths 0); a negative or non-finite t raises ValueError
+    (the infinite-horizon value is :func:`simulate_vk`).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not math.isfinite(t):
+    if t == math.inf:
         raise ValueError(
             f"t must be finite, got {t}; simulate the perpetual value with "
             "simulate_vk (CLI: simulate --perpetual)"
         )
+    _check_horizon(t)
     n_paths = _check_paths(n_paths)
     seed = _check_seed(seed)
     eff = effective(params)
+    if t == 0:
+        return MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)
     k, mu = params.k, params.mu
 
     cycles = _stream(seed, _WK_CLOCK, 1).poisson(mu * t, n_paths) // k

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import _EPS, _LOWER_SPAN, _is_integer, _pmf
+from restock.distributions import _EPS, _LOWER_SPAN, _check_horizon, _is_integer, _pmf
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -237,8 +237,7 @@ def series_value(params: ModelParams, t: float) -> float:
     is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
     weight that counts rounds to 1, and v is returned without a walk.
     """
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+    _check_horizon(t)
     eff = effective(params)
     lam = params.mu * t
     if lam == 0.0:

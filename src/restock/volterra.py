@@ -56,20 +56,17 @@ DEFAULT_STEP = 0.01
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform solution grid: horizon ``t_max`` tiled by step ``h``."""
+    """Uniform solution grid: horizon ``t_max`` tiled by n_steps >= 0 steps ``h``."""
 
     t_max: float
     h: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t_max, (int, float)) and math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be a finite positive real, got {self.t_max!r}")
+        if not (isinstance(self.t_max, (int, float)) and math.isfinite(self.t_max) and self.t_max >= 0):
+            raise ValueError(f"t_max must be a finite nonnegative real, got {self.t_max!r}")
         if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h must be a finite positive real, got {self.h!r}")
-        if self.h > self.t_max / 2:
-            raise ValueError(f"h={self.h} must not exceed t_max/2={self.t_max / 2}")
-        n = round(self.t_max / self.h)
-        if n < 2 or abs(n * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
+        if abs(self.n_steps * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValueError(f"step h={self.h} does not tile t_max={self.t_max}")
 
     @property
@@ -129,9 +126,9 @@ def _series_divide(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     """Solve the renewal equation on the grid; global accuracy O(h^2).
 
-    Returns the ``volterra`` ValueCurve on t_i = i*h, with w(0) = 0.  The
-    error bound is absolute: O(h^2) plus a round-off floor of about
-    1e-13 * max|w| from the FFT products.  Relative accuracy where w is
+    Returns the ``volterra`` ValueCurve on t_i = i*h, with w(0) = 0 (all of
+    it at t_max = 0).  The error bound is absolute: O(h^2) plus a round-off
+    floor of about 1e-13 * max|w| from the FFT products.  Relative accuracy where w is
     close to 0 is not promised.  The exact discrete solution is
     nonnegative (G and 1/C have nonnegative coefficients), so round-off
     below 0 is clipped.
@@ -139,9 +136,11 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     eff = effective(params)
     if not eff.phi_k < 1.0:
         raise ArithmeticError(f"kernel mass {eff.phi_k} is not below 1; equation not defective")
+    n = grid.n_steps
+    if n == 0:
+        return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")
     k, mu = params.k, params.mu
     h = grid.h
-    n = grid.n_steps
     if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
         raise ValueError(f"step too large for implicit diagonal: h={h} with mu={mu}")
 

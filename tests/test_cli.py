@@ -203,6 +203,25 @@ class TestCurve:
         assert code == 2
         assert "tile" in err
 
+    def test_volterra_one_step_grid(self, capsys):
+        argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "1", "--step", "1", "--h", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [(row["t"], row["value"]) for row in parse_csv(out)][0] == ("0", "0")
+
+    def test_volterra_report_times_must_tile_h(self, capsys):
+        # three steps of --h reach --t-max 10, but no whole number reaches t = 5
+        argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "10", "--step", "5", "--h", str(10 / 3)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: step h={10 / 3} does not tile t_max=5.0\n"
+
+    def test_volterra_zero_horizon_checks_h(self, capsys):
+        argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "0", "--h", "-1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error: h must be a finite positive real" in err
+
 
 class TestCompare:
     def test_flagship_agreement(self, capsys):
@@ -213,6 +232,16 @@ class TestCompare:
         assert "pass" in err
         methods = {row["method"] for row in parse_csv(out)}
         assert methods == {"series", "volterra", "laplace"}
+
+    def test_one_step_horizon(self, capsys):
+        # --step and the solver step --h may both equal --t-max
+        code, out, err = run_cli(capsys, "compare", *TABLE_FLAGS, "--t-max", "0.01", "--step", "0.01")
+        assert code == 0
+        assert "pass" in err
+        last = [row for row in parse_csv(out) if row["t"] == "0.01"]
+        assert [row["method"] for row in last] == ["series", "volterra", "laplace"]
+        values = [float(row["value"]) for row in last]
+        assert max(values) - min(values) <= 1e-4
 
     def test_unachievable_gate_fails(self, capsys):
         code, _, err = run_cli(
@@ -285,6 +314,18 @@ class TestOptimize:
         assert (report["k_star"], report["v_star"]) == (k_star, v_star) == (7, scan[-1][1])
         assert [(row["k"], row["v"]) for row in report["scan"]] == scan
 
+    def test_cap_before_the_envelope_proof_is_noted(self, capsys):
+        # the envelope proves k* = 10 at k = 21; a cap of 7 ends the scan first
+        code, out, err = run_cli(capsys, "optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--k-max", "7")
+        assert code == 0
+        assert "k* = 7" in err
+        assert "note: the scan stopped at k_max = 7" in err
+        assert [row["k"] for row in parse_csv(out)][-1] == "7"
+        code, out, err = run_cli(capsys, "optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02")
+        assert code == 0
+        assert "note" not in err
+        assert [row["k"] for row in parse_csv(out)] == [str(k) for k in range(2, 21)]
+
     def test_infeasible_cap(self, capsys):
         code, _, err = run_cli(
             capsys, "optimize", "--a", "10", "--b", "0.5", "--mu", "1", "--r", "0.02", "--k-max", "5"
@@ -354,6 +395,14 @@ class TestSimulate:
         report = json.loads(out)
         assert report["estimate"]["mean"] == 0.0
         assert "truncation_bias_bound" not in report["estimate"]
+
+    def test_zero_horizon(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--horizon", "0", *TABLE_FLAGS, "--paths", "5000", "--seed", "1", "--out", "csv"
+        )
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["mean"], row["stderr"], row["n_paths"]) == ("0", "0", "0")
 
     def test_byte_identical_reruns(self, capsys):
         argv = ["simulate", "--perpetual", *TABLE_FLAGS, "--paths", "20000", "--seed", "123"]

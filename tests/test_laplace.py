@@ -6,7 +6,15 @@ import pytest
 
 from restock import laplace
 from restock.laplace import _NODE_COUNT, _NODE_STEP, _talbot, _talbot_nodes, invert, w_hat
-from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
+from restock.valuation import (
+    FixedCost,
+    LinearCost,
+    ModelParams,
+    effective,
+    exact_k1_value,
+    perpetual_value,
+    series_value,
+)
 from restock.volterra import GridSpec, solve_renewal
 
 from oracles import trapezoid_transform
@@ -79,7 +87,7 @@ class TestInvert:
         # wherever we invert
         for t in (1.0, 10.0, 60.0, 300.0):
             a = invert(TABLE, t)
-            b = _talbot(TABLE, t, 64)
+            b = _talbot(TABLE, effective(TABLE), t, 64)
             assert abs(a - b) < 2e-5 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("t", [150.0, 200.0])
@@ -117,15 +125,16 @@ class TestInvert:
         # of 0.5; the floor is capped at 1, so the gap must stay within 1e-3
         params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(theta=1.0))
         fine_nodes = _NODE_COUNT + _NODE_STEP
-        monkeypatch.setattr(laplace, "_talbot", lambda p, t, m: 0.51 if m == fine_nodes else 0.5)
+        monkeypatch.setattr(laplace, "_talbot", lambda p, eff, t, m: 0.51 if m == fine_nodes else 0.5)
         with pytest.raises(ArithmeticError, match="self-check"):
             invert(params, 1.0)
-        monkeypatch.setattr(laplace, "_talbot", lambda p, t, m: 0.5009 if m == fine_nodes else 0.5)
+        monkeypatch.setattr(laplace, "_talbot", lambda p, eff, t, m: 0.5009 if m == fine_nodes else 0.5)
         assert invert(params, 1.0) == 0.5009
 
     @pytest.mark.parametrize("t", [50.0, 100.0, 250.0, 500.0])
     def test_flagship_grid_passes_the_relative_gate(self, t):
-        coarse, fine = _talbot(TABLE, t, _NODE_COUNT), _talbot(TABLE, t, _NODE_COUNT + _NODE_STEP)
+        eff = effective(TABLE)
+        coarse, fine = _talbot(TABLE, eff, t, _NODE_COUNT), _talbot(TABLE, eff, t, _NODE_COUNT + _NODE_STEP)
         assert abs(coarse - fine) <= 3e-6 * abs(fine)
         assert invert(TABLE, t) == fine
 

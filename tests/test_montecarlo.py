@@ -38,9 +38,24 @@ def combined_stderr(a: MCEstimate, b: MCEstimate) -> float:
 
 
 class TestValidation:
-    def test_horizon_must_be_positive(self):
-        with pytest.raises(ValueError):
-            simulate_wk(TABLE, 0.0, 100, 1)
+    def test_horizon_must_be_finite_and_nonnegative(self):
+        for t in (-1.0, -1e-300, math.nan):
+            with pytest.raises(ValueError, match="finite nonnegative"):
+                simulate_wk(TABLE, t, 100, 1)
+
+    def test_zero_horizon_is_exactly_zero_without_draws(self):
+        assert simulate_wk(TABLE, 0.0, 100, 1) == MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=1)
+        assert simulate_wk(TABLE, 0, 100, 1).mean == 0.0
+        # the inputs are still checked at t = 0
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate_wk(TABLE, 0.0, 1, 1)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_wk(TABLE, 0.0, 100, -1)
+        with pytest.raises(TypeError):
+            simulate_wk(TABLE, 0.0, 100, 1.5)
+        bad = ModelParams(k=1, mu=1.0, r=0.02, cost=LinearCost(a=5.0, b=1.0))
+        with pytest.raises(ValueError, match="non-positive replacement payoff"):
+            simulate_wk(bad, 0.0, 100, 1)
 
     def test_infinite_horizon_points_to_the_perpetuity(self):
         with pytest.raises(ValueError, match="simulate_vk"):

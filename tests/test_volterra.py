@@ -27,14 +27,18 @@ class TestGridSpec:
             GridSpec(t_max=10.0, h=0.3)
 
     def test_rejects_oversized_step(self):
-        with pytest.raises(ValueError, match="t_max/2"):
+        # a step above t_max/2 is fine if it tiles (one step); 6 does not tile 10
+        assert GridSpec(t_max=10.0, h=10.0).n_steps == 1
+        with pytest.raises(ValueError, match="tile"):
             GridSpec(t_max=10.0, h=6.0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            GridSpec(t_max=0.0, h=0.1)
-        with pytest.raises(ValueError):
-            GridSpec(t_max=10.0, h=0.0)
+        # t_max = 0 is the one-point grid; a negative or nan horizon and a
+        # nonpositive step are not grids
+        assert GridSpec(t_max=0.0, h=0.1).n_steps == 0
+        for t_max, h in ((-1.0, 0.1), (math.nan, 0.1), (10.0, 0.0), (10.0, -0.5)):
+            with pytest.raises(ValueError):
+                GridSpec(t_max=t_max, h=h)
 
 
 class TestErlangGrid:
@@ -248,3 +252,13 @@ class TestAgainstDirectRecursion:
     def test_odd_prime_and_tiny_grids(self, n):
         params = ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0))
         self._check(params, GridSpec(t_max=n * 0.1, h=0.1))
+
+    def test_one_step_grid(self):
+        # h = t_max: the system is the single implicit step
+        self._check(TABLE, GridSpec(t_max=2.0, h=2.0))
+        self._check(K1, GridSpec(t_max=1.0, h=1.0))
+
+    def test_zero_horizon_is_the_origin(self):
+        curve = solve_renewal(TABLE, GridSpec(t_max=0.0, h=0.01))
+        assert curve.times.tolist() == [0.0]
+        assert curve.values.tolist() == [0.0]
