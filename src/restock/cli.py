@@ -31,6 +31,7 @@ import math
 import sys
 
 from restock import __version__
+from restock.distributions import _check_real
 # perfbench/spans.py wraps invert, simulate_vk, simulate_wk, series_value and solve_renewal on restock.cli
 from restock.laplace import invert
 from restock.montecarlo import simulate_vk, simulate_wk
@@ -99,18 +100,13 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _time_grid(t_max: float, step: float | None) -> list[float]:
-    if not (math.isfinite(t_max) and t_max >= 0):
-        raise ValueError(f"--t-max must be a finite nonnegative number, got {t_max}")
-    if t_max == 0:
+    """Report times 0, step, ..., t_max; GridSpec decides whether step tiles t_max."""
+    if _check_real("--t-max", t_max, "nonnegative") == 0:
         return [0.0]
     if step is None:
         raise ValueError("--step is required when --t-max > 0")
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"--step must be a finite positive number, got {step}")
-    n = round(t_max / step)
-    if n < 1 or abs(n * step - t_max) > 1e-9 * max(1.0, t_max):
-        raise ValueError(f"--step {step} does not tile --t-max {t_max}")
-    return [i * step for i in range(n + 1)]
+    _check_real("--step", step, "positive")
+    return [i * step for i in range(GridSpec(t_max=t_max, h=step).n_steps + 1)]
 
 
 def _mc_point(params: ModelParams, t: float, args: argparse.Namespace) -> tuple[float, float]:
@@ -200,8 +196,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _build_params(args)
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol}")
+    _check_real("--tol", args.tol, "nonnegative")
     times = _time_grid(args.t_max, args.step)
     methods = (*ANALYTIC_COMPARE, "mc") if args.with_mc else ANALYTIC_COMPARE
     per_method = {method: _method_rows(params, method, times, args) for method in methods}

@@ -16,12 +16,15 @@ anchored by Loader's saddle-point form (C. Loader, "Fast and Accurate
 Computation of Binomial Probabilities", 2000), so each cdf is accurate
 relative to itself, deep tails included.  The scalar pmf ``_pmf`` also
 anchors the convolution series' walk (:func:`restock.valuation.series_value`).
+
+The module also states the one domain rule every input of the package
+goes through: :func:`_check_real` for reals and :func:`_check_count` for
+integer counts, each with one error message.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +36,35 @@ __all__ = [
 ]
 
 
-def _is_integer(x) -> bool:
-    """True for Python and numpy integers; bool is not a count."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+# Python and numpy scalars, the commonest first; bool, a subclass of int,
+# is excluded by hand
+_REALS = (float, int, np.floating, np.integer)
+_INTEGERS = (int, np.integer)
 
 
-def _check_horizon(t) -> None:
+def _check_real(name: str, x, sign: str = "") -> float:
+    """The domain rule for every real input: a finite int or float scalar,
+    Python or numpy, not a bool; ``sign`` "positive" or "nonnegative"
+    narrows it.  Returns x as a Python float, raises ValueError."""
+    if isinstance(x, _REALS) and type(x) is not bool and math.isfinite(x):
+        if x > 0 or not sign or (x == 0 and sign == "nonnegative"):
+            return float(x)
+    raise ValueError(f"{name} must be a finite {sign + ' ' if sign else ''}real, got {x!r}")
+
+
+def _check_count(name: str, x, low: int) -> int:
+    """The domain rule for every integer input: a Python or numpy integer,
+    not a bool (TypeError), at least ``low`` (ValueError).  Returns int(x)."""
+    if not isinstance(x, _INTEGERS) or type(x) is bool:
+        raise TypeError(f"{name} must be an integer, got {x!r}")
+    if x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x!r}")
+    return int(x)
+
+
+def _check_horizon(t) -> float:
     """The horizon check every pointwise method shares: t finite and >= 0."""
-    if not (math.isfinite(t) and t >= 0):
-        raise ValueError(f"t must be a finite nonnegative real, got {t!r}")
+    return _check_real("t", t, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -57,12 +80,8 @@ class GammaLaw:
     rate: float
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.shape):
-            raise TypeError(f"shape must be an integer, got {self.shape!r}")
-        if self.shape < 1:
-            raise ValueError(f"shape must be >= 1, got {self.shape}")
-        if not (isinstance(self.rate, (int, float)) and math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be a finite positive real, got {self.rate!r}")
+        object.__setattr__(self, "shape", _check_count("shape", self.shape, 1))
+        object.__setattr__(self, "rate", _check_real("rate", self.rate, "positive"))
 
 
 # Loader's Stirling-formula error ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for
@@ -120,9 +139,7 @@ def _bd0(x: int, lam: float) -> float:
 
 
 def _pmf(x: int, lam: float) -> float:
-    """P(Poisson(lam) = x), lam > 0, by Loader's saddle-point form."""
-    if x == 0:
-        return math.exp(-lam)
+    """P(Poisson(lam) = x), x >= 1 and lam > 0, by Loader's saddle-point form."""
     return math.exp(-_stirlerr(x) - _bd0(x, lam)) / (_SQRT_2PI * math.sqrt(x))
 
 
@@ -142,12 +159,8 @@ def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray,
     are swept in chunks of ``_GRID_CHUNK``, so the working arrays stay
     small next to the two results.
     """
-    if not _is_integer(shape):
-        raise TypeError(f"shape must be an integer, got {shape!r}")
-    if shape < 1:
-        raise ValueError(f"shape must be >= 1, got {shape}")
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"rate must be a finite positive real, got {rate!r}")
+    shape = _check_count("shape", shape, 1)
+    rate = _check_real("rate", rate, "positive")
     x = np.asarray(x, dtype=float)
     # min and max reduce without a temporary the size of x; nan fails both
     if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
@@ -247,11 +260,8 @@ def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
     The sum of n Gamma(shape, rate) cycles is Gamma(n*shape, rate), and the
     zero-fold convolution is identically 1.
     """
-    if not _is_integer(n):
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    _check_horizon(t)
+    n = _check_count("n", n, 0)
+    t = _check_horizon(t)
     if n == 0:
         return 1.0
     return float(erlang_cdf_grid(n * law.shape, law.rate, np.array([t]))[0][0])

@@ -119,7 +119,7 @@ def invert(params: ModelParams, t: float) -> float:
     estimate, and a gap beyond 1e-3 of max(|value|, min(1, 1e-6 * |v|)), or
     a non-finite one, raises instead of returning a silently wrong value.
     """
-    _check_horizon(t)
+    t = _check_horizon(t)
     eff = effective(params)
     if t == 0:
         return 0.0

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restock.distributions import _check_horizon, _is_integer
+from restock.distributions import _check_count, _check_horizon
 from restock.valuation import ModelParams, effective
 
 __all__ = ["MCEstimate", "simulate_wk", "simulate_vk"]
@@ -115,17 +115,10 @@ class MCEstimate:
 
 
 def _check_seed(seed: int) -> int:
-    if not _is_integer(seed):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
+    seed = _check_count("seed", seed, 0)
+    if seed >= 2**64:  # the width of the Philox key's seed word
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
-    return int(seed)
-
-
-def _check_paths(n_paths: int) -> int:
-    if not (_is_integer(n_paths) and n_paths >= 2):
-        raise ValueError(f"n_paths must be an integer >= 2, got {n_paths!r}")
-    return int(n_paths)
+    return seed
 
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -159,13 +152,13 @@ def simulate_wk(params: ModelParams, t: float, n_paths: int, seed: int) -> MCEst
     from no path (n_paths 0); a negative or non-finite t raises ValueError
     (the infinite-horizon value is :func:`simulate_vk`).
     """
-    if t == math.inf:
-        raise ValueError(
-            f"t must be finite, got {t}; simulate the perpetual value with "
-            "simulate_vk (CLI: simulate --perpetual)"
-        )
-    _check_horizon(t)
-    n_paths = _check_paths(n_paths)
+    try:
+        t = _check_horizon(t)
+    except ValueError as exc:
+        if t != math.inf:
+            raise
+        raise ValueError(f"{exc}; simulate the perpetual value with simulate_vk (CLI: simulate --perpetual)") from None
+    n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
     eff = effective(params)
     if t == 0:
@@ -266,6 +259,6 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
     every path's expected total equal to v, so the estimate has no
     truncation bias and its error is the sampling error ``stderr``.
     """
-    n_paths = _check_paths(n_paths)
+    n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
     return _estimate(_perpetuity_samples(params, n_paths, seed, _VK_PRICE), seed)

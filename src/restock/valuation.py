@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import _EPS, _LOWER_SPAN, _check_horizon, _is_integer, _pmf
+from restock.distributions import _EPS, _LOWER_SPAN, _check_count, _check_horizon, _check_real, _pmf
 # The series no longer calls convolution_cdf; the name stays bound here
 # because perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -53,10 +53,6 @@ DEFAULT_KMAX = 10**6
 _LOG_HALF_ULP = -54 * math.log(2.0)
 
 
-def _finite(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class FixedCost:
     """A flat payment ``theta`` per replacement (currency)."""
@@ -64,8 +60,7 @@ class FixedCost:
     theta: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.theta):
-            raise ValueError(f"theta must be a finite real, got {self.theta!r}")
+        object.__setattr__(self, "theta", _check_real("theta", self.theta))
 
 
 @dataclass(frozen=True)
@@ -77,10 +72,8 @@ class LinearCost:
     b: float
 
     def __post_init__(self) -> None:
-        if not (_finite(self.a) and self.a >= 0):
-            raise ValueError(f"fixed cost a must be a nonnegative real, got {self.a!r}")
-        if not (_finite(self.b) and self.b > 0):
-            raise ValueError(f"unit margin b must be a positive real, got {self.b!r}")
+        object.__setattr__(self, "a", _check_real("fixed cost a", self.a, "nonnegative"))
+        object.__setattr__(self, "b", _check_real("unit margin b", self.b, "positive"))
 
 
 Cost = FixedCost | LinearCost
@@ -96,6 +89,11 @@ class ModelParams:
     cost: FixedCost(theta) or LinearCost(a, b)
     growth: cost inflation rate (per unit time), must stay below r
 
+    k must be an integer, mu and r finite positive reals, growth a finite
+    nonnegative one (numpy scalars are accepted and stored as Python
+    numbers, bools are refused), the shared rule of
+    :func:`restock.distributions._check_real` and ``_check_count``.
+
     ``growth < r`` and, for linear costs, ``b > a/k`` are enforced where
     the derived quantities are computed (:func:`effective`), so the error
     surfaces with the operation that needs them.
@@ -108,18 +106,12 @@ class ModelParams:
     growth: float = 0.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.k):
-            raise TypeError(f"k must be an integer, got {self.k!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (_finite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be a finite positive real, got {self.mu!r}")
-        if not (_finite(self.r) and self.r > 0):
-            raise ValueError(f"r must be a finite positive real, got {self.r!r}")
+        object.__setattr__(self, "k", _check_count("k", self.k, 1))
+        object.__setattr__(self, "mu", _check_real("mu", self.mu, "positive"))
+        object.__setattr__(self, "r", _check_real("r", self.r, "positive"))
         if not isinstance(self.cost, (FixedCost, LinearCost)):
             raise TypeError(f"cost must be FixedCost or LinearCost, got {self.cost!r}")
-        if not (_finite(self.growth) and self.growth >= 0):
-            raise ValueError(f"growth must be a finite nonnegative real, got {self.growth!r}")
+        object.__setattr__(self, "growth", _check_real("growth", self.growth, "nonnegative"))
 
 
 @dataclass(frozen=True)
@@ -129,7 +121,8 @@ class EffectiveParams:
     theta: payment per replacement (currency)
     r_eff: effective discount rate r - growth
     alpha: r_eff/mu + 1
-    phi_k: per-cycle discount factor alpha^(-k), in (0, 1)
+    phi_k: per-cycle discount factor alpha^(-k), in (0, 1); it rounds to 1
+           when k*r_eff/mu is below 2^-53, while v stays finite
     rho:   tilt rate r_eff*mu/(r_eff+mu) = r_eff/alpha restoring unit
            kernel mass; governs the exponential approach of w(t) to v
     mu0:   mean of the tilted kernel, k*(r_eff+mu)/mu^2 = k*alpha/mu (time units)
@@ -237,7 +230,7 @@ def series_value(params: ModelParams, t: float) -> float:
     is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
     weight that counts rounds to 1, and v is returned without a walk.
     """
-    _check_horizon(t)
+    t = _check_horizon(t)
     eff = effective(params)
     lam = params.mu * t
     if lam == 0.0:
@@ -286,9 +279,9 @@ def asymptotic_value(params: ModelParams, t: float) -> float:
     The coefficient is the tilted-tail integral divided by the tilted
     kernel mean, theta*mu/(k*r_eff).  Deliberately not clamped: the raw
     approximation goes negative for small t, and callers should see that.
+    Its t -> inf limit is ``effective(params).v``.
     """
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _check_horizon(t)
     eff = effective(params)
     coeff = eff.theta * params.mu / (params.k * eff.r_eff)
     return eff.v - coeff * math.exp(-eff.rho * t)
@@ -301,8 +294,7 @@ def exact_k1_value(params: ModelParams, t: float) -> float:
     """
     if params.k != 1:
         raise ValueError(f"closed form only holds for k = 1, got k = {params.k}")
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    t = _check_horizon(t)
     eff = effective(params)
     return -(eff.theta * params.mu / eff.r_eff) * math.expm1(-eff.rho * t)
 
@@ -327,14 +319,11 @@ def optimal_stock_scan(
     up to the stopping point; raises if no k <= k_max has b*k > a, or if
     v* underflows to 0 (alpha^k past the double range at every candidate).
     """
-    ModelParams(k=1, mu=mu, r=r, cost=LinearCost(a=a, b=b), growth=growth)  # input checks
+    checked = ModelParams(k=1, mu=mu, r=r, cost=LinearCost(a=a, b=b), growth=growth)
+    a, b, mu, r, growth = checked.cost.a, checked.cost.b, checked.mu, checked.r, checked.growth
     if not growth < r:
         raise ValueError(f"growth must satisfy 0 <= growth < r, got {growth!r}")
-    if k_max is not None and not _is_integer(k_max):
-        raise TypeError(f"k_max must be an integer, got {k_max!r}")
-    cap = DEFAULT_KMAX if k_max is None else int(k_max)
-    if cap < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max!r}")
+    cap = DEFAULT_KMAX if k_max is None else _check_count("k_max", k_max, 1)
     log_alpha = math.log1p((r - growth) / mu)
 
     first = max(1, math.floor(a / b) + 1)

@@ -34,19 +34,19 @@ TOMS 23(4), 1997), and every product at the shortest exact cyclic length
 AAECC 14, 2004) rounded up to a 2^a 3^b 5^c size.  That is O(n log n) work
 and O(n) memory in place of n step-by-step dot products.  The system is
 implicit only through C's constant term 1 - q * int_panel1 (1 - s/h) f(s) ds,
-which is strictly positive, so the scheme is unconditionally solvable (the
+which is strictly positive for any q <= 1, so the scheme is unconditionally
+solvable, also where q rounds to 1 because k*r_eff/mu is below 2^-53 (the
 classic k = 1 step bound is still validated to keep the documented step
 contract).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from restock.distributions import erlang_cdf_grid
+from restock.distributions import _check_real, erlang_cdf_grid
 from restock.valuation import ModelParams, ValueCurve, effective
 
 __all__ = ["GridSpec", "solve_renewal"]
@@ -62,10 +62,8 @@ class GridSpec:
     h: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.t_max, (int, float)) and math.isfinite(self.t_max) and self.t_max >= 0):
-            raise ValueError(f"t_max must be a finite nonnegative real, got {self.t_max!r}")
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be a finite positive real, got {self.h!r}")
+        object.__setattr__(self, "t_max", _check_real("t_max", self.t_max, "nonnegative"))
+        object.__setattr__(self, "h", _check_real("h", self.h, "positive"))
         if abs(self.n_steps * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValueError(f"step h={self.h} does not tile t_max={self.t_max}")
 
@@ -134,8 +132,6 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     below 0 is clipped.
     """
     eff = effective(params)
-    if not eff.phi_k < 1.0:
-        raise ArithmeticError(f"kernel mass {eff.phi_k} is not below 1; equation not defective")
     n = grid.n_steps
     if n == 0:
         return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")

@@ -203,6 +203,11 @@ class TestCurve:
         assert code == 2
         assert "tile" in err
 
+    def test_step_required_past_zero_horizon(self, capsys):
+        code, out, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: --step is required when --t-max > 0\n"
+
     def test_volterra_one_step_grid(self, capsys):
         argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "1", "--step", "1", "--h", "1"]
         code, out, _ = run_cli(capsys, *argv)
@@ -243,6 +248,18 @@ class TestCompare:
         values = [float(row["value"]) for row in last]
         assert max(values) - min(values) <= 1e-4
 
+    def test_kernel_mass_rounding_to_one(self, capsys):
+        # k r/mu = 1e-17: phi_k rounds to 1.0, v = 1e17, and w(t) ~= t
+        code, out, err = run_cli(
+            capsys, "compare", "--k", "1", "--mu", "1", "--r", "1e-17", "--theta", "1",
+            "--t-max", "10", "--step", "5", "--h", "0.05", "--out", "json",
+        )
+        assert code == 0
+        assert "pass" in err
+        rows = json.loads(out)["rows"]
+        assert {row["method"] for row in rows if row["t"] == 10.0} == {"series", "volterra", "laplace"}
+        assert all(row["value"] == pytest.approx(row["t"], abs=1e-6) for row in rows)
+
     def test_unachievable_gate_fails(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", *TABLE_FLAGS, "--t-max", "50", "--step", "25", "--h", "0.05", "--tol", "1e-12"
@@ -254,7 +271,7 @@ class TestCompare:
     def test_bad_gate_is_named(self, capsys, tol):
         code, out, err = run_cli(capsys, "compare", *TABLE_FLAGS, "--t-max", "10", "--step", "5", "--tol", tol)
         assert (code, out) == (2, "")
-        assert "error: --tol must be a finite nonnegative number" in err
+        assert "error: --tol must be a finite nonnegative real" in err
 
     def test_gate_leaves_the_series_ground_truth(self, capsys):
         # a loose agreement gate must not loosen the series

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct
 from restock.distributions import erlang_cdf_grid
-from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
+from restock.valuation import (
+    FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
+)
 from restock.volterra import GridSpec, _fft_length, _series_divide, solve_renewal
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -195,11 +197,20 @@ class TestSolveRenewal:
         assert series_value(params, 349.2) == 0.0
 
     def test_defective_kernel_mass(self):
-        # the kernel mass phi^k is below 1 for every valid model, and above 0
-        # short of underflow
-        from restock.valuation import effective
-
+        # the kernel mass phi^k is below 1 short of rounding (see
+        # test_kernel_mass_rounding_to_one), and above 0 short of underflow
         assert 0.0 < effective(TABLE).phi_k < 1.0
+
+    @pytest.mark.parametrize("k, mu, r", [(1, 1.0, 1e-17), (3, 2.0, 1e-18), (10, 1.0, 1e-18)])
+    def test_kernel_mass_rounding_to_one(self, k, mu, r):
+        # k r/mu below 2^-53: phi_k rounds to 1.0 while v stays finite, and
+        # the diagonal 1 - q (A_1 - B_1) is still positive
+        params = ModelParams(k=k, mu=mu, r=r, cost=FixedCost(theta=1.0))
+        assert effective(params).phi_k == 1.0
+        h = 0.05
+        curve = solve_renewal(params, GridSpec(t_max=100.0, h=h))
+        series = np.array([series_value(params, float(t)) for t in curve.times[::10]])
+        assert np.abs(curve.values[::10] - series).max() <= h**2 / 20
 
     def test_single_unit_step_bound(self):
         # h * phi * mu / 2 >= 1 must be refused for k = 1
