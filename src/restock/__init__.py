@@ -13,28 +13,19 @@ by four mutually cross-checking routes:
 
 plus a discrete search for the stock size maximising the perpetual value,
 and a CLI (``restock``) that emits CSV/JSON reports.  Every gamma cdf comes
-from one primitive, :func:`restock.distributions.erlang_cdf_grid`; the
-series is one walk of the Poisson pmf, accurate relative to itself, with
-no tolerance to set.
+from one primitive, :func:`restock.erlang.erlang_cdf_grid`; the series is
+one walk of the Poisson pmf, accurate relative to itself, with no
+tolerance to set.
+
+The package's names load lazily (PEP 562): each is imported from its home
+module on first access, so ``import restock`` loads no numpy, and neither
+do the scalar methods -- the closed forms, the series and the stock scan
+(:mod:`restock.valuation`).  Only the array modules import numpy:
+:mod:`restock.erlang`, :mod:`restock.volterra`, :mod:`restock.laplace` and
+:mod:`restock.montecarlo`.
 """
 
-from restock.distributions import GammaLaw, convolution_cdf
-from restock.laplace import invert, w_hat
-from restock.montecarlo import MCEstimate, simulate_vk, simulate_wk
-from restock.valuation import (
-    EffectiveParams,
-    FixedCost,
-    LinearCost,
-    ModelParams,
-    ValueCurve,
-    asymptotic_value,
-    effective,
-    exact_k1_value,
-    optimal_stock_scan,
-    perpetual_value,
-    series_value,
-)
-from restock.volterra import GridSpec, solve_renewal
+import importlib
 
 __version__ = "0.1.0"
 
@@ -61,3 +52,40 @@ __all__ = [
     "simulate_vk",
     "__version__",
 ]
+
+# name -> home module, imported on first access
+_HOMES = {
+    "GammaLaw": "restock.distributions",
+    "convolution_cdf": "restock.distributions",
+    "ModelParams": "restock.valuation",
+    "FixedCost": "restock.valuation",
+    "LinearCost": "restock.valuation",
+    "EffectiveParams": "restock.valuation",
+    "effective": "restock.valuation",
+    "perpetual_value": "restock.valuation",
+    "series_value": "restock.valuation",
+    "asymptotic_value": "restock.valuation",
+    "exact_k1_value": "restock.valuation",
+    "optimal_stock_scan": "restock.valuation",
+    "GridSpec": "restock.grid",
+    "ValueCurve": "restock.volterra",
+    "solve_renewal": "restock.volterra",
+    "w_hat": "restock.laplace",
+    "invert": "restock.laplace",
+    "MCEstimate": "restock.montecarlo",
+    "simulate_wk": "restock.montecarlo",
+    "simulate_vk": "restock.montecarlo",
+}
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOMES})

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -32,9 +33,7 @@ import sys
 
 from restock import __version__
 from restock.distributions import _check_real
-# perfbench/spans.py wraps invert, simulate_vk, simulate_wk, series_value and solve_renewal on restock.cli
-from restock.laplace import invert
-from restock.montecarlo import simulate_vk, simulate_wk
+from restock.grid import DEFAULT_STEP, GridSpec
 from restock.valuation import (
     DEFAULT_KMAX,
     FixedCost,
@@ -46,9 +45,32 @@ from restock.valuation import (
     optimal_stock_scan,
     series_value,
 )
-from restock.volterra import DEFAULT_STEP, GridSpec, solve_renewal
 
 __all__ = ["main", "console"]
+
+# The array methods import numpy, about three quarters of a scalar command's
+# time from a fresh interpreter, so these four names resolve on first use
+# (PEP 562) and only the commands that run them load it.
+# perfbench/spans.py wraps them, with series_value, as attributes of this
+# module; the commands call them as ``_cli.<name>``, never as bare globals,
+# so a wrapper installed there sees every call, before or after the first.
+_LAZY = {
+    "invert": "restock.laplace",
+    "simulate_wk": "restock.montecarlo",
+    "simulate_vk": "restock.montecarlo",
+    "solve_renewal": "restock.volterra",
+}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(home), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
 
 CSV_HEADER = "t,method,value,stderr"
 CURVE_METHODS = ("series", "volterra", "laplace", "asymptotic", "exact_k1", "mc", "all")
@@ -110,15 +132,16 @@ def _time_grid(t_max: float, step: float | None) -> list[float]:
 
 
 def _mc_point(params: ModelParams, t: float, args: argparse.Namespace) -> tuple[float, float]:
-    est = simulate_wk(params, t, args.paths, args.seed)
+    est = _cli.simulate_wk(params, t, args.paths, args.seed)
     return est.mean, est.stderr
 
 
 # (value, stderr-or-None) of each pointwise method at one time; the lambdas
-# look the library functions up in this module's globals at call time
+# look the library functions up at call time, in this module's globals or,
+# for the lazy names, as its attributes
 _POINTWISE = {
     "series": lambda params, t, args: (series_value(params, t), None),
-    "laplace": lambda params, t, args: (invert(params, t), None),
+    "laplace": lambda params, t, args: (_cli.invert(params, t), None),
     "asymptotic": lambda params, t, args: (asymptotic_value(params, t), None),
     "exact_k1": lambda params, t, args: (exact_k1_value(params, t), None),
     "mc": _mc_point,
@@ -137,7 +160,7 @@ def _method_rows(
     """Rows (t, method, value, stderr-or-None) for one method tag; volterra solves once, to times[-1]."""
     if method != "volterra":
         return [(t, method, *_POINTWISE[method](params, t, args)) for t in times]
-    values = solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
+    values = _cli.solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
     return [(t, method, float(values[GridSpec(t_max=t, h=args.h).n_steps]), None) for t in times]
 
 
@@ -263,9 +286,9 @@ def cmd_paper_table(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     params = _build_params(args)
     if args.perpetual:
-        mode, horizon, est = "perpetual", None, simulate_vk(params, args.paths, args.seed)
+        mode, horizon, est = "perpetual", None, _cli.simulate_vk(params, args.paths, args.seed)
     else:
-        mode, horizon, est = "horizon", args.horizon, simulate_wk(params, args.horizon, args.paths, args.seed)
+        mode, horizon, est = "horizon", args.horizon, _cli.simulate_wk(params, args.horizon, args.paths, args.seed)
     estimate = dataclasses.asdict(est)
     cells = [mode, "" if horizon is None else _fmt(horizon)]
     cells += [_fmt(x) if isinstance(x, float) else str(x) for x in estimate.values()]

@@ -24,9 +24,7 @@ the effective rate r - growth; all operations route through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from restock.distributions import _EPS, _LOWER_SPAN, _check_count, _check_horizon, _check_real, _pmf
 # The series no longer calls convolution_cdf; the name stays bound here
@@ -38,7 +36,6 @@ __all__ = [
     "LinearCost",
     "ModelParams",
     "EffectiveParams",
-    "ValueCurve",
     "effective",
     "perpetual_value",
     "series_value",
@@ -136,25 +133,6 @@ class EffectiveParams:
     rho: float
     mu0: float
     v: float
-
-
-@dataclass(frozen=True)
-class ValueCurve:
-    """Horizon grid with values produced by one method."""
-
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    method: str = "series"
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size and (np.any(times < 0) or np.any(np.diff(times) <= 0)):
-            raise ValueError("times must be nonnegative and strictly ascending")
 
 
 def _perpetuity(theta: float, k_log_alpha: float) -> float:

@@ -42,34 +42,34 @@ contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.distributions import _check_real, erlang_cdf_grid
-from restock.valuation import ModelParams, ValueCurve, effective
+from restock.erlang import erlang_cdf_grid
+from restock.grid import GridSpec
+from restock.valuation import ModelParams, effective
 
-__all__ = ["GridSpec", "solve_renewal"]
-
-DEFAULT_STEP = 0.01
+__all__ = ["GridSpec", "ValueCurve", "solve_renewal"]
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Uniform solution grid: horizon ``t_max`` tiled by n_steps >= 0 steps ``h``."""
+class ValueCurve:
+    """Horizon grid with values produced by one method."""
 
-    t_max: float
-    h: float
+    times: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+    method: str = "series"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t_max", _check_real("t_max", self.t_max, "nonnegative"))
-        object.__setattr__(self, "h", _check_real("h", self.h, "positive"))
-        if abs(self.n_steps * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
-            raise ValueError(f"step h={self.h} does not tile t_max={self.t_max}")
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.t_max / self.h)
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+        if times.ndim != 1 or times.shape != values.shape:
+            raise ValueError("times and values must be 1-d arrays of equal length")
+        if times.size and (np.any(times < 0) or np.any(np.diff(times) <= 0)):
+            raise ValueError("times must be nonnegative and strictly ascending")
 
 
 def _fft_length(m: int) -> int:

@@ -98,7 +98,7 @@ def volterra_direct(params, grid):
     denom * w_i - q * sum_{l<i} conv_w[i-l] * w_l = g_i one step at a time
     with a dot product per step.  Returns (times, values).
     """
-    from restock.distributions import erlang_cdf_grid
+    from restock.erlang import erlang_cdf_grid
 
     eff = effective(params)
     k, mu = params.k, params.mu

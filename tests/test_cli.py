@@ -203,6 +203,12 @@ class TestCurve:
         assert code == 2
         assert "tile" in err
 
+    def test_step_of_no_grid_point_fails(self, capsys):
+        argv = ["curve", "--method", "series", "--k", "3", "--mu", "1", "--r", "0.02", "--theta", "1"]
+        code, out, err = run_cli(capsys, *argv, "--t-max", "1e-10", "--step", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: step h=1.0 does not tile t_max=1e-10\n"
+
     def test_step_required_past_zero_horizon(self, capsys):
         code, out, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10")
         assert (code, out) == (2, "")
@@ -574,15 +580,78 @@ class TestOutputHygiene:
         assert __version__ in out
 
 
+def _fresh_python(code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout's sources."""
+    src = str(Path(restock.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    return proc.stdout
+
+
+_GRID = ("--r", "0.02", "--theta", "1", "--t-max", "2", "--step", "1")
+
+
 class TestStartup:
     def test_import_leaves_the_executor_unloaded(self):
-        # concurrent.futures costs several ms of start-up after numpy; the
-        # perpetuity's block threads use threading, which numpy loads anyway.
-        # The runtime needs numpy only: the test oracles' mpmath, hypothesis
-        # and pytest must stay out of it too.
-        src = str(Path(restock.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # concurrent.futures costs several ms of start-up; the perpetuity's
+        # block threads use threading only.  The test oracles' mpmath,
+        # hypothesis and pytest must stay out of the runtime too.
         roots = "{'concurrent', 'mpmath', 'hypothesis', 'pytest', '_pytest'}"
         code = f"import sys, restock.cli; print(sorted(m for m in sys.modules if m.split('.')[0] in {roots}))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
-        assert proc.stdout.strip() == "[]"
+        assert _fresh_python(code).strip() == "[]"
+
+    @pytest.mark.parametrize("code", ["import restock", "import restock.cli", "import restock.cli; restock.cli.build_parser()"])
+    def test_start_up_leaves_numpy_unloaded(self, code):
+        assert _fresh_python(f"import sys\n{code}\nprint('numpy' in sys.modules)") == "False\n"
+
+    @pytest.mark.parametrize(
+        "argv, numpy",
+        [
+            (["value", *TABLE_FLAGS], False),
+            (["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"], False),
+            (["paper-table"], False),
+            (["curve", "--method", "series", "--k", "3", "--mu", "1", *_GRID], False),
+            (["curve", "--method", "asymptotic", "--k", "3", "--mu", "1", *_GRID], False),
+            (["curve", "--method", "exact_k1", "--k", "1", "--mu", "1", *_GRID], False),
+            # the array methods do load it: the check sees numpy when it is there
+            (["curve", "--method", "volterra", "--k", "3", "--mu", "1", *_GRID], True),
+        ],
+        ids=["value", "optimize", "paper-table", "curve-series", "curve-asymptotic", "curve-exact_k1", "curve-volterra"],
+    )
+    def test_scalar_commands_leave_numpy_unloaded(self, argv, numpy):
+        code = (
+            "import contextlib, io, sys\n"
+            "from restock.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        assert _fresh_python(code) == f"0 {numpy}\n"
+
+    def test_package_names_load_lazily(self):
+        code = (
+            "import sys, restock\n"
+            "listed = set(restock.__all__) <= set(dir(restock))\n"
+            "cold = 'numpy' in sys.modules\n"
+            "namespace = {}\n"
+            "exec('from restock import *', namespace)\n"
+            "print(listed, cold, set(restock.__all__) <= set(namespace))\n"
+        )
+        assert _fresh_python(code) == "True False True\n"
+        with pytest.raises(AttributeError, match="has no attribute 'missing'"):
+            restock.missing
+
+    def test_array_methods_are_called_as_module_attributes(self, capsys, monkeypatch):
+        # the benchmark's spans wrap these four on restock.cli; a wrapper put
+        # there must see every call
+        calls = []
+        for name in ("invert", "simulate_wk", "simulate_vk", "solve_renewal"):
+            def traced(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, traced)
+        grid = ("--t-max", "2", "--step", "1", "--paths", "100")
+        assert run_cli(capsys, "compare", "--with-mc", *TABLE_FLAGS, *grid)[0] == 0
+        assert run_cli(capsys, "simulate", "--perpetual", *TABLE_FLAGS, "--paths", "100")[0] == 0
+        assert sorted(set(calls)) == ["invert", "simulate_vk", "simulate_wk", "solve_renewal"]

@@ -27,7 +27,7 @@ from restock import (
     simulate_vk,
     simulate_wk,
 )
-from restock.distributions import erlang_cdf_grid
+from restock.erlang import erlang_cdf_grid
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -96,7 +96,8 @@ def test_real_inputs_share_one_rule(entry):
     domain = f"a finite {sign} real" if sign else "a finite real"
     for x in (np.float32(1.0), np.int64(1), np.float64(1.0), 1, 1.0):
         call(x)
-    for x in (True, False, math.nan, math.inf, -math.inf, np.float64(-np.inf), "1.0", None):
+    # 10**400 is an int past the double range: named, not an OverflowError
+    for x in (True, False, math.nan, math.inf, -math.inf, np.float64(-np.inf), 10**400, -(10**400), "1.0", None):
         _rejects(call, x, ValueError, f"{name} must be {domain}, got {x!r}")
     below = {"positive": 0.0, "nonnegative": -1e-300}.get(sign)
     if below is None:

@@ -14,7 +14,6 @@ from restock.valuation import (
     FixedCost,
     LinearCost,
     ModelParams,
-    ValueCurve,
     asymptotic_value,
     effective,
     exact_k1_value,
@@ -22,6 +21,7 @@ from restock.valuation import (
     perpetual_value,
     series_value,
 )
+from restock.volterra import ValueCurve
 
 import oracles
 from oracles import residual_value, tail_weight, tilted_kernel_moments

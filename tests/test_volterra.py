@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct
-from restock.distributions import erlang_cdf_grid
+from restock.erlang import erlang_cdf_grid
 from restock.valuation import (
     FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
 )
@@ -33,6 +33,13 @@ class TestGridSpec:
         assert GridSpec(t_max=10.0, h=10.0).n_steps == 1
         with pytest.raises(ValueError, match="tile"):
             GridSpec(t_max=10.0, h=6.0)
+
+    def test_rejects_a_positive_horizon_of_no_step(self):
+        # round(1e-10 / 1) = 0 steps sit within the tiling tolerance of t_max,
+        # but a grid of no step has no point at t_max
+        for t_max, h in ((1e-10, 1.0), (1.0, 1e300)):
+            with pytest.raises(ValueError, match="does not tile"):
+                GridSpec(t_max=t_max, h=h)
 
     def test_rejects_nonpositive(self):
         # t_max = 0 is the one-point grid; a negative or nan horizon and a
