@@ -11,7 +11,9 @@ it shares the solver's discretisation and solves it step by step.
 The tilted-kernel identities are checked with mpmath: the mass and mean
 of e^(rho s) q f(s), with rho and q from ``effective``, come from
 ``mpmath.quad`` on the closed-form gamma density, so the check shares no
-quadrature or cdf code with the package.
+quadrature or cdf code with the package.  ``residue_value`` sums the
+transform's pole residues in mpmath, at whatever precision the sum's
+cancellation needs, from its own poles and roots of unity.
 
 The last section holds derived quantities that only the tests use (the
 counting process of replacements, the cycle transform, a one-path cycle
@@ -83,6 +85,39 @@ def series_value(k: int, mu: float, r: float, theta: float, t: float, tol: float
         if abs(theta) * q_pow * q / (1.0 - q) < tol:
             break
     return theta * total
+
+
+def residue_value(k: int, mu: float, r: float, theta: float, t: float) -> float:
+    """w(t) by the residue expansion in mpmath, at the precision its cancellation needs.
+
+    w(t) = v + (theta/k) Re sum_j (1 + mu/s_j) e^(s_j t) over all k poles
+    s_j = mu (omega_j/alpha - 1), omega_j the k-th roots of unity.  The sum
+    is taken at 40 digits, then retaken at 30 + log10(sum |term| / |w|)
+    digits until the working precision covers its own cancellation ratio.
+    Rounded once to double.
+    """
+    if t == 0:
+        return 0.0
+    dps = 40
+    while dps <= 5000:
+        with mpmath.workdps(dps):
+            mu_, t_, theta_ = mpmath.mpf(mu), mpmath.mpf(t), mpmath.mpf(theta)
+            alpha = mpmath.mpf(r) / mu_ + 1
+            v = theta_ / (alpha**k - 1)
+            total, mass = v, abs(v)
+            for j in range(k):
+                s_j = mu_ * (mpmath.expjpi(mpmath.mpf(2 * j) / k) / alpha - 1)
+                term = theta_ / k * (1 + mu_ / s_j) * mpmath.exp(s_j * t_)
+                total += mpmath.re(term)
+                mass += abs(term)
+            if total != 0:
+                needed = 30 + int(mpmath.ceil(mpmath.log10(mass / abs(total))))
+                if dps >= needed:
+                    return float(total)
+                dps = max(needed, dps + 10)
+            else:
+                dps *= 2
+    raise ArithmeticError(f"residue sum cancels past 5000 digits at k={k}, mu={mu}, r={r}, t={t}")
 
 
 def trapezoid_transform(times: np.ndarray, values: np.ndarray, s: float) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from restock import valuation
@@ -254,10 +254,8 @@ class TestSeriesValue:
 
     def test_long_horizon_returns_v_without_a_walk(self, monkeypatch):
         # r t = 2e10: every weight rounds to 1; a walk would take ~1.7e7 pmf steps
-        def no_walk(*args):
-            raise AssertionError("the pmf was evaluated")
-
         monkeypatch.setattr(valuation, "_pmf", no_walk)
+        monkeypatch.setattr(valuation, "_residue_sum", no_residues)
         v = perpetual_value(TABLE)
         assert abs(series_value(TABLE, 1e12) - v) <= math.ulp(v)
 
@@ -265,6 +263,97 @@ class TestSeriesValue:
     def test_k1_matches_closed_form(self, t):
         tol = 1e-9
         assert abs(series_value(K1, t) - exact_k1_value(K1, t)) < 10 * tol
+
+
+def no_walk(*args):
+    raise AssertionError("the pmf was evaluated")
+
+
+def no_residues(*args):
+    raise AssertionError("the residue sum was tried")
+
+
+def walked(params: ModelParams, t: float, monkeypatch) -> float:
+    """series_value with the residue sum refusing every point."""
+    with monkeypatch.context() as patch:
+        patch.setattr(valuation, "_residue_sum", lambda *args: (math.nan, math.inf))
+        return series_value(params, t)
+
+
+# the curve-series benchmark store: k=10, mu=20, r=0.02, a=b=1
+HIGH_DEMAND = ModelParams(k=10, mu=20.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
+# mu t = 1e10: a walk of ~1.7e6 pmf steps, 7e-13 relative off the closed form
+LONG_K1 = ModelParams(k=1, mu=10.0, r=1e-8, cost=FixedCost(theta=1.0))
+
+
+class TestSeriesRoutes:
+    """The residue sum where its rounding bound is within 2^-44 of w, the walk elsewhere."""
+
+    @given(
+        k=st.integers(1, 500),
+        log_mu=st.floats(math.log(0.1), math.log(10.0)),
+        log_r=st.floats(math.log(1e-8), math.log(0.5)),
+        log_cycles=st.floats(math.log(0.05), math.log(100.0)),
+    )
+    def test_residue_bound_holds_where_it_is_accepted(self, k, log_mu, log_r, log_cycles):
+        # t from 0.05 to 100 mean cycles k/mu; the oracle sums at the
+        # precision the cancellation needs, so k up to 500 is covered
+        mu, r = math.exp(log_mu), math.exp(log_r)
+        t = math.exp(log_cycles) * k / mu
+        eff = effective(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(1.0)))
+        value, bound = valuation._residue_sum(eff, mu, k, t)
+        assume(bound <= valuation._RESIDUE_TOL * value)
+        assert abs(value - oracles.residue_value(k, mu, r, 1.0, t)) <= bound
+
+    def test_high_demand_grid_takes_the_residue_sum(self, monkeypatch):
+        monkeypatch.setattr(valuation, "_pmf", no_walk)
+        values = [series_value(HIGH_DEMAND, 2.0 * i) for i in range(1, 51)]
+        assert all(0.0 < a < b for a, b in zip(values, values[1:]))
+
+    def test_long_k1_horizon_takes_the_residue_sum(self, monkeypatch):
+        monkeypatch.setattr(valuation, "_pmf", no_walk)
+        exact = exact_k1_value(LONG_K1, 1e9)
+        assert abs(series_value(LONG_K1, 1e9) - exact) <= 1e-15 * exact
+
+    def test_small_demand_and_deep_tails_walk(self, monkeypatch):
+        monkeypatch.setattr(valuation, "_residue_sum", no_residues)
+        deep = ModelParams(k=200, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        assert series_value(deep, 5.0) == pytest.approx(1.038828971274116e-239, rel=1e-12)
+        assert series_value(TABLE, 10.0) == 4.023101239540119  # the README's figure
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_overflowing_residues_fall_back_to_the_walk(self, monkeypatch, k):
+        # theta*mu = 1e309 overflows while v = theta/(alpha^k - 1) does not
+        params = ModelParams(k=k, mu=10.0, r=20.0, cost=FixedCost(theta=1e308))
+        value = series_value(params, 1.0)
+        assert math.isfinite(value)
+        assert value == walked(params, 1.0, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "params,t",
+        [
+            (HIGH_DEMAND, 2.0),
+            (HIGH_DEMAND, 30.0),
+            (HIGH_DEMAND, 100.0),
+            (TABLE, 50.0),
+            (TABLE, 500.0),
+            (ModelParams(k=3, mu=1.0, r=1e-4, cost=FixedCost(theta=3.0)), 2000.0),
+            (ModelParams(k=50, mu=10.0, r=0.05, cost=FixedCost(theta=1.0)), 300.0),
+            (ModelParams(k=1, mu=10.0, r=1e-3, cost=FixedCost(theta=1.0)), 1e4),
+        ],
+    )
+    def test_routes_agree_where_both_run(self, monkeypatch, params, t):
+        with monkeypatch.context() as patch:
+            patch.setattr(valuation, "_pmf", no_walk)
+            fast = series_value(params, t)
+        assert fast == pytest.approx(walked(params, t, monkeypatch), rel=1e-13)
+
+    @pytest.mark.parametrize("t", [2.0, 10.0, 37.5, 100.0])
+    def test_binary_rescaling_is_exact_on_both_routes(self, monkeypatch, t):
+        # (mu, r, t) -> (2 mu, 2 r, t/2) leaves every exponent and ratio unchanged
+        doubled = ModelParams(k=10, mu=40.0, r=0.04, cost=LinearCost(a=1.0, b=1.0))
+        assert series_value(doubled, t / 2) == series_value(HIGH_DEMAND, t)
+        assert walked(doubled, t / 2, monkeypatch) == walked(HIGH_DEMAND, t, monkeypatch)
 
 
 class TestResidualAndTail:
