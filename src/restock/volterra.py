@@ -12,9 +12,12 @@ density, which are themselves gamma cdfs one shape higher:
     int_panel f(s) ds           = F_k(b) - F_k(a),
     int_panel s f(s) ds         = (k/mu) * (F_{k+1}(b) - F_{k+1}(a)).
 
-Both cdfs come from one sweep of ``erlang_cdf_grid``, which sums each
+Both cdfs come from sweeps of ``erlang_cdf_grid``, which sums each
 Poisson tail from its smaller side, so the panel masses are nonnegative
 and accurate relative to themselves even where F_k is far below 1e-16.
+The sweeps stop once both cdfs are exactly 1.0: from there on every panel
+mass is exactly 0, so the kernel's discrete support is L steps, usually
+far fewer than the grid's (mu*h*L is about 37 at k = 1 and 64 at k = 10).
 
 Keeping the discrete kernel mass exact matters: plain pointwise
 trapezoid weights carry a (mu*h)^2/12 mass defect that the renewal
@@ -24,20 +27,24 @@ exact panel moments the discrete fixed point equals v exactly and the
 global error is a transient O(h^2).
 
 The discrete equation is a lower-triangular Toeplitz system,
-C(x) W(x) = G(x) mod x^(n+1) in power-series form, so it is solved as one
+C(x) W(x) = G(x) mod x^(n+1) in power-series form, so it is solved as a
 power-series division with FFT products (Brent & Kung, J. ACM 25(4), 1978;
-Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): Newton's
-iteration y <- y - y (C y - 1) over the balanced sizes ..., ceil(n/4),
-ceil(n/2), its last step folded into the division (Karp & Markstein, ACM
-TOMS 23(4), 1997), and every product at the shortest exact cyclic length
-(for the error block, the middle product's: Hanrot, Quercia & Zimmermann,
-AAECC 14, 2004) rounded up to a 2^a 3^b 5^c size.  That is O(n log n) work
-and O(n) memory in place of n step-by-step dot products.  The system is
-implicit only through C's constant term 1 - q * int_panel1 (1 - s/h) f(s) ds,
-which is strictly positive for any q <= 1, so the scheme is unconditionally
-solvable, also where q rounds to 1 because k*r_eff/mu is below 2^-53 (the
-classic k = 1 step bound is still validated to keep the documented step
-contract).
+Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985): to m
+terms, Newton's iteration y <- y - y (C y - 1) over the balanced sizes ...,
+ceil(m/4), ceil(m/2), its last step folded into the division (Karp &
+Markstein, ACM TOMS 23(4), 1997), and every product at the shortest exact
+cyclic length (for the error block, the middle product's: Hanrot, Quercia &
+Zimmermann, AAECC 14, 2004) rounded up to a 2^a 3^b 5^c size.  Since C has only L
+terms, the division runs over blocks of B >= L steps (overlap-save,
+Stockham 1966): y = 1/C mod x^B once, then per block one FFT product for
+the carry from the block before and one with y, all at a length of about
+2B.  That is O(n log L) work and O(L) memory besides the n + 1 values, in
+place of n step-by-step dot products; a grid of at most B steps is one
+division.  The system is implicit only through C's constant term
+1 - q * int_panel1 (1 - s/h) f(s) ds, which is strictly positive for any
+q <= 1, so the scheme is unconditionally solvable, also where q rounds to 1
+because k*r_eff/mu is below 2^-53 (the classic k = 1 step bound is still
+validated to keep the documented step contract).
 """
 
 from __future__ import annotations
@@ -46,11 +53,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from restock.erlang import erlang_cdf_grid
+from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
 from restock.grid import GridSpec
 from restock.valuation import ModelParams, effective
 
 __all__ = ["GridSpec", "ValueCurve", "solve_renewal"]
+
+# Fewest steps per block of the division: below a few thousand, the blocks'
+# per-call overhead outweighs their shorter FFTs (a support of one step, as
+# where q underflows to 0, would otherwise take a block per step).
+_MIN_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -121,6 +133,28 @@ def _series_divide(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     return w
 
 
+def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(k) and Gamma(k + 1) cdfs at t_i = i*h for i = 0, ..., n, or only
+    up to the point after the first ``_GRID_CHUNK`` sweep that ends in a
+    Gamma(k + 1) cdf of exactly 1.0: both cdfs are 1.0 at every later point.
+
+    That holds because the Poisson mass that 1.0 is reduced by falls with t,
+    per step by a relative mu*h*(1 - k/(mu*t)) or more, far above its
+    rounding.  The sweeps are ``erlang_cdf_grid``'s own chunks, so every
+    value is bit-equal to one call over the whole grid.
+    """
+    cdfs_k, cdfs_k1 = [], []
+    for start in range(0, n + 1, _GRID_CHUNK):
+        part_k, part_k1 = erlang_cdf_grid(k, mu, np.arange(start, min(start + _GRID_CHUNK, n + 1)) * h)
+        cdfs_k.append(part_k)
+        cdfs_k1.append(part_k1)
+        if part_k1[-1] == 1.0:
+            cdfs_k.append(np.ones(1))
+            cdfs_k1.append(np.ones(1))
+            break
+    return np.concatenate(cdfs_k), np.concatenate(cdfs_k1)
+
+
 def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     """Solve the renewal equation on the grid; global accuracy O(h^2).
 
@@ -130,6 +164,10 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     close to 0 is not promised.  The exact discrete solution is
     nonnegative (G and 1/C have nonnegative coefficients), so round-off
     below 0 is clipped.
+
+    The work is O(n log L), where L is the kernel's support in steps (past
+    it both gamma cdfs are exactly 1.0), and the memory beyond the returned
+    n + 1 points is O(L).
     """
     eff = effective(params)
     n = grid.n_steps
@@ -140,31 +178,66 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
         raise ValueError(f"step too large for implicit diagonal: h={h} with mu={mu}")
 
-    times = np.arange(n + 1) * h
-    cdf_k, cdf_k1 = erlang_cdf_grid(k, mu, times)
+    # The cdfs are exactly 1.0 past the last point _kernel_cdfs returns, so
+    # the panels after its first ``size`` have zero mass.
+    cdf_k, cdf_k1 = _kernel_cdfs(k, mu, h, n)
+    size = min(cdf_k.size - 1, n)
+    cdf_k, cdf_k1 = cdf_k[: size + 1], cdf_k1[: size + 1]
 
     # Panel j covers [(j-1)h, jh]; a_panel is its kernel mass and b_panel the
     # mass-weighted mean offset int (s - (j-1)h)/h f(s) ds.
     a_panel = cdf_k[1:] - cdf_k[:-1]
     first_moment = (k / mu) * (cdf_k1[1:] - cdf_k1[:-1])
     del cdf_k1
-    b_panel = (first_moment - times[:-1] * a_panel) / h
-    del first_moment, times
+    b_panel = (first_moment - np.arange(size) * h * a_panel) / h
+    del first_moment
 
     # Piecewise-linear w hits w_{i-j} and w_{i-j+1} across panel j, so the
     # convolution weight attached to w_l (0 < l < i) collects B from panel
     # i-l and (A - B) from panel i-l+1; w_i itself sees only (A_1 - B_1).
     # As power series the step equations read C(x) W(x) = G(x) mod x^(n+1),
-    # and G(0) = W(0) = 0, so W/x = (G/x) / C.
+    # and G(0) = W(0) = 0, so W/x = (G/x) / C, where c_j = 0 from j = support
+    # on and g_j = theta*q from j = size on.
     q = eff.phi_k
-    c = np.empty(n)
+    c = np.empty(size)
     c[0] = 1.0 - q * (a_panel[0] - b_panel[0])
     c[1:] = a_panel[1:] - b_panel[1:] + b_panel[:-1]
     c[1:] *= -q
     del a_panel, b_panel
+    support = int(np.flatnonzero(c)[-1]) + 1
+    theta_q = eff.theta * q
     g = cdf_k[1:]
-    g *= eff.theta * q
+    g *= theta_q
 
-    w = np.concatenate(([0.0], _series_divide(g, c)))
+    # Blocks of B >= support steps: with y = 1/C mod x^B, block b is
+    # W_b = y (G_b - carry) mod x^B, where the carry (C W_(b-1))[B:2B] is
+    # all that the earlier blocks reach into it.  Both products are exact at
+    # one cyclic length >= 2B - 1.  One block is the plain division.
+    nfft = _fft_length(2 * max(support, _MIN_BLOCK))
+    block = min(nfft // 2, n)
+    c_head = np.zeros(block)
+    c_head[:support] = c[:support]
+    w = np.empty(n + 1)
+    w[0] = 0.0
+    if block == n:
+        rhs = np.full(n, theta_q)
+        rhs[:size] = g
+        w[1:] = _series_divide(rhs, c_head)
+    else:
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+        unit = np.zeros(block)
+        unit[0] = 1.0
+        y_spec = rfft(_series_divide(unit, c_head), nfft)
+        c_spec = rfft(c[:support], nfft)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            rhs = np.full(stop - start, theta_q)
+            known = g[start:stop]
+            rhs[: known.size] = known
+            if start:
+                reach = min(support - 1, stop - start)
+                carry = irfft(rfft(w[start - block + 1 : start + 1], nfft) * c_spec, nfft)
+                rhs[:reach] -= carry[block : block + reach]
+            w[start + 1 : stop + 1] = irfft(rfft(rhs, nfft) * y_spec, nfft)[: stop - start]
     np.maximum(w, 0.0, out=w)
     return ValueCurve(times=np.arange(n + 1) * h, values=w, method="volterra")

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct
-from restock.erlang import erlang_cdf_grid
+from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
 from restock.valuation import (
     FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
 )
-from restock.volterra import GridSpec, _fft_length, _series_divide, solve_renewal
+from restock.volterra import (
+    _MIN_BLOCK, GridSpec, _fft_length, _kernel_cdfs, _series_divide, solve_renewal,
+)
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -107,6 +109,39 @@ class TestErlangGrid:
         assert cdf.shape == cdf_next.shape == (0,)
 
 
+class TestKernelCdfs:
+    """The solver's cdf sweep stops at the first chunk that ends in an exact
+    1.0; every cdf it leaves out must be exactly 1.0."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 200, 500])
+    def test_early_stop_leaves_out_only_exact_ones(self, k):
+        for mu, h in itertools.product((0.1, 1.0, 10.0), (0.001, 0.01, 0.05, 0.2)):
+            cdf_k, cdf_k1 = _kernel_cdfs(k, mu, h, 10**12)
+            # the stop chunk ends at the last point but one; one exact 1.0 follows
+            end = cdf_k.size - 1
+            assert end % _GRID_CHUNK == 0
+            assert cdf_k[-1] == cdf_k1[-1] == 1.0
+            assert np.all(cdf_k1[_GRID_CHUNK - 1 : end - 1 : _GRID_CHUNK] < 1.0)
+            # the stop chunk and the three after it, as one sweep over the
+            # whole grid computes them
+            times = np.arange(end - _GRID_CHUNK, end + 3 * _GRID_CHUNK) * h
+            full_k, full_k1 = erlang_cdf_grid(k, mu, times)
+            for got, full in ((cdf_k, full_k), (cdf_k1, full_k1)):
+                assert np.array_equal(got[end - _GRID_CHUNK :], full[: _GRID_CHUNK + 1])
+                assert np.all(full[_GRID_CHUNK:] == 1.0)
+
+    @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 20_000, 64_000, 200_000])
+    def test_padded_with_ones_is_the_full_sweep(self, n):
+        # k = 10, mu*h = 0.001: the cdfs reach 1.0 in the eighth chunk
+        times = np.arange(n + 1) * 0.001
+        full = erlang_cdf_grid(10, 1.0, times)
+        for got, want in zip(_kernel_cdfs(10, 1.0, 0.001, n), full):
+            assert got.size <= n + 2
+            padded = np.ones(n + 1)
+            padded[: min(got.size, n + 1)] = got[: n + 1]
+            assert np.array_equal(padded, want)
+
+
 def _is_5_smooth(m):
     for p in (2, 3, 5):
         while m % p == 0:
@@ -192,7 +227,7 @@ class TestSolveRenewal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.0e6
+        assert peak < 2.0e6
 
     def test_underflowed_kernel_mass_solves_to_zero(self):
         # q = alpha^-k underflows to 0 at k ln(alpha) ~ 1920: the exact discrete
@@ -202,6 +237,38 @@ class TestSolveRenewal:
         assert perpetual_value(params) == 0.0
         assert curve.values.tolist() == [0.0, 0.0, 0.0]
         assert series_value(params, 349.2) == 0.0
+
+    def test_underflowed_kernel_mass_keeps_blocks_long(self):
+        # q = 0 leaves C = c_0, a support of one step; the blocks still span
+        # _MIN_BLOCK steps, 4 FFTs each, next to one division of that size
+        params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
+        grid = GridSpec(t_max=100_000 * 174.6, h=174.6)
+        calls = 0
+
+        def counted(transform):
+            def call(*args, **kwargs):
+                nonlocal calls
+                calls += 1
+                return transform(*args, **kwargs)
+
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+            patch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+            values = solve_renewal(params, grid).values
+        assert grid.n_steps == 100_000
+        assert not values.any()
+        assert calls <= 4 * math.ceil(grid.n_steps / _MIN_BLOCK) + 5 * _MIN_BLOCK.bit_length() + 8
+
+    def test_long_horizon_of_many_blocks(self):
+        # 500,000 steps over a ~4,700-step kernel: about a hundred blocks,
+        # each carrying round-off into the next
+        params = ModelParams(k=3, mu=1.0, r=1e-4, cost=FixedCost(theta=1.0))
+        h = 0.01
+        curve = solve_renewal(params, GridSpec(t_max=5000.0, h=h))
+        for t in np.linspace(500.0, 5000.0, 10):
+            assert abs(curve.values[round(t / h)] - series_value(params, float(t))) <= h**2 / 20
 
     def test_defective_kernel_mass(self):
         # the kernel mass phi^k is below 1 short of rounding (see
@@ -262,6 +329,41 @@ class TestAgainstDirectRecursion:
         # the horizon spans two mean cycles, so w is well above round-off
         n = math.ceil((2.0 * k / mu + 5.0) / h)
         self._check(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(1.0)), GridSpec(t_max=n * h, h=h))
+
+    @given(
+        k=st.integers(1, 20),
+        mu_h=st.floats(0.03, 1.0),
+        log_r=st.floats(-8.0, math.log10(0.5)),
+        h=st.sampled_from([0.1, 0.05, 0.02]),
+    )
+    @settings(max_examples=12)
+    def test_random_models_over_many_blocks(self, k, mu_h, log_r, h):
+        # horizons of 4 kernel supports (and 4 minimal blocks) run 3 or more
+        # blocks; r down to 1e-8 puts q near 1, where no error decays
+        mu = mu_h / h
+        support = int(np.argmax(_kernel_cdfs(k, mu, h, 10**12)[1] == 1.0)) + 1
+        n = 4 * max(support, _MIN_BLOCK)
+        assert n > 3 * (_fft_length(2 * max(support, _MIN_BLOCK)) // 2)
+        self._check(ModelParams(k=k, mu=mu, r=10.0**log_r, cost=FixedCost(1.0)), GridSpec(t_max=n * h, h=h))
+
+    @pytest.mark.parametrize("params, t_max, h", [(TABLE, 10.0, 0.01), (K1, 100.0, 0.05)])
+    def test_single_block_is_the_division(self, params, t_max, h):
+        # one block is _series_divide of the full-grid system; at k = 1 the
+        # cdfs reach 1.0 within the grid, so the system is padded out
+        grid = GridSpec(t_max=t_max, h=h)
+        n = grid.n_steps
+        assert n <= _MIN_BLOCK
+        eff = effective(params)
+        times = np.arange(n + 1) * h
+        cdf_k, cdf_k1 = erlang_cdf_grid(params.k, params.mu, times)
+        a_panel = cdf_k[1:] - cdf_k[:-1]
+        b_panel = ((params.k / params.mu) * (cdf_k1[1:] - cdf_k1[:-1]) - times[:-1] * a_panel) / h
+        c = np.empty(n)
+        c[0] = 1.0 - eff.phi_k * (a_panel[0] - b_panel[0])
+        c[1:] = a_panel[1:] - b_panel[1:] + b_panel[:-1]
+        c[1:] *= -eff.phi_k
+        expected = np.maximum(_series_divide(cdf_k[1:] * (eff.theta * eff.phi_k), c), 0.0)
+        assert np.array_equal(solve_renewal(params, grid).values[1:], expected)
 
     def test_flagship_fine_grid(self):
         self._check(TABLE, GridSpec(t_max=500.0, h=0.01))
