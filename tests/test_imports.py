@@ -1,8 +1,10 @@
 """Every module-level import in src/restock is used, exported in __all__,
 or marked ``# noqa: F401`` -- the unused-import rule of a linter, checked
-with the standard library's ``ast``."""
+with the standard library's ``ast``; every private module-level function
+is used by src/restock itself; and only the array modules import numpy."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +41,51 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
 def test_module_imports_are_used(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def _references(tree: ast.AST) -> Counter[str]:
+    """Names a tree refers to: bare names, attributes and imported names."""
+    found: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name] += 1
+    return found
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named ``_name`` (dunders aside) that no source
+    refers to outside the function's own body, as ``module._name``."""
+    refs: Counter[str] = Counter()
+    private: list[tuple[str, str, int]] = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        refs += _references(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                private.append((module, node.name, _references(node)[node.name]))
+    return [f"{module}.{name}" for module, name, own in private if refs[name] == own]
+
+
+def test_the_check_finds_an_unreferenced_private_function():
+    sources = {
+        "a": "def _dead(n):\n    return _dead(n - 1)\n\ndef _called():\n    pass\n\ndef __getattr__(name):\n    pass\n",
+        "b": "from a import _imported\nimport a\n\ndef f():\n    return a._called()\n",
+        "c": "def _imported():\n    pass\n\n_PRIVATE_CONSTANT = 3\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a._dead"]
+
+
+def test_private_functions_are_used_in_src():
+    # "no code in src/ that only the tests use": a private helper that only
+    # the tests (or nothing) call belongs in the tests or nowhere
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_functions(sources) == []
 
 
 # The modules that import numpy; every other module runs without it, so

@@ -14,7 +14,7 @@ from restock.valuation import (
     FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
 )
 from restock.volterra import (
-    _MIN_BLOCK, GridSpec, _fft_length, _kernel_cdfs, _series_divide, solve_renewal,
+    _MIN_BLOCK, GridSpec, _fft_length, _kernel_cdfs, _series_inverse, solve_renewal,
 )
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -155,7 +155,9 @@ class TestSeriesDivide:
             assert _fft_length(m) == next(j for j in itertools.count(m) if _is_5_smooth(j))
 
     def test_matches_forward_substitution(self):
-        # every size exercises a different Newton schedule and set of lengths
+        # every size exercises a different Newton schedule and set of lengths;
+        # y G truncated to n terms is the division G / C
+        rfft, irfft = np.fft.rfft, np.fft.irfft
         rng = np.random.default_rng(7)
         for n in range(1, 301):
             # the renewal system's shape: c[0] > 0 > c[1:] with sum(c) > 0
@@ -166,7 +168,8 @@ class TestSeriesDivide:
             direct = np.empty(n)
             for i in range(n):
                 direct[i] = (g[i] - np.dot(c[i:0:-1], direct[:i])) / c[0]
-            assert np.abs(_series_divide(g, c) - direct).max() <= 1e-14 * np.abs(direct).max()
+            got = irfft(rfft(_series_inverse(c, n), 2 * n) * rfft(g, 2 * n), 2 * n)[:n]
+            assert np.abs(got - direct).max() <= 1e-14 * np.abs(direct).max()
 
 
 class TestSolveRenewal:
@@ -240,7 +243,7 @@ class TestSolveRenewal:
 
     def test_underflowed_kernel_mass_keeps_blocks_long(self):
         # q = 0 leaves C = c_0, a support of one step; the blocks still span
-        # _MIN_BLOCK steps, 4 FFTs each, next to one division of that size
+        # _MIN_BLOCK steps, 4 FFTs each, after one Newton inverse of that size
         params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
         grid = GridSpec(t_max=100_000 * 174.6, h=174.6)
         calls = 0
@@ -348,29 +351,23 @@ class TestAgainstDirectRecursion:
 
     @pytest.mark.parametrize("params, t_max, h", [(TABLE, 10.0, 0.01), (K1, 100.0, 0.05)])
     def test_single_block_is_the_division(self, params, t_max, h):
-        # one block is _series_divide of the full-grid system; at k = 1 the
-        # cdfs reach 1.0 within the grid, so the system is padded out
+        # n <= B: one block, W = y G with y = 1/C to n terms; at k = 1 the
+        # cdfs reach 1.0 within the grid, so G is padded out with theta*q
         grid = GridSpec(t_max=t_max, h=h)
-        n = grid.n_steps
-        assert n <= _MIN_BLOCK
-        eff = effective(params)
-        times = np.arange(n + 1) * h
-        cdf_k, cdf_k1 = erlang_cdf_grid(params.k, params.mu, times)
-        a_panel = cdf_k[1:] - cdf_k[:-1]
-        b_panel = ((params.k / params.mu) * (cdf_k1[1:] - cdf_k1[:-1]) - times[:-1] * a_panel) / h
-        c = np.empty(n)
-        c[0] = 1.0 - eff.phi_k * (a_panel[0] - b_panel[0])
-        c[1:] = a_panel[1:] - b_panel[1:] + b_panel[:-1]
-        c[1:] *= -eff.phi_k
-        expected = np.maximum(_series_divide(cdf_k[1:] * (eff.theta * eff.phi_k), c), 0.0)
-        assert np.array_equal(solve_renewal(params, grid).values[1:], expected)
+        assert grid.n_steps <= _MIN_BLOCK
+        self._check(params, grid)
 
     def test_flagship_fine_grid(self):
         self._check(TABLE, GridSpec(t_max=500.0, h=0.01))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 97, 1001, 4099])
+    @pytest.mark.parametrize("n", [2, 3, 5, 97, 1001, 2047, 2048, 2049, 4095, 4097, 4099])
     def test_odd_prime_and_tiny_grids(self, n):
+        # the support is below _MIN_BLOCK, so B = 2048: 2047 and 2048 are one
+        # block, 2049 adds a one-step block, and 4095 and 4097 end one step
+        # short of and one step past two full blocks
         params = ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0))
+        support = int(np.argmax(_kernel_cdfs(2, 1.0, 0.1, 10**12)[1] == 1.0)) + 1
+        assert support < _MIN_BLOCK == _fft_length(2 * _MIN_BLOCK) // 2
         self._check(params, GridSpec(t_max=n * 0.1, h=0.1))
 
     def test_one_step_grid(self):
