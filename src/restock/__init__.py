@@ -48,6 +48,7 @@ __all__ = [
     "w_hat",
     "invert",
     "MCEstimate",
+    "MCCurve",
     "simulate_wk",
     "simulate_vk",
     "__version__",
@@ -73,6 +74,7 @@ _HOMES = {
     "w_hat": "restock.laplace",
     "invert": "restock.laplace",
     "MCEstimate": "restock.montecarlo",
+    "MCCurve": "restock.montecarlo",
     "simulate_wk": "restock.montecarlo",
     "simulate_vk": "restock.montecarlo",
 }

@@ -131,23 +131,15 @@ def _time_grid(t_max: float, step: float | None) -> list[float]:
     return [i * step for i in range(GridSpec(t_max=t_max, h=step).n_steps + 1)]
 
 
-def _mc_point(params: ModelParams, t: float, args: argparse.Namespace) -> tuple[float, float]:
-    est = _cli.simulate_wk(params, t, args.paths, args.seed)
-    return est.mean, est.stderr
-
-
-# (value, stderr-or-None) of each pointwise method at one time; the lambdas
-# look the library functions up at call time, in this module's globals or,
-# for the lazy names, as its attributes
+# value of each pointwise method at one time; the lambdas look the library
+# functions up at call time, in this module's globals or, for the lazy
+# names, as its attributes
 _POINTWISE = {
-    "series": lambda params, t, args: (series_value(params, t), None),
-    "laplace": lambda params, t, args: (_cli.invert(params, t), None),
-    "asymptotic": lambda params, t, args: (asymptotic_value(params, t), None),
-    "exact_k1": lambda params, t, args: (exact_k1_value(params, t), None),
-    "mc": _mc_point,
-    "as_printed": lambda params, t, args: (
-        _AS_PRINTED_LEVEL - _AS_PRINTED_COEFF * math.exp(-_AS_PRINTED_RATE * t), None
-    ),
+    "series": lambda params, t: series_value(params, t),
+    "laplace": lambda params, t: _cli.invert(params, t),
+    "asymptotic": lambda params, t: asymptotic_value(params, t),
+    "exact_k1": lambda params, t: exact_k1_value(params, t),
+    "as_printed": lambda params, t: _AS_PRINTED_LEVEL - _AS_PRINTED_COEFF * math.exp(-_AS_PRINTED_RATE * t),
 }
 
 
@@ -157,11 +149,18 @@ def _method_rows(
     times: list[float] | tuple[float, ...],
     args: argparse.Namespace,
 ) -> list[tuple]:
-    """Rows (t, method, value, stderr-or-None) for one method tag; volterra solves once, to times[-1]."""
-    if method != "volterra":
-        return [(t, method, *_POINTWISE[method](params, t, args)) for t in times]
-    values = _cli.solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
-    return [(t, method, float(values[GridSpec(t_max=t, h=args.h).n_steps]), None) for t in times]
+    """Rows (t, method, value, stderr-or-None) for one method tag.
+
+    The grid methods make one call for all times: volterra solves once, to
+    times[-1], and mc simulates every time in one call.
+    """
+    if method == "volterra":
+        values = _cli.solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
+        return [(t, method, float(values[GridSpec(t_max=t, h=args.h).n_steps]), None) for t in times]
+    if method == "mc":
+        curve = _cli.simulate_wk(params, times, args.paths, args.seed)
+        return [(t, method, est.mean, est.stderr) for t, est in zip(times, curve.estimates)]
+    return [(t, method, _POINTWISE[method](params, t), None) for t in times]
 
 
 def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = None,

@@ -207,7 +207,7 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     nfft = _fft_length(2 * block)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     y_spec = rfft(_series_inverse(c[:support], block), nfft)
-    c_spec = rfft(c[:support], nfft)
+    c_spec = rfft(c[:support], nfft) if n > block else None  # read by the carries only
     w = np.empty(n + 1)
     w[0] = 0.0
     for start in range(0, n, block):

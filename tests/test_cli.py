@@ -11,7 +11,7 @@ import pytest
 
 import restock
 from restock import __version__
-from restock import cli
+from restock import cli, montecarlo
 from restock.cli import CSV_HEADER, build_parser, main
 from restock.valuation import FixedCost, LinearCost, ModelParams, exact_k1_value, perpetual_value, series_value
 
@@ -305,6 +305,45 @@ class TestCompare:
             if row["method"] == "mc" and row["t"] > 0:
                 target = series_value(params, row["t"])
                 assert abs(row["value"] - target) < 4.0 * row["stderr"]
+
+
+class TestMonteCarloGrid:
+    ARGV = ("compare", *TABLE_FLAGS, "--t-max", "100", "--step", "50", "--h", "0.05",
+            "--with-mc", "--paths", "20000", "--seed", "11")
+
+    def test_compare_simulates_the_grid_in_one_call(self, capsys, monkeypatch):
+        curves = []
+
+        def traced(*args, _fn=cli.simulate_wk, **kwargs):
+            curves.append(_fn(*args, **kwargs))
+            return curves[-1]
+
+        monkeypatch.setattr(cli, "simulate_wk", traced)
+        code, out, _ = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert len(curves) == 1
+        assert curves[0].n_paths == 2 * 20000  # t = 50 and 100; t = 0 draws nothing
+        rows = [row for row in parse_csv(out) if row["method"] == "mc"]
+        assert [row["t"] for row in rows] == ["0", "50", "100"]
+
+    def test_stdout_does_not_depend_on_the_worker_count(self, capsys, monkeypatch):
+        outs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            code, out, _ = run_cli(capsys, *self.ARGV)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_simulate_horizon_matches_its_compare_row(self, capsys):
+        _, out, _ = run_cli(capsys, *self.ARGV, "--out", "json")
+        row = [row for row in json.loads(out)["rows"] if row["method"] == "mc" and row["t"] == 50.0][0]
+        code, out, _ = run_cli(
+            capsys, "simulate", "--horizon", "50", *TABLE_FLAGS, "--paths", "20000", "--seed", "11", "--out", "json"
+        )
+        assert code == 0
+        estimate = json.loads(out)["estimate"]
+        assert (estimate["mean"], estimate["stderr"]) == (row["value"], row["stderr"])
 
 
 class TestOptimize:

@@ -62,6 +62,7 @@ REALS = {
     "exact_k1_value.t": ("t", "nonnegative", lambda x: exact_k1_value(K1, x)),
     "invert.t": ("t", "nonnegative", lambda x: invert(TABLE, x)),
     "simulate_wk.t": ("t", "nonnegative", lambda x: simulate_wk(TABLE, x, 2, 0)),
+    "simulate_wk.times": ("t", "nonnegative", lambda x: simulate_wk(TABLE, [1.0, x, 2.0], 2, 0)),
     "optimal_stock_scan.a": ("fixed cost a", "nonnegative", _scan("a")),
     "optimal_stock_scan.b": ("unit margin b", "positive", _scan("b")),
     "optimal_stock_scan.mu": ("mu", "positive", _scan("mu")),
@@ -126,3 +127,9 @@ def test_numpy_scalars_are_stored_as_python_numbers():
         int, float, float, float, float,
     ]
     assert series_value(params, np.float32(4.0)) == series_value(ModelParams(3, 2.0, 0.5, FixedCost(1.5)), 4.0)
+
+
+def test_an_infinite_time_in_a_grid_points_to_the_perpetuity():
+    for times in ([1.0, math.inf], (math.inf,), np.array([2.0, np.inf])):
+        with pytest.raises(ValueError, match=r"got (np\.float64\()?inf\)?; simulate the perpetual value with simulate_vk"):
+            simulate_wk(TABLE, times, 2, 0)

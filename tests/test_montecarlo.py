@@ -11,6 +11,7 @@ from restock.montecarlo import (
     _BLOCK,
     _VK_PRICE,
     _WK_CLOCK,
+    MCCurve,
     MCEstimate,
     _perpetuity_samples,
     _stream,
@@ -134,13 +135,23 @@ class TestHorizonValue:
 
     def test_samples_are_exact_conditional_payouts(self):
         # q within 1e-5 of 1: the closed-form geometric sum must match an
-        # explicit term-by-term sum over the same clock draws
+        # explicit term-by-term sum over the same clock draws, block b's
+        # drawn from (seed, _WK_CLOCK, b) with t's bits in the counter, and
+        # the merged blocks must match the whole sample's mean and stderr
         params = ModelParams(k=3, mu=2.0, r=2e-6, cost=FixedCost(theta=1.5))
-        t, n_paths, seed = 7.0, 2_000, 19
-        cycles = _stream(seed, _WK_CLOCK, 1).poisson(params.mu * t, n_paths) // params.k
+        t, n_paths, seed = 7.0, _BLOCK + 2_000, 19
+        bits = np.float64(t).view(np.uint64)
+        sizes = (_BLOCK, n_paths - _BLOCK)
+        cycles = np.concatenate(
+            [_stream(seed, _WK_CLOCK, b, bits).poisson(params.mu * t, size) // params.k for b, size in enumerate(sizes)]
+        )
         q = (params.mu / (params.mu + params.r)) ** params.k
-        reference = math.fsum(1.5 * math.fsum(q**n for n in range(1, int(c) + 1)) for c in cycles) / n_paths
-        assert simulate_wk(params, t, n_paths, seed).mean == pytest.approx(reference, rel=1e-12)
+        payouts = [1.5 * math.fsum(q**n for n in range(1, int(c) + 1)) for c in cycles]
+        reference = math.fsum(payouts) / n_paths
+        spread = math.sqrt(math.fsum((x - reference) ** 2 for x in payouts) / (n_paths - 1) / n_paths)
+        est = simulate_wk(params, t, n_paths, seed)
+        assert est.mean == pytest.approx(reference, rel=1e-12)
+        assert est.stderr == pytest.approx(spread, rel=1e-9)
 
     def test_large_stock_memory_stays_linear_in_paths(self):
         params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -167,6 +178,71 @@ class TestHorizonValue:
         large = simulate_wk(TABLE, 10.0, 160_000, 21)
         ratio = small.stderr / large.stderr
         assert 1.6 <= ratio <= 2.4
+
+
+class TestHorizonGrid:
+    TIMES = (10.0, 0.0, 50.0, 500.0, 2.5)
+    N_PATHS = 2 * _BLOCK + 7
+
+    def test_scalar_call_equals_its_grid_entry(self):
+        curve = simulate_wk(TABLE, list(self.TIMES), self.N_PATHS, 42)
+        assert isinstance(curve, MCCurve)
+        assert curve.times == self.TIMES
+        assert curve.estimates == tuple(simulate_wk(TABLE, t, self.N_PATHS, 42) for t in self.TIMES)
+        assert curve.n_paths == 4 * self.N_PATHS
+        assert simulate_wk(TABLE, np.array(self.TIMES), self.N_PATHS, 42) == curve
+
+    def test_estimate_does_not_depend_on_the_other_times(self):
+        whole = dict(zip(self.TIMES, simulate_wk(TABLE, self.TIMES, self.N_PATHS, 7).estimates))
+        for times in (self.TIMES[::-1], (500.0,), (2.5, 50.0), (50.0, 50.0, 0.0, 50.0)):
+            curve = simulate_wk(TABLE, times, self.N_PATHS, 7)
+            assert curve.estimates == tuple(whole[t] for t in times)
+
+    def test_curve_does_not_depend_on_the_worker_count(self, monkeypatch):
+        curves = []
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
+            curves.append(simulate_wk(TABLE, self.TIMES, self.N_PATHS, 3))
+        assert curves[0] == curves[1]
+
+    def test_every_block_lands_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: a block result
+        # lost or written to another block's slot changes the curve
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        expected = simulate_wk(TABLE, self.TIMES, self.N_PATHS, 5)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 8)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(
+                target=lambda: result.append(simulate_wk(TABLE, self.TIMES, self.N_PATHS, 5)), daemon=True
+            )
+            caller.start()
+            caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        assert result == [expected]
+
+    def test_empty_and_all_zero_grids_draw_nothing(self):
+        assert simulate_wk(TABLE, [], 100, 1) == MCCurve(times=(), estimates=())
+        zero = MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=1)
+        assert simulate_wk(TABLE, (0.0, 0), 100, 1) == MCCurve(times=(0.0, 0.0), estimates=(zero, zero))
+
+    def test_grid_memory_stays_per_block(self):
+        # 20 times x 100,000 paths: blocks are reduced as they finish, so
+        # the grid stays under the single-time bound of 10 MiB
+        params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
+        times = [250.0 * i for i in range(1, 21)]
+        tracemalloc.start()
+        try:
+            curve = simulate_wk(params, times, 100_000, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.n_paths == 20 * 100_000
+        assert peak < 10 * 2**20
 
 
 class TestPerpetuity:
