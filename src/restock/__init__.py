@@ -29,31 +29,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GammaLaw",
-    "convolution_cdf",
-    "ModelParams",
-    "FixedCost",
-    "LinearCost",
-    "EffectiveParams",
-    "ValueCurve",
-    "effective",
-    "perpetual_value",
-    "series_value",
-    "asymptotic_value",
-    "exact_k1_value",
-    "optimal_stock_scan",
-    "GridSpec",
-    "solve_renewal",
-    "w_hat",
-    "invert",
-    "MCEstimate",
-    "MCCurve",
-    "simulate_wk",
-    "simulate_vk",
-    "__version__",
-]
-
 # name -> home module, imported on first access
 _HOMES = {
     "GammaLaw": "restock.distributions",
@@ -78,6 +53,8 @@ _HOMES = {
     "simulate_wk": "restock.montecarlo",
     "simulate_vk": "restock.montecarlo",
 }
+
+__all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name: str):

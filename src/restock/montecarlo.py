@@ -23,13 +23,7 @@ replacement is discounted by q^n, the mean discount of n cycles priced
 apart from the clock that counts them.  Discounting each payment by the
 clock's own epoch, e^(-r_eff S_n), gives a larger value at finite horizons
 (0.467872 against 0.447011 at k = 10, mu = 1, r = 0.02, theta = 1,
-t = 10); at t = inf both are v.  The horizon estimator runs a whole grid
-of times in one call: each nonzero time's paths are cut into blocks of
-``_BLOCK``, every (time, block) pair draws from its own stream and
-reduces its samples to (count, mean, sum of squared deviations), and a
-time's blocks are merged in block order by Chan, Golub & LeVeque's
-pairwise update (Amer. Statist. 37(3), 1983), so memory stays at one
-block per worker.
+t = 10); at t = inf both are v.
 
 The perpetuity keeps simulating the discount products themselves: each
 round draws one Gamma(k, 1) variate per live path, mu times its cycle
@@ -40,13 +34,19 @@ probability D / c, carrying D = c on, and retires otherwise.  Every path
 ends after finitely many rounds, and because a survivor's weight times
 its survival probability is the discount it had, the estimate is exactly
 unbiased, with no truncation (the argument of Rhee & Glynn, Oper. Res.
-63(5), 2015).  The perpetuity-equation checker in ``tests/oracles.py``
-tests that simulation against its defining identity.  Its paths are
-split into fixed blocks of ``_BLOCK`` paths, and block b draws all of its
-rounds, in order, from one stream of its own: each round's cycles, then,
-in rounds where some discount is below c, its roulette uniforms.  The
-blocks run on every CPU the process may use (numpy's samplers and ufuncs
-release the GIL), one thread per CPU up to the block count.
+63(5), 2015).  A block draws all of its rounds, in order, from one stream
+of its own: each round's cycles, then, in rounds where some discount is
+below c, its roulette uniforms.  The perpetuity-equation checker in
+``tests/oracles.py`` tests such blocks against their defining identity.
+
+Both estimators run on one block engine, a horizon call with an estimate
+for each nonzero time of its grid: an estimate's paths are cut into
+blocks of ``_BLOCK``, every (estimate, block) pair draws from its own
+stream and reduces its samples to (count, mean, sum of squared
+deviations) at once, and an estimate's blocks merge in block order by
+Chan, Golub & LeVeque's pairwise update (Amer. Statist. 37(3), 1983), so
+memory stays at one block per worker for both.  The blocks run on every
+CPU the process may use (numpy's samplers and ufuncs release the GIL).
 
 Determinism: every draw comes from a Philox counter-based stream keyed by
 (seed, stream domain, index), the perpetuity's block b by index b, and the
@@ -57,11 +57,11 @@ bit-reproducible from (seed, n_paths, params, t, ``_BLOCK``) for a horizon
 estimate, whatever other times share the call, and from (seed, n_paths,
 params, ``_BLOCK``, ``_WINDOW``) for the perpetuity, and neither depends
 on the number of cores or on how the blocks are scheduled (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Both run their
-blocks on up to one thread per usable CPU.  The numpy version is part of
-the recipe too, because the horizon clock uses ``Generator.poisson`` and
-the perpetuity ``Generator.standard_gamma`` (Marsaglia & Tsang, ACM TOMS
-26(3), 2000) and ``Generator.random``, numpy's own samplers.
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The numpy
+version is part of the recipe too, because the horizon clock uses
+``Generator.poisson`` and the perpetuity ``Generator.standard_gamma``
+(Marsaglia & Tsang, ACM TOMS 26(3), 2000) and ``Generator.random``,
+numpy's own samplers.
 """
 
 from __future__ import annotations
@@ -84,9 +84,7 @@ __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 # reproducibility recipe and must never be reassigned.
 _WK_CLOCK = 0
 _VK_PRICE = 2
-# the cycle and the fresh perpetuity of the checker in tests/oracles.py
-_PERP_X = 3
-_PERP_V = 4
+# 3 and 4 are taken: the perpetuity-equation checker in tests/oracles.py
 
 # Paths per block, for the perpetuity and for each horizon time.  Block b
 # owns paths [b * _BLOCK, (b+1) * _BLOCK) and the stream (seed, domain, b),
@@ -113,10 +111,11 @@ class MCEstimate:
     path block size ``_BLOCK`` on the same numpy version, whatever other
     times a horizon call shares; a perpetuity estimate also depends on its
     roulette window ``_WINDOW``.  Blocks draw from streams keyed by (seed,
-    stream, block), with a horizon's t in the counter, and neither estimate
-    depends on how many cores ran them.  Neither estimator truncates, so
-    neither carries a bias term: each is unbiased for the function it
-    estimates.
+    stream, block), with a horizon's t in the counter; each block is reduced
+    as it is drawn and the blocks merge in block order, so neither estimate
+    holds more than one block per core or depends on how many cores ran
+    them.  Neither estimator truncates, so neither carries a bias term:
+    each is unbiased for the function it estimates.
     """
 
     mean: float
@@ -164,13 +163,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _estimate(samples: np.ndarray, seed: int) -> MCEstimate:
-    n = samples.size
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n))
-    return MCEstimate(mean=mean, stderr=stderr, n_paths=n, seed=seed)
-
-
 def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate | MCCurve:
     """Estimate the horizon value by conditional Monte Carlo over n_paths per time.
 
@@ -208,33 +200,45 @@ def _check_times(times) -> tuple[float, ...]:
 
 
 def _horizon_estimates(params: ModelParams, times: tuple[float, ...], n_paths: int, seed: int) -> tuple[MCEstimate, ...]:
-    """One estimate per time, from blocks of _BLOCK paths run on up to one thread per CPU.
-
-    Block b of time t draws its paths' cycle counts from the stream
-    (seed, _WK_CLOCK, b) with the float64 bits of t in the counter's high
-    word, and reduces its samples to (count, mean, sum of squared
-    deviations M2).  A time's blocks are then merged in block order:
-    merging (n_a, mean_a, M2_a) with (n_b, mean_b, M2_b) gives
-    mean_a + delta * n_b / n and M2_a + M2_b + delta^2 * n_a * n_b / n,
-    where delta = mean_b - mean_a and n = n_a + n_b.  Repeated times are
-    simulated once.
-    """
+    """One estimate per time, a repeated time simulated once; block b of time t
+    draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits in the counter."""
     eff = effective(params)
     k, mu = params.k, params.mu
     log_q = -k * math.log1p(eff.r_eff / mu)
     scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
     drawn = list(dict.fromkeys(t for t in times if t > 0))
-    blocks = -(-n_paths // _BLOCK)
-    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * (len(drawn) * blocks)
 
-    def run(unit: int) -> None:
-        t, block = drawn[unit // blocks], unit % blocks
-        size = min(_BLOCK, n_paths - block * _BLOCK)
+    def payouts(i: int, block: int, size: int) -> np.ndarray:
+        t = drawn[i]
         cycles = _stream(seed, _WK_CLOCK, block, np.float64(t).view(np.uint64)).poisson(mu * t, size)
         cycles //= k
         samples = np.multiply(cycles, log_q)
         np.expm1(samples, out=samples)
         samples *= scale
+        return samples
+
+    estimates = {0.0: MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)}
+    estimates.update(zip(drawn, _block_estimates(payouts, len(drawn), n_paths, seed)))
+    return tuple(estimates[t] for t in times)
+
+
+def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[MCEstimate]:
+    """n_estimates estimates of n_paths each, from blocks of _BLOCK paths on up to one thread per CPU.
+
+    ``sample(i, b, size)`` returns a fresh array of the ``size`` samples of
+    estimate i's block b, which is reduced in place to (count, mean, sum
+    of squared deviations M2).  An estimate's blocks merge in block order:
+    merging (n_a, mean_a, M2_a) with (n_b, mean_b, M2_b) gives
+    mean_a + delta * n_b / n and M2_a + M2_b + delta^2 * n_a * n_b / n,
+    where delta = mean_b - mean_a and n = n_a + n_b.
+    """
+    blocks = -(-n_paths // _BLOCK)
+    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * (n_estimates * blocks)
+
+    def run(unit: int) -> None:
+        i, block = divmod(unit, blocks)
+        size = min(_BLOCK, n_paths - block * _BLOCK)
+        samples = sample(i, block, size)
         mean = float(samples.mean())
         samples -= mean
         np.square(samples, out=samples)
@@ -242,20 +246,20 @@ def _horizon_estimates(params: ModelParams, times: tuple[float, ...], n_paths: i
 
     if parts:
         _run_blocks(run, len(parts))
-    estimates = {0.0: MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)}
-    for i, t in enumerate(drawn):
+    estimates = []
+    for i in range(n_estimates):
         n, mean, m2 = parts[i * blocks]
         for size, block_mean, block_m2 in parts[i * blocks + 1 : (i + 1) * blocks]:
             delta = block_mean - mean
             mean += delta * size / (n + size)
             m2 += block_m2 + delta * delta * n * size / (n + size)
             n += size
-        estimates[t] = MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n), n_paths=n, seed=seed)
-    return tuple(estimates[t] for t in times)
+        estimates.append(MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n), n_paths=n, seed=seed))
+    return estimates
 
 
-def _perpetuity_samples(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:
-    """Per-path discounted payment totals, ended by weight-window roulette.
+def _perpetuity_block(params: ModelParams, stream: np.random.Generator, size: int) -> np.ndarray:
+    """Discounted payment totals of ``size`` paths, ended by weight-window roulette.
 
     Once a round's payment theta * D_n is added, a path whose discount
     D_n has fallen below the window c = _WINDOW survives with probability
@@ -263,47 +267,39 @@ def _perpetuity_samples(params: ModelParams, n_paths: int, seed: int, domain: in
     uniform u per live path and keeps the path iff log c + log u < log D,
     so a path at or above c always survives.  A retired path's expected
     remaining payout, D_n times a perpetuity, equals that of a survivor
-    weighted by survival, so the totals stay exact in expectation.
-
-    Block b fills paths [b * _BLOCK, (b+1) * _BLOCK) of the result, every
-    round's cycles and then (in rounds where some discount is below c)
-    its uniforms drawn in order from the stream (seed, domain, b); the
-    blocks run on up to one thread per usable CPU.  A block's live arrays
-    are kept compacted: a retiring path's total is written once to its
-    slot of the result, and the rest shrink to the survivors.
+    weighted by survival, so the totals stay exact in expectation.  The
+    live arrays are kept compacted: a retiring path's total is written once
+    to its slot of the result, and the rest shrink to the survivors one
+    array at a time, so that no two old arrays outlive their copies.
     """
     eff = effective(params)
     k, rate, theta = params.k, eff.r_eff / params.mu, eff.theta
-    out = np.empty(n_paths)
-
-    def run(block: int) -> None:
-        stream = _stream(seed, domain, block)
-        part = out[block * _BLOCK : (block + 1) * _BLOCK]
-        slots = np.arange(part.size)
-        log_discount = np.zeros(part.size)
-        payout = np.zeros(part.size)
-        while slots.size:
-            cycle = stream.standard_gamma(k, slots.size)
-            cycle *= rate
-            log_discount -= cycle
-            np.exp(log_discount, out=cycle)
-            cycle *= theta
-            payout += cycle
-            if log_discount.min() < _LOG_WINDOW:
-                # the spent cycle buffer takes log c + log u (u = 0 gives
-                # -inf, and the path survives, as u < D / c says it should)
-                stream.random(out=cycle)
-                np.log(cycle, out=cycle)
-                cycle += _LOG_WINDOW
-                retired = cycle >= log_discount
-                np.maximum(log_discount, _LOG_WINDOW, out=log_discount)
-                if retired.any():
-                    part[slots[retired]] = payout[retired]
-                    live = ~retired
-                    slots, log_discount, payout = slots[live], log_discount[live], payout[live]
-
-    _run_blocks(run, -(-n_paths // _BLOCK))
-    return out
+    totals = np.empty(size)
+    slots = np.arange(size)
+    log_discount = np.zeros(size)
+    payout = np.zeros(size)
+    while slots.size:
+        cycle = stream.standard_gamma(k, slots.size)
+        cycle *= rate
+        log_discount -= cycle
+        np.exp(log_discount, out=cycle)
+        cycle *= theta
+        payout += cycle
+        if log_discount.min() < _LOG_WINDOW:
+            # the spent cycle buffer takes log c + log u (u = 0 gives
+            # -inf, and the path survives, as u < D / c says it should)
+            stream.random(out=cycle)
+            np.log(cycle, out=cycle)
+            cycle += _LOG_WINDOW
+            retired = cycle >= log_discount
+            np.maximum(log_discount, _LOG_WINDOW, out=log_discount)
+            if retired.any():
+                totals[slots[retired]] = payout[retired]
+                live = ~retired
+                slots = slots[live]
+                log_discount = log_discount[live]
+                payout = payout[live]
+    return totals
 
 
 def _run_blocks(run, n_blocks: int) -> None:
@@ -338,10 +334,14 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
     """Estimate the perpetual value v by simulating the discount products.
 
     Each path collects theta * D_n at every replacement until weight-window
-    roulette ends it (see ``_perpetuity_samples``).  The roulette leaves
+    roulette ends it (see ``_perpetuity_block``).  The roulette leaves
     every path's expected total equal to v, so the estimate has no
     truncation bias and its error is the sampling error ``stderr``.
     """
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
-    return _estimate(_perpetuity_samples(params, n_paths, seed, _VK_PRICE), seed)
+
+    def totals(_: int, block: int, size: int) -> np.ndarray:
+        return _perpetuity_block(params, _stream(seed, _VK_PRICE, block), size)
+
+    return _block_estimates(totals, 1, n_paths, seed)[0]

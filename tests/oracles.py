@@ -17,8 +17,8 @@ cancellation needs, from its own poles and roots of unity.
 
 The last section holds derived quantities that only the tests use (the
 counting process of replacements, the cycle transform, a one-path cycle
-sampler, the residual value, the tilted forcing term and both sides of
-the perpetuity equation).  They are built on the package's own
+sampler, the residual value, the tilted forcing term, the perpetuity's
+path totals block by block and both sides of the perpetuity equation).  They are built on the package's own
 primitives, and their tests check identities between those primitives.
 """
 
@@ -31,16 +31,13 @@ import numpy as np
 
 from restock import valuation
 from restock.distributions import GammaLaw, convolution_cdf
-from restock.montecarlo import (
-    _PERP_V,
-    _PERP_X,
-    MCEstimate,
-    _estimate,
-    _perpetuity_samples,
-    _stream,
-    simulate_vk,
-)
+from restock.montecarlo import _BLOCK, MCEstimate, _perpetuity_block, _stream, simulate_vk
 from restock.valuation import ModelParams, effective
+
+# Stream domains of the perpetuity-equation checker: its cycle draw and its
+# fresh perpetuity.  restock.montecarlo leaves these two numbers unused.
+_PERP_X = 3
+_PERP_V = 4
 
 
 def poisson_tail(n: int, lam: float) -> float:
@@ -255,18 +252,29 @@ def tail_weight(params: ModelParams, t: float) -> float:
     return effective(params).v * (1.0 - convolution_cdf(1, t, GammaLaw(params.k, params.mu)))
 
 
+def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:
+    """Totals of n_paths perpetuity paths, one ``_perpetuity_block`` draw per block b on (seed, domain, b)."""
+    sizes = [min(_BLOCK, n_paths - start) for start in range(0, n_paths, _BLOCK)]
+    return np.concatenate([_perpetuity_block(params, _stream(seed, domain, b), size) for b, size in enumerate(sizes)])
+
+
 def verify_perpetuity_equation(params: ModelParams, n_paths: int, seed: int) -> tuple[MCEstimate, MCEstimate]:
     """Estimate both sides of V = e^(-r_eff X) (theta + V) with independent draws.
 
     The left side is the plain perpetuity estimate, which also checks the
     arguments; the right side prices theta plus a *fresh* perpetuity sample
-    behind one fresh cycle draw, from the package's stream domains reserved
-    for this check.  The two means agree within sampling error iff the
-    simulated perpetuity satisfies its defining identity.
+    behind one fresh cycle draw, from the stream domains reserved for this
+    check.  The fresh perpetuity is drawn block by block with the package's
+    ``_perpetuity_block`` (``perpetuity_totals`` on domain _PERP_V), and
+    the right side's mean and stderr are computed here over all n_paths
+    samples at once, so comparing the sides also tests the package's block
+    merge from outside it.  The two means agree within sampling error iff
+    the simulated perpetuity satisfies its defining identity.
     """
     lhs = simulate_vk(params, n_paths, seed)
     eff = effective(params)
     x = _stream(seed, _PERP_X, 1).standard_gamma(params.k, n_paths) / params.mu
-    fresh_v = _perpetuity_samples(params, n_paths, seed, _PERP_V)
-    rhs = _estimate(np.exp(-eff.r_eff * x) * (eff.theta + fresh_v), seed)
-    return lhs, rhs
+    fresh_v = perpetuity_totals(params, n_paths, seed, _PERP_V)
+    samples = np.exp(-eff.r_eff * x) * (eff.theta + fresh_v)
+    stderr = float(samples.std(ddof=1) / math.sqrt(n_paths))
+    return lhs, MCEstimate(mean=float(samples.mean()), stderr=stderr, n_paths=n_paths, seed=seed)

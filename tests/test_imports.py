@@ -1,7 +1,8 @@
 """Every module-level import in src/restock is used, exported in __all__,
 or marked ``# noqa: F401`` -- the unused-import rule of a linter, checked
 with the standard library's ``ast``; every private module-level function
-is used by src/restock itself; and only the array modules import numpy."""
+and constant is used by src/restock itself; and only the array modules
+import numpy."""
 
 import ast
 from collections import Counter
@@ -18,7 +19,9 @@ def unused_imports(source: str) -> list[str]:
     exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+            # the names spelled out in it, also in a form like [*_HOMES, "__version__"]
+            constants = (n for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+            exported = {n.value for n in constants if isinstance(n.value, str)}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = []
     for node in tree.body:
@@ -36,6 +39,7 @@ def unused_imports(source: str) -> list[str]:
 def test_the_check_finds_an_unused_import():
     assert unused_imports("import math\nimport numpy as np\n\nx = np.pi\n") == ["line 1: math"]
     assert unused_imports("import math  # noqa: F401\n__all__ = ['sys']\nimport sys\n") == []
+    assert unused_imports("import os\nimport sys\n__all__ = [*_HOMES, 'sys']\n") == ["line 1: os"]
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py")))
@@ -56,19 +60,32 @@ def _references(tree: ast.AST) -> Counter[str]:
     return found
 
 
-def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """Module-level functions named ``_name`` (dunders aside) that no source
-    refers to outside the function's own body, as ``module._name``."""
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a module-level function definition or assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and assigned names called ``_name`` (dunders
+    aside) that no source refers to outside their own definition, as
+    ``module._name``."""
     refs: Counter[str] = Counter()
     private: list[tuple[str, str, int]] = []
     for module, source in sources.items():
         tree = ast.parse(source)
         refs += _references(tree)
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_") and not node.name.endswith("__"):
-                private.append((module, node.name, _references(node)[node.name]))
+            for name in _defined_names(node):
+                if name.startswith("_") and not name.endswith("__"):
+                    private.append((module, name, _references(node)[name]))
     return [f"{module}.{name}" for module, name, own in private if refs[name] == own]
 
 
@@ -76,16 +93,18 @@ def test_the_check_finds_an_unreferenced_private_function():
     sources = {
         "a": "def _dead(n):\n    return _dead(n - 1)\n\ndef _called():\n    pass\n\ndef __getattr__(name):\n    pass\n",
         "b": "from a import _imported\nimport a\n\ndef f():\n    return a._called()\n",
-        "c": "def _imported():\n    pass\n\n_PRIVATE_CONSTANT = 3\n",
+        "c": "def _imported():\n    pass\n\n_UNUSED = 3\n_USED: int = 4\n__version__ = '1'\n\n"
+        "def f():\n    return _USED\n",
     }
-    assert unreferenced_private_functions(sources) == ["a._dead"]
+    assert unreferenced_private_names(sources) == ["a._dead", "c._UNUSED"]
 
 
 def test_private_functions_are_used_in_src():
-    # "no code in src/ that only the tests use": a private helper that only
-    # the tests (or nothing) call belongs in the tests or nowhere
+    # "no code in src/ that only the tests use": a private helper or
+    # constant that only the tests (or nothing) use belongs in the tests or
+    # nowhere
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced_private_functions(sources) == []
+    assert unreferenced_private_names(sources) == []
 
 
 # The modules that import numpy; every other module runs without it, so

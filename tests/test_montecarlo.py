@@ -13,7 +13,6 @@ from restock.montecarlo import (
     _WK_CLOCK,
     MCCurve,
     MCEstimate,
-    _perpetuity_samples,
     _stream,
     simulate_vk,
     simulate_wk,
@@ -27,7 +26,7 @@ from restock.valuation import (
     series_value,
 )
 
-from oracles import verify_perpetuity_equation
+from oracles import perpetuity_totals, verify_perpetuity_equation
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -36,6 +35,16 @@ UNIT = ModelParams(k=1, mu=1.0, r=1.0, cost=FixedCost(theta=1.0))
 
 def combined_stderr(a: MCEstimate, b: MCEstimate) -> float:
     return math.hypot(a.stderr, b.stderr)
+
+
+def assert_estimates(est: MCEstimate, samples) -> None:
+    """The merged blocks match the whole sample's exactly rounded mean and its stderr."""
+    n = len(samples)
+    reference = math.fsum(samples) / n
+    spread = math.sqrt(math.fsum((x - reference) ** 2 for x in samples) / (n - 1) / n)
+    assert est.n_paths == n
+    assert est.mean == pytest.approx(reference, rel=1e-12)
+    assert est.stderr == pytest.approx(spread, rel=1e-9)
 
 
 class TestValidation:
@@ -147,11 +156,7 @@ class TestHorizonValue:
         )
         q = (params.mu / (params.mu + params.r)) ** params.k
         payouts = [1.5 * math.fsum(q**n for n in range(1, int(c) + 1)) for c in cycles]
-        reference = math.fsum(payouts) / n_paths
-        spread = math.sqrt(math.fsum((x - reference) ** 2 for x in payouts) / (n_paths - 1) / n_paths)
-        est = simulate_wk(params, t, n_paths, seed)
-        assert est.mean == pytest.approx(reference, rel=1e-12)
-        assert est.stderr == pytest.approx(spread, rel=1e-9)
+        assert_estimates(simulate_wk(params, t, n_paths, seed), payouts)
 
     def test_large_stock_memory_stays_linear_in_paths(self):
         params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -270,11 +275,11 @@ class TestPerpetuity:
         # q = 1/1.05: a path at the window survives each round with
         # probability ~0.95, so paths spend ~20 rounds in roulette
         params = ModelParams(k=1, mu=1.0, r=0.05, cost=FixedCost(theta=1.0))
-        samples = _perpetuity_samples(params, 40_000, 23, _VK_PRICE)
+        samples = perpetuity_totals(params, 40_000, 23, _VK_PRICE)
         assert np.all(np.isfinite(samples))
         assert np.all(samples >= 0.0)
         est = simulate_vk(params, 40_000, 23)
-        assert est.mean == samples.mean()
+        assert_estimates(est, samples)
         assert abs(est.mean - perpetual_value(params)) < 4.0 * est.stderr
 
     @pytest.mark.parametrize("k", [3, 60])
@@ -328,10 +333,25 @@ class TestPerpetuityBlocks:
         assert sorted(claimed) == list(range(12))
 
     def test_a_block_owns_its_paths(self):
-        # block 0's samples do not depend on how many blocks follow it
-        whole = _perpetuity_samples(TABLE, 2 * _BLOCK + 5, 11, _VK_PRICE)
-        first = _perpetuity_samples(TABLE, _BLOCK, 11, _VK_PRICE)
-        assert np.array_equal(whole[:_BLOCK], first)
+        # block b's paths are one draw on (seed, _VK_PRICE, b) whatever
+        # blocks follow it, and the estimate is the merge of the blocks
+        whole = perpetuity_totals(TABLE, 2 * _BLOCK + 5, 11, _VK_PRICE)
+        assert_estimates(simulate_vk(TABLE, 2 * _BLOCK + 5, 11), whole)
+        assert_estimates(simulate_vk(TABLE, _BLOCK, 11), whole[:_BLOCK])
+
+    def test_memory_stays_one_block_per_worker(self, monkeypatch):
+        # each block's totals are reduced as soon as they are drawn: two
+        # workers never hold an n_paths-long array of totals (8 bytes a path)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        n_paths = 200_000
+        simulate_vk(TABLE, 100, 5)  # numpy.random's first import, ~0.8 MB, stays outside the trace
+        tracemalloc.start()
+        try:
+            simulate_vk(TABLE, n_paths, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_paths
 
     def test_a_failing_block_raises_without_hanging(self, monkeypatch):
         def failing_stream(seed, domain, index):
