@@ -31,14 +31,18 @@ C(x) W(x) = G(x) mod x^(n+1) in power-series form, so it is solved as a
 power-series division with FFT products (Brent & Kung, J. ACM 25(4), 1978;
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985).  Since
 C has only L terms, every grid runs over blocks of B >= L steps
-(overlap-save, Stockham 1966; one block where n <= B): y = 1/C mod x^B
-once, by Newton's iteration y <- y - y (C y - 1) over the balanced sizes
-..., ceil(B/4), ceil(B/2), B, each product at the shortest exact cyclic
-length (for the error block, the middle product's: Hanrot, Quercia &
-Zimmermann, AAECC 14, 2004) rounded up to a 2^a 3^b 5^c size; then per
-block one FFT product for the carry from the block before and one with y,
-both at a length of about 2B.  That is O(n log L) work and O(L) memory
-besides the n + 1 values, in place of n step-by-step dot products.
+(overlap-save, Stockham 1966; one block where n <= B), B the least
+2^a 3^b 5^c size >= max(L, 2048): y = 1/C mod x^B once, by Newton's
+iteration y <- y - y (C y - 1) over the balanced sizes ..., ceil(B/4),
+ceil(B/2), B, each product at the shortest exact cyclic length (for the
+error block, the middle product's: Hanrot, Quercia & Zimmermann, AAECC 14,
+2004) rounded up to such a size.  Block b then solves W_b = y R_b mod x^B,
+so C W_b = R_b mod x^B and the carry into block b + 1 is
+x^-B (C W_b - R_b); at the cyclic length 2B that shift negates the odd
+bins, so the next block's right-hand-side spectrum comes from this one's
+and from W_b's.  Per block that is one inverse FFT for the values and one
+forward FFT of them: O(n log L) work and O(L) memory besides the n + 1
+values, in place of n step-by-step dot products.
 
 The system is implicit only through C's constant term
 1 - q * int_panel1 (1 - s/h) f(s) ds, which is strictly positive for any
@@ -142,27 +146,13 @@ def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(cdfs_k), np.concatenate(cdfs_k1)
 
 
-def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
-    """Solve the renewal equation on the grid; global accuracy O(h^2).
-
-    Returns the ``volterra`` ValueCurve on t_i = i*h, with w(0) = 0 (all of
-    it at t_max = 0).  The error bound is absolute: O(h^2) plus a round-off
-    floor from the FFT products, a few 1e-15 * max|w| where q is well below
-    1; where q is near 1 no error decays and the floor grows linearly with
-    t_max (k = 1, r = 1e-8, h = 0.01: 5.4e-14 * max|w| at t_max = 250,
-    4.4e-13 at t_max = 2000).  Relative accuracy where w is close to 0 is
-    not promised.  The exact discrete solution is
-    nonnegative (G and 1/C have nonnegative coefficients), so round-off
-    below 0 is clipped.
-
-    The work is O(n log L), where L is the kernel's support in steps (past
-    it both gamma cdfs are exactly 1.0), and the memory beyond the returned
-    n + 1 points is O(L).
+def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """The step equations on a grid of n >= 1 steps as C(x) W(x)/x = G(x)/x
+    mod x^n: C's coefficients up to its last nonzero one, G/x's up to where
+    its coefficients turn constant, and that constant theta*q.
     """
     eff = effective(params)
     n = grid.n_steps
-    if n == 0:
-        return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")
     k, mu = params.k, params.mu
     h = grid.h
     if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
@@ -198,27 +188,73 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     theta_q = eff.theta * q
     g = cdf_k[1:]
     g *= theta_q
+    return c[:support], g, theta_q
 
-    # Blocks of B >= support steps: with y = 1/C mod x^B, block b is
-    # W_b = y (G_b - carry) mod x^B, where the carry (C W_(b-1))[B:2B] is
-    # all that the earlier blocks reach into it.  Both products are exact at
-    # one cyclic length >= 2B - 1.
-    block = min(_fft_length(2 * max(support, _MIN_BLOCK)) // 2, n)
-    nfft = _fft_length(2 * block)
+
+def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
+    """Solve the renewal equation on the grid; global accuracy O(h^2).
+
+    Returns the ``volterra`` ValueCurve on t_i = i*h, with w(0) = 0 (all of
+    it at t_max = 0).  The error bound is absolute: O(h^2) plus a round-off
+    floor from the FFT products, a few 1e-15 * max|w| where q is well below
+    1; where q is near 1 no error decays and the floor grows linearly with
+    t_max (k = 1, r = 1e-8, h = 0.01: 3.9e-14 * max|w| at t_max = 250,
+    1.3e-13 at t_max = 1000, 2.4e-13 at t_max = 2000).  Relative accuracy
+    where w is close to 0 is not promised.  The exact discrete solution is
+    nonnegative (G and 1/C have nonnegative coefficients), so round-off
+    below 0 is clipped.
+
+    The work is O(n log L), where L is the kernel's support in steps (past
+    it both gamma cdfs are exactly 1.0), and the memory beyond the returned
+    n + 1 points is O(L).  Each block of B >= L steps costs two FFTs of
+    length 2B: the carry into the next block comes from the block's own
+    right-hand side.
+    """
+    n = grid.n_steps
+    if n == 0:
+        return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")
+    c, g, theta_q = _renewal_system(params, grid)
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    y_spec = rfft(_series_inverse(c[:support], block), nfft)
-    c_spec = rfft(c[:support], nfft) if n > block else None  # read by the carries only
+    block = _fft_length(max(c.size, _MIN_BLOCK))
+
+    def rhs(start: int, length: int) -> np.ndarray:
+        """G/x's coefficients start, ..., start + length - 1."""
+        part = np.full(length, theta_q)
+        known = g[start : start + length]
+        part[: known.size] = known
+        return part
+
     w = np.empty(n + 1)
     w[0] = 0.0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        rhs = np.full(stop - start, theta_q)
-        known = g[start:stop]
-        rhs[: known.size] = known
-        if start:
-            reach = min(support - 1, stop - start)
-            carry = irfft(rfft(w[start - block + 1 : start + 1], nfft) * c_spec, nfft)
-            rhs[:reach] -= carry[block : block + reach]
-        w[start + 1 : stop + 1] = irfft(rfft(rhs, nfft) * y_spec, nfft)[: stop - start]
+    if n <= block:
+        # One block: W/x = y G/x mod x^n with y = 1/C mod x^n.
+        nfft = _fft_length(2 * n)
+        y_spec = rfft(_series_inverse(c, n), nfft)
+        w[1:] = irfft(rfft(rhs(0, n), nfft) * y_spec, nfft)[:n]
+    else:
+        # Block b of W/x is W_b = y R_b mod x^B, with y = 1/C mod x^B and R_b
+        # its right-hand side: G_b less the carry that C W_(b-1) reaches into
+        # it.  Since C W_b = R_b mod x^B, the carry into block b + 1 is
+        # x^-B (C W_b - R_b), exact at the cyclic length 2B, where the shift
+        # by B negates the odd bins.  So a block takes one inverse transform
+        # for its values and one forward transform to turn R's spectrum, in
+        # place, into the next block's; past the cdf sweep G_b is constant.
+        nfft = 2 * block
+        y_spec = rfft(_series_inverse(c, block), nfft)
+        c_spec = rfft(c, nfft)
+        tail_spec = rfft(np.full(block, theta_q), nfft)
+        r_spec = rfft(rhs(0, block), nfft)
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            w[start + 1 : stop + 1] = irfft(r_spec * y_spec, nfft)[: stop - start]
+            if stop < n:
+                u_spec = rfft(w[start + 1 : stop + 1], nfft)
+                u_spec *= c_spec
+                r_spec -= u_spec
+                del u_spec
+                r_spec[1::2] *= -1.0
+                r_spec += rfft(rhs(stop, block), nfft) if stop < g.size else tail_spec
+        del c_spec, tail_spec, r_spec
+    del y_spec  # spent spectra go before the times array is built
     np.maximum(w, 0.0, out=w)
-    return ValueCurve(times=np.arange(n + 1) * h, values=w, method="volterra")
+    return ValueCurve(times=np.arange(n + 1) * grid.h, values=w, method="volterra")

@@ -4,9 +4,11 @@ Everything here deliberately avoids the package's own numerics: gamma
 cdfs come from partial sums of the Poisson pmf, value functions from
 directly summing the convolution series against those Poisson tails, and
 transforms from trapezoid quadrature.  Frozen expected values in the
-tests were produced by these routines.  The one exception is
-``volterra_direct``, which checks only the renewal solver's linear solve:
-it shares the solver's discretisation and solves it step by step.
+tests were produced by these routines.  The exceptions are
+``volterra_direct`` and ``volterra_longdouble``, which check only the
+renewal solver's linear solve: the first shares the solver's
+discretisation, the second takes the solver's own coefficients, and both
+solve it step by step.
 
 The tilted-kernel identities are checked with mpmath: the mass and mean
 of e^(rho s) q f(s), with rho and q from ``effective``, come from
@@ -154,6 +156,29 @@ def volterra_direct(params, grid):
         acc = np.dot(w[1:i], conv_w_rev[n - i : n - 1]) if i > 1 else 0.0
         w[i] = (g[i] + q * acc) / denom
     return times, w
+
+
+def volterra_longdouble(params, grid) -> np.ndarray:
+    """The renewal solver's own discrete system solved step by step in long double.
+
+    Takes C and G from ``restock.volterra._renewal_system`` and runs the
+    banded forward substitution c_0 u_i = g_i - sum_{0<j<L} c_j u_(i-j) for
+    u = W/x, O(n L) in ``np.longdouble``, so what it differs from the
+    solver by is the solver's round-off.  Returns w_0, ..., w_n.
+    """
+    from restock.volterra import _renewal_system
+
+    n = grid.n_steps
+    c, g, theta_q = _renewal_system(params, grid)
+    rhs = np.full(n, theta_q, dtype=np.longdouble)
+    rhs[: g.size] = g
+    lags = c[:0:-1].astype(np.longdouble)  # c_(L-1), ..., c_1
+    band = lags.size
+    u = np.zeros(band + n, dtype=np.longdouble)
+    c_0 = np.longdouble(c[0])
+    for i in range(n):
+        u[band + i] = (rhs[i] - np.dot(lags, u[i : band + i])) / c_0
+    return np.concatenate((np.zeros(1, dtype=np.longdouble), u[band:]))
 
 
 def tilted_kernel_moments(params: ModelParams) -> tuple[float, float]:

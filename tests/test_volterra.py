@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import poisson_tail, volterra_direct
+from oracles import poisson_tail, volterra_direct, volterra_longdouble
 from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
 from restock.valuation import (
     FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
@@ -230,7 +230,7 @@ class TestSolveRenewal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.0e6
+        assert peak < 1.7e6
 
     def test_underflowed_kernel_mass_solves_to_zero(self):
         # q = alpha^-k underflows to 0 at k ln(alpha) ~ 1920: the exact discrete
@@ -241,28 +241,22 @@ class TestSolveRenewal:
         assert curve.values.tolist() == [0.0, 0.0, 0.0]
         assert series_value(params, 349.2) == 0.0
 
-    def test_underflowed_kernel_mass_keeps_blocks_long(self):
+    def test_underflowed_kernel_mass_keeps_blocks_long(self, fft_lengths):
         # q = 0 leaves C = c_0, a support of one step; the blocks still span
-        # _MIN_BLOCK steps, 4 FFTs each, after one Newton inverse of that size
+        # _MIN_BLOCK steps, 2 FFTs each, after one Newton inverse of that size
         params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
         grid = GridSpec(t_max=100_000 * 174.6, h=174.6)
-        calls = 0
-
-        def counted(transform):
-            def call(*args, **kwargs):
-                nonlocal calls
-                calls += 1
-                return transform(*args, **kwargs)
-
-            return call
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np.fft, "rfft", counted(np.fft.rfft))
-            patch.setattr(np.fft, "irfft", counted(np.fft.irfft))
-            values = solve_renewal(params, grid).values
+        values = solve_renewal(params, grid).values
         assert grid.n_steps == 100_000
         assert not values.any()
-        assert calls <= 4 * math.ceil(grid.n_steps / _MIN_BLOCK) + 5 * _MIN_BLOCK.bit_length() + 8
+        assert len(fft_lengths) <= 2 * math.ceil(grid.n_steps / _MIN_BLOCK) + 5 * _MIN_BLOCK.bit_length() + 8
+
+    def test_flagship_fine_grid_transforms(self, fft_lengths):
+        # 8 blocks of 6,480 steps: 13 Newton steps of 5 FFTs, the spectra of
+        # y, C, G's first block and its constant tail, 2 FFTs a block and
+        # one more for the second block's G, which is still inside the sweep
+        solve_renewal(TABLE, GridSpec(t_max=500.0, h=0.01))
+        assert len(fft_lengths) <= 85
 
     def test_long_horizon_of_many_blocks(self):
         # 500,000 steps over a ~4,700-step kernel: about a hundred blocks,
@@ -346,7 +340,7 @@ class TestAgainstDirectRecursion:
         mu = mu_h / h
         support = int(np.argmax(_kernel_cdfs(k, mu, h, 10**12)[1] == 1.0)) + 1
         n = 4 * max(support, _MIN_BLOCK)
-        assert n > 3 * (_fft_length(2 * max(support, _MIN_BLOCK)) // 2)
+        assert n > 3 * _fft_length(max(support, _MIN_BLOCK))
         self._check(ModelParams(k=k, mu=mu, r=10.0**log_r, cost=FixedCost(1.0)), GridSpec(t_max=n * h, h=h))
 
     @pytest.mark.parametrize("params, t_max, h", [(TABLE, 10.0, 0.01), (K1, 100.0, 0.05)])
@@ -367,13 +361,39 @@ class TestAgainstDirectRecursion:
         # short of and one step past two full blocks
         params = ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0))
         support = int(np.argmax(_kernel_cdfs(2, 1.0, 0.1, 10**12)[1] == 1.0)) + 1
-        assert support < _MIN_BLOCK == _fft_length(2 * _MIN_BLOCK) // 2
+        assert support < _MIN_BLOCK == _fft_length(_MIN_BLOCK)
         self._check(params, GridSpec(t_max=n * 0.1, h=0.1))
+
+    def test_odd_block_runs_at_twice_its_length(self, fft_lengths):
+        # L = 5,433 steps: B = 5,625 is odd, and the carries' shift by B
+        # negates the odd bins only at the cyclic length 2B, not at the odd
+        # 5-smooth length 10,935 >= 2L - 1
+        params = ModelParams(k=10, mu=0.59, r=0.02, cost=FixedCost(1.0))
+        h = 0.02
+        support = int(np.argmax(_kernel_cdfs(10, 0.59, h, 10**12)[1] == 1.0)) + 1
+        block = _fft_length(max(support, _MIN_BLOCK))
+        assert (support, block) == (5433, 5625)
+        grid = GridSpec(t_max=434.64, h=h)
+        assert grid.n_steps > 3 * block
+        self._check(params, grid)
+        # Newton's transforms are at most B long; all longer ones are 2B
+        assert {m for m in fft_lengths if m > block} == {2 * block}
+        assert sum(m == 2 * block for m in fft_lengths) >= 2 * math.ceil(grid.n_steps / block)
 
     def test_one_step_grid(self):
         # h = t_max: the system is the single implicit step
         self._check(TABLE, GridSpec(t_max=2.0, h=2.0))
         self._check(K1, GridSpec(t_max=1.0, h=1.0))
+
+    @pytest.mark.parametrize("t_max, floor", [(250.0, 5e-14), (1000.0, 2e-13)])
+    def test_round_off_floor_where_q_is_near_one(self, t_max, floor):
+        # r = 1e-8 puts q within 1e-8 of 1, where no error decays and the
+        # round-off floor grows with t_max; the README states these floors
+        params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(1.0))
+        grid = GridSpec(t_max=t_max, h=0.01)
+        exact = volterra_longdouble(params, grid)
+        values = solve_renewal(params, grid).values
+        assert np.abs(values - exact).max() <= floor * np.abs(exact).max()
 
     def test_zero_horizon_is_the_origin(self):
         curve = solve_renewal(TABLE, GridSpec(t_max=0.0, h=0.01))
