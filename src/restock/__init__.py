@@ -13,9 +13,10 @@ by four mutually cross-checking routes:
 
 plus a discrete search for the stock size maximising the perpetual value,
 and a CLI (``restock``) that emits CSV/JSON reports.  Every gamma cdf comes
-from one primitive, :func:`restock.erlang.erlang_cdf_grid`; the series is
-one walk of the Poisson pmf, accurate relative to itself, with no
-tolerance to set.
+from one primitive, :func:`restock.erlang.erlang_cdf_grid`.  The series
+takes the O(k) residue sum over the transform's poles where its rounding
+bound is tight, and one walk of the Poisson pmf, accurate relative to
+itself, everywhere else; neither has a tolerance to set.
 
 The package's names load lazily (PEP 562): each is imported from its home
 module on first access, so ``import restock`` loads no numpy, and neither

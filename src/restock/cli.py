@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import itertools
 import json
 import math
 import sys
 
-from restock import __version__
+import restock
 from restock.distributions import _check_real
 from restock.grid import DEFAULT_STEP, GridSpec
 from restock.valuation import (
@@ -50,24 +49,19 @@ __all__ = ["main", "console"]
 
 # The array methods import numpy, about three quarters of a scalar command's
 # time from a fresh interpreter, so these four names resolve on first use
-# (PEP 562) and only the commands that run them load it.
+# (PEP 562), through the package's own lazy names, and only the commands that
+# run them load it.
 # perfbench/spans.py wraps them, with series_value, as attributes of this
 # module; the commands call them as ``_cli.<name>``, never as bare globals,
 # so a wrapper installed there sees every call, before or after the first.
-_LAZY = {
-    "invert": "restock.laplace",
-    "simulate_wk": "restock.montecarlo",
-    "simulate_vk": "restock.montecarlo",
-    "solve_renewal": "restock.volterra",
-}
+_LAZY = ("invert", "simulate_wk", "simulate_vk", "solve_renewal")
 _cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    home = _LAZY.get(name)
-    if home is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(home), name)
+    value = getattr(restock, name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
@@ -180,7 +174,7 @@ def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = N
         return
     if rows is not None:
         fields["rows"] = [{"t": t, "method": m, "value": v, "stderr": e} for t, m, v, e in rows]
-    payload = {"command": command, **fields, "metadata": {"version": __version__}}
+    payload = {"command": command, **fields, "metadata": {"version": restock.__version__}}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
@@ -318,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="restock",
         description="Replenishment-cost valuation of a k-unit store under Poisson demand.",
     )
-    parser.add_argument("--version", action="version", version=f"restock {__version__}")
+    parser.add_argument("--version", action="version", version=f"restock {restock.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, out, summary, *parents):

@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from restock.distributions import _check_horizon
-from restock.valuation import EffectiveParams, ModelParams, effective
+from restock.valuation import EffectiveParams, ModelParams, _k_log_alpha, effective
 
 __all__ = ["w_hat", "invert"]
 
@@ -74,7 +74,7 @@ def _w_hat_raw(s, eff: EffectiveParams, k: int, mu: float):
     s = -mu at large k, where q phi^k is huge, the value tends to -theta/s,
     and far out on the contour, where it underflows, to 0.
     """
-    log_qphi = k * (math.log(mu) - np.log(s + mu)) - k * math.log1p(eff.r_eff / mu)
+    log_qphi = k * (math.log(mu) - np.log(s + mu)) - _k_log_alpha(k, eff.r_eff, mu)
     large = log_qphi.real >= 0
     tame = np.where(large, -log_qphi, log_qphi)
     return eff.theta * np.where(large, 1.0, -np.exp(tame)) / (s * np.expm1(tame))

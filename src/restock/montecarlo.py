@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from restock.distributions import _check_count, _check_horizon
-from restock.valuation import ModelParams, effective
+from restock.valuation import ModelParams, _k_log_alpha, effective
 
 __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 
@@ -204,7 +204,7 @@ def _horizon_estimates(params: ModelParams, times: tuple[float, ...], n_paths: i
     draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits in the counter."""
     eff = effective(params)
     k, mu = params.k, params.mu
-    log_q = -k * math.log1p(eff.r_eff / mu)
+    log_q = -_k_log_alpha(k, eff.r_eff, mu)
     scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
     drawn = list(dict.fromkeys(t for t in times if t > 0))
 

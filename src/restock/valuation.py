@@ -152,6 +152,11 @@ class EffectiveParams:
     v: float
 
 
+def _k_log_alpha(k: int, r_eff: float, mu: float) -> float:
+    """k ln(alpha) = -ln(q), with ln(alpha) = log1p(r_eff/mu) accurate for tiny r_eff/mu."""
+    return k * math.log1p(r_eff / mu)
+
+
 def _perpetuity(theta: float, k_log_alpha: float) -> float:
     """theta / (alpha^k - 1), given k ln(alpha) > 0.
 
@@ -191,10 +196,8 @@ def effective(params: ModelParams) -> EffectiveParams:
             raise ValueError(
                 f"non-positive replacement payoff: b*k = {params.cost.b * params.k} <= a = {params.cost.a}"
             )
-    ratio = r_eff / params.mu
-    alpha = ratio + 1.0
-    log_alpha = math.log1p(ratio)
-    k_log_alpha = params.k * log_alpha
+    alpha = r_eff / params.mu + 1.0
+    k_log_alpha = _k_log_alpha(params.k, r_eff, params.mu)
     phi_k = math.exp(-k_log_alpha)
     v = _perpetuity(theta, k_log_alpha)
     rho = r_eff * params.mu / (r_eff + params.mu)
@@ -237,7 +240,7 @@ def series_value(params: ModelParams, t: float) -> float:
     if lam == 0.0:
         return 0.0
     k = params.k
-    log_q = -k * math.log1p(eff.r_eff / params.mu)
+    log_q = -_k_log_alpha(k, eff.r_eff, params.mu)
     bulk = lam - _LOWER_SPAN * math.sqrt(lam)
     if bulk >= k and math.floor(bulk / k) * log_q < _LOG_HALF_ULP:
         return eff.v
@@ -312,8 +315,7 @@ def _residue_sum(eff: EffectiveParams, mu: float, k: int, t: float) -> tuple[flo
     the double range the value or the bound is inf or nan.
     """
     lead = _key_renewal_term(eff, mu, k, t)
-    log_alpha_k = k * math.log1p(eff.r_eff / mu)
-    mass = (4.0 * log_alpha_k + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
+    mass = (4.0 * _k_log_alpha(k, eff.r_eff, mu) + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
     r_eff, scale, t_alpha = eff.r_eff, eff.theta * mu / k, t / eff.alpha
     total, spill = lead, 0.0  # the residues' sum and its rounding errors (TwoSum)
     for j in range(1, k // 2 + 1):

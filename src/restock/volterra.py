@@ -30,9 +30,9 @@ The discrete equation is a lower-triangular Toeplitz system,
 C(x) W(x) = G(x) mod x^(n+1) in power-series form, so it is solved as a
 power-series division with FFT products (Brent & Kung, J. ACM 25(4), 1978;
 Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3), 1985).  Since
-C has only L terms, every grid runs over blocks of B >= L steps
-(overlap-save, Stockham 1966; one block where n <= B), B the least
-2^a 3^b 5^c size >= max(L, 2048): y = 1/C mod x^B once, by Newton's
+C has only L terms, every grid runs over blocks of B steps (overlap-save,
+Stockham 1966), B the least 2^a 3^b 5^c size >= min(n, max(L, 2048)), so a
+grid of n <= B steps is one block: y = 1/C mod x^B once, by Newton's
 iteration y <- y - y (C y - 1) over the balanced sizes ..., ceil(B/4),
 ceil(B/2), B, each product at the shortest exact cyclic length (for the
 error block, the middle product's: Hanrot, Quercia & Zimmermann, AAECC 14,
@@ -146,10 +146,11 @@ def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(cdfs_k), np.concatenate(cdfs_k1)
 
 
-def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray, float]:
+def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The step equations on a grid of n >= 1 steps as C(x) W(x)/x = G(x)/x
-    mod x^n: C's coefficients up to its last nonzero one, G/x's up to where
-    its coefficients turn constant, and that constant theta*q.
+    mod x^n: C's coefficients up to its last nonzero one, and G/x's up to the
+    grid's end or to where they turn constant, the last one returned being
+    that constant theta*q.
     """
     eff = effective(params)
     n = grid.n_steps
@@ -177,7 +178,7 @@ def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np
     # i-l and (A - B) from panel i-l+1; w_i itself sees only (A_1 - B_1).
     # As power series the step equations read C(x) W(x) = G(x) mod x^(n+1),
     # and G(0) = W(0) = 0, so W/x = (G/x) / C, where c_j = 0 from j = support
-    # on and g_j = theta*q from j = size on.
+    # on and g_j = theta*q from j = size - 1 on where size < n.
     q = eff.phi_k
     c = np.empty(size)
     c[0] = 1.0 - q * (a_panel[0] - b_panel[0])
@@ -185,10 +186,9 @@ def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np
     c[1:] *= -q
     del a_panel, b_panel
     support = int(np.flatnonzero(c)[-1]) + 1
-    theta_q = eff.theta * q
     g = cdf_k[1:]
-    g *= theta_q
-    return c[:support], g, theta_q
+    g *= eff.theta * q
+    return c[:support], g
 
 
 def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
@@ -206,55 +206,50 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
 
     The work is O(n log L), where L is the kernel's support in steps (past
     it both gamma cdfs are exactly 1.0), and the memory beyond the returned
-    n + 1 points is O(L).  Each block of B >= L steps costs two FFTs of
-    length 2B: the carry into the next block comes from the block's own
-    right-hand side.
+    n + 1 points is O(L).  Each block of B >= min(n, L) steps costs two FFTs
+    of length 2B, and a grid of n <= B steps is the one block: the carry
+    into the next block comes from the block's own right-hand side.
     """
     n = grid.n_steps
     if n == 0:
         return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")
-    c, g, theta_q = _renewal_system(params, grid)
+    c, g = _renewal_system(params, grid)
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    block = _fft_length(max(c.size, _MIN_BLOCK))
+    block = _fft_length(min(n, max(c.size, _MIN_BLOCK)))
+    nfft = 2 * block
 
-    def rhs(start: int, length: int) -> np.ndarray:
-        """G/x's coefficients start, ..., start + length - 1."""
-        part = np.full(length, theta_q)
-        known = g[start : start + length]
+    def rhs(start: int) -> np.ndarray:
+        """G/x's coefficients start, ..., start + B - 1; past g they stay at its
+        last one: theta*q past the cdf sweep, and past the grid's end, where
+        none is read, no larger than G, so the round-off stays below w's."""
+        part = np.full(block, g[-1])
+        known = g[start : start + block]
         part[: known.size] = known
         return part
 
+    # Block b of W/x is W_b = y R_b mod x^B, R_b being G_b plus
+    # x^-B (R_(b-1) - C W_(b-1)), whose spectrum at the cyclic length 2B is
+    # R_(b-1)'s less C W_(b-1)'s with the odd bins negated.  Only a carry
+    # needs C's spectrum and G_b's, so a grid of one block makes neither;
+    # past the cdf sweep G_b is constant and its spectrum is reused.
     w = np.empty(n + 1)
     w[0] = 0.0
-    if n <= block:
-        # One block: W/x = y G/x mod x^n with y = 1/C mod x^n.
-        nfft = _fft_length(2 * n)
-        y_spec = rfft(_series_inverse(c, n), nfft)
-        w[1:] = irfft(rfft(rhs(0, n), nfft) * y_spec, nfft)[:n]
-    else:
-        # Block b of W/x is W_b = y R_b mod x^B, with y = 1/C mod x^B and R_b
-        # its right-hand side: G_b less the carry that C W_(b-1) reaches into
-        # it.  Since C W_b = R_b mod x^B, the carry into block b + 1 is
-        # x^-B (C W_b - R_b), exact at the cyclic length 2B, where the shift
-        # by B negates the odd bins.  So a block takes one inverse transform
-        # for its values and one forward transform to turn R's spectrum, in
-        # place, into the next block's; past the cdf sweep G_b is constant.
-        nfft = 2 * block
-        y_spec = rfft(_series_inverse(c, block), nfft)
-        c_spec = rfft(c, nfft)
-        tail_spec = rfft(np.full(block, theta_q), nfft)
-        r_spec = rfft(rhs(0, block), nfft)
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            w[start + 1 : stop + 1] = irfft(r_spec * y_spec, nfft)[: stop - start]
-            if stop < n:
-                u_spec = rfft(w[start + 1 : stop + 1], nfft)
-                u_spec *= c_spec
-                r_spec -= u_spec
-                del u_spec
-                r_spec[1::2] *= -1.0
-                r_spec += rfft(rhs(stop, block), nfft) if stop < g.size else tail_spec
-        del c_spec, tail_spec, r_spec
-    del y_spec  # spent spectra go before the times array is built
+    y_spec = rfft(_series_inverse(c, block), nfft)
+    r_spec = rfft(rhs(0), nfft)
+    c_spec = rfft(c, nfft) if n > block else None
+    g_spec = None
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        w[start + 1 : stop + 1] = irfft(r_spec * y_spec, nfft)[: stop - start]
+        if stop < n:
+            u_spec = rfft(w[start + 1 : stop + 1], nfft)
+            u_spec *= c_spec
+            r_spec -= u_spec
+            del u_spec
+            r_spec[1::2] *= -1.0
+            if start < g.size:  # else G_b was the constant tail already
+                g_spec = rfft(rhs(stop), nfft)
+            r_spec += g_spec
+    del y_spec, r_spec, c_spec, g_spec  # spent spectra go before the times array is built
     np.maximum(w, 0.0, out=w)
     return ValueCurve(times=np.arange(n + 1) * grid.h, values=w, method="volterra")

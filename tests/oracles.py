@@ -169,8 +169,8 @@ def volterra_longdouble(params, grid) -> np.ndarray:
     from restock.volterra import _renewal_system
 
     n = grid.n_steps
-    c, g, theta_q = _renewal_system(params, grid)
-    rhs = np.full(n, theta_q, dtype=np.longdouble)
+    c, g = _renewal_system(params, grid)
+    rhs = np.full(n, g[-1], dtype=np.longdouble)
     rhs[: g.size] = g
     lags = c[:0:-1].astype(np.longdouble)  # c_(L-1), ..., c_1
     band = lags.size

@@ -220,6 +220,21 @@ class TestCurve:
         assert code == 0
         assert [(row["t"], row["value"]) for row in parse_csv(out)][0] == ("0", "0")
 
+    @pytest.mark.parametrize(
+        "t_max, step, rows",
+        [
+            # n = 2,000 steps below the kernel's 6,411-step support: one block
+            ("20", "10", ["0,volterra,0,", "10,volterra,4.023101409,", "20,volterra,10.66339192,"]),
+            # n = 10,000 steps: two blocks of 6,480
+            ("100", "50", ["0,volterra,0,", "50,volterra,24.21449189,", "100,volterra,34.76327805,"]),
+        ],
+    )
+    def test_volterra_stdout_is_pinned(self, capsys, t_max, step, rows):
+        argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--h", "0.01", "--t-max", t_max, "--step", step]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{line}\n" for line in [CSV_HEADER, *rows])
+
     def test_volterra_report_times_must_tile_h(self, capsys):
         # three steps of --h reach --t-max 10, but no whole number reaches t = 5
         argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "10", "--step", "5", "--h", str(10 / 3)]

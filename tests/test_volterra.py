@@ -258,6 +258,19 @@ class TestSolveRenewal:
         solve_renewal(TABLE, GridSpec(t_max=500.0, h=0.01))
         assert len(fft_lengths) <= 85
 
+    @pytest.mark.parametrize(
+        "params, t_max, h, most",
+        [(TABLE, 10.0, 0.01, 53), (ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0)), 204.7, 0.1, 58)],
+    )
+    def test_one_block_grid_transforms(self, fft_lengths, params, t_max, h, most):
+        # n = 1,000 and 2,047 <= B: 10 and 11 Newton steps of 5 FFTs, the
+        # spectra of y and G and one inverse transform; with no carry, no
+        # spectrum of C or of G's constant tail is made
+        grid = GridSpec(t_max=t_max, h=h)
+        solve_renewal(params, grid)
+        assert len(fft_lengths) <= most
+        assert max(fft_lengths) <= 2 * _fft_length(grid.n_steps)
+
     def test_long_horizon_of_many_blocks(self):
         # 500,000 steps over a ~4,700-step kernel: about a hundred blocks,
         # each carrying round-off into the next
@@ -345,8 +358,9 @@ class TestAgainstDirectRecursion:
 
     @pytest.mark.parametrize("params, t_max, h", [(TABLE, 10.0, 0.01), (K1, 100.0, 0.05)])
     def test_single_block_is_the_division(self, params, t_max, h):
-        # n <= B: one block, W = y G with y = 1/C to n terms; at k = 1 the
-        # cdfs reach 1.0 within the grid, so G is padded out with theta*q
+        # n <= B = _fft_length(n): one block, W = y G mod x^n with y = 1/C to
+        # B terms; at k = 1 the cdfs reach 1.0 within the grid, so G is padded
+        # out with theta*q
         grid = GridSpec(t_max=t_max, h=h)
         assert grid.n_steps <= _MIN_BLOCK
         self._check(params, grid)
@@ -356,9 +370,10 @@ class TestAgainstDirectRecursion:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 97, 1001, 2047, 2048, 2049, 4095, 4097, 4099])
     def test_odd_prime_and_tiny_grids(self, n):
-        # the support is below _MIN_BLOCK, so B = 2048: 2047 and 2048 are one
-        # block, 2049 adds a one-step block, and 4095 and 4097 end one step
-        # short of and one step past two full blocks
+        # the support is below _MIN_BLOCK, so B = _fft_length(min(n, 2048)):
+        # up to 2048 steps are one block (2047 and 2048 of B = 2048), 2049 adds
+        # a one-step block, and 4095 and 4097 end one step short of and one
+        # step past two full blocks
         params = ModelParams(k=2, mu=1.0, r=0.02, cost=FixedCost(1.0))
         support = int(np.argmax(_kernel_cdfs(2, 1.0, 0.1, 10**12)[1] == 1.0)) + 1
         assert support < _MIN_BLOCK == _fft_length(_MIN_BLOCK)
