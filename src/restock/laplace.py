@@ -48,7 +48,6 @@ is evaluated from L = ln(q * phi^k(s)) so that it tends to -theta/s there
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 
@@ -66,6 +65,17 @@ _SELF_CHECK_REL = 1e-3
 _SELF_CHECK_FLOOR = 1e-6
 
 
+def _log_qphi(s, eff: EffectiveParams, k: int, mu: float):
+    """L = ln(q phi^k(s)) = -k ln(1 + s/mu) - k ln(alpha), without cancellation where |s| << mu.
+
+    With x + iy = s/mu, ln(1 + s/mu) is log1p(x(2 + x) + y^2)/2 + i atan2(y, 1 + x);
+    ln(s + mu) - ln(mu) would lose the digits of s that s + mu rounds away.
+    """
+    x, y = np.real(s) / mu, np.imag(s) / mu
+    log_ratio = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    return -k * log_ratio - _k_log_alpha(k, eff.r_eff, mu)
+
+
 def _w_hat_raw(s, eff: EffectiveParams, k: int, mu: float):
     """theta * q phi^k(s) / (s (1 - q phi^k(s))) with L = ln(q phi^k(s)) in log space.
 
@@ -74,7 +84,7 @@ def _w_hat_raw(s, eff: EffectiveParams, k: int, mu: float):
     s = -mu at large k, where q phi^k is huge, the value tends to -theta/s,
     and far out on the contour, where it underflows, to 0.
     """
-    log_qphi = k * (math.log(mu) - np.log(s + mu)) - _k_log_alpha(k, eff.r_eff, mu)
+    log_qphi = _log_qphi(s, eff, k, mu)
     large = log_qphi.real >= 0
     tame = np.where(large, -log_qphi, log_qphi)
     return eff.theta * np.where(large, 1.0, -np.exp(tame)) / (s * np.expm1(tame))

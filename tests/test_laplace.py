@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,20 @@ class TestInvert:
         total = (r_scale / m) * (base + 0.5 * np.sum(upper + mirror))
         assert abs(total.imag) <= 1e-8 * max(1.0, abs(total.real))
         assert total.real == pytest.approx(series_value(TABLE, t), abs=1e-5)
+
+
+class TestLongHorizons:
+    def test_long_horizons_at_small_rates_are_accurate(self):
+        # t out to 10/rho, where the nodes sit at |s| << mu: ln(s + mu) - ln(mu)
+        # cancelled there, and at k=1, mu=10, r=1e-8, t=7.2e7 the value came
+        # out 7.4e-4 relative off while passing the gate
+        worst = 0.0
+        for k, mu, r in itertools.product((1, 3, 10, 50), (0.1, 1.0, 10.0), (1e-8, 1e-6, 1e-4)):
+            params = ModelParams(k=k, mu=mu, r=r, cost=FixedCost(theta=1.0))
+            for t in np.geomspace(100.0 * k / mu, 10.0 / effective(params).rho, 8):
+                value = series_value(params, float(t))
+                worst = max(worst, abs(invert(params, float(t)) - value) / max(1.0, value))
+        assert worst <= 1e-8
 
 
 class TestTransformConsistency:
