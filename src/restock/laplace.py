@@ -4,50 +4,34 @@ The transform is the closed rational form
 
     w_hat(s) = theta * q * phi^k(s) / (s * (1 - q * phi^k(s))),
 
-with q = phi^k(r_eff) and phi^k(s) = (mu/(s+mu))^k evaluated in log space.
-For Re(s) > 0 we have |phi^k(s)| < 1, so the denominator stays away from
-zero and the expression is the unique transform of a bounded function.
+with q = phi^k(r_eff) and phi^k(s) = (mu/(s+mu))^k, evaluated from
+L = ln(q * phi^k(s)), which has Re L < 0 for Re s > 0.
 
-Inversion uses the fixed Talbot contour (Abate & Valko): M nodes on the
-cotangent contour whose real-axis crossing scales like 2M/(5t).  Two
-practical facts shape the implementation:
+Inversion is Abate & Whitt's Fourier-series method on the Bromwich line
+(Queueing Systems 10, 1992; ORSA J. Comput. 7(1), 1995), A = 30: with
+s_j = A/(2t) + i*pi*j/t and u_j = (-1)^j Re w_hat(s_j), u_0 halved,
+w(t) is e^(A/2)/t times the Euler average 2^-15 sum_m C(15, m) S_(n+m)
+of the partial sums S of u_0, ..., u_(n+15).  The line passes right of
+every pole: s = 0 and the ring s_p = mu*(omega_p/alpha - 1) about -mu.
+n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64 over p <= k/2, at
+most about 6.9k + 64 whatever mu*t is: a pole p >= 1 is live only while
+mu*t/alpha < 22.5/sin^2(pi/k), which caps Im s_p * t at about 45k/pi.
 
-* In double precision the contour factor e^(2M/5) amplifies rounding, so
-  accuracy *degrades* past M ~ 50-60; node counts are kept in the 24..64
-  sweet spot and never doubled blindly.
-* The transform has a ring of complex poles at mu*(e^(2*pi*i*j/k)/alpha - 1).
-  For intermediate t the narrowing contour passes near them before their
-  residue contribution has fully decayed.  Typical accuracy is 1e-9
-  relative or better, but these points (theta = 1) pass the gate below
-  while off ``series_value`` by
-
-      k    mu     r       t      absolute  relative
-      50   51.16  0.0574  12.38  7.7e-4    9.0e-5
-      200  1      0.02    400    7.4e-6    3.9e-4
-      500  10     0.02    150    1.19e-3   2.2e-3
-      500  10     1e-4    50     2.81e-3   5.6e-3
-
-``invert`` evaluates the contour at 32 and at 48 nodes, returns
-the finer result, and raises if the two resolutions disagree beyond a 1e-3
-relative sanity gate, or if either is not finite.  The gate is relative to
-the returned value, down to an absolute floor of min(1, 1e-6 * |v|): a
-value that small is trusted only if the two resolutions agree to
-1e-9 * |v|, the inversion's typical accuracy at values of order v, and
-never to worse than 1e-3 absolute, so a very large v (small r) cannot
-widen the gate on values below 1.
-
-Where w is a small fraction of v and the contour passes near the pole
-ring, the gap can be a large fraction of the value and the call raises,
-but large k alone does not mark the risk: the k=50 row above is a
-moderate store 12.7 mean cycles out, and it passes the gate.
-
-Near s = -mu at large k, q * phi^k(s) overflows a double; the transform
-is evaluated from L = ln(q * phi^k(s)) so that it tends to -theta/s there
-(see ``_w_hat_raw``).
+The error estimate adds three terms.  Aliasing: the discretisation error
+is sum_(l>=1) e^(-lA) w((2l+1)t), and w(T) <= v*(1 - alpha^(-mu*T)) by
+Jensen, concave in T, so it is at most 3e^(-A)/(1 - e^(-A))^2 times
+v*(1 - alpha^(-mu*t)).  Rounding: u*e^(A/2)/t * sum_j |w_hat_j|*(|L_j| + 1),
+u = 2^-53.  Truncation: the last Euler step |E_n - E_(n-1)|.  ``invert``
+raises where the estimate exceeds 1e-3 * max(|w|, min(1, 1e-6 * |v|)), or
+it or the value is not finite: a very large v cannot widen the gate on
+values below 1.  Over 936 points (k to 500, t from 0.05 mean cycles to
+10/rho) none raised, the largest error against ``series_value`` was
+6e-11 * max(theta, |w|), and the estimate was never below the error.
 """
 
 from __future__ import annotations
 
+import math
 
 import numpy as np
 
@@ -56,38 +40,24 @@ from restock.valuation import EffectiveParams, ModelParams, _k_log_alpha, effect
 
 __all__ = ["w_hat", "invert"]
 
-# Nodes of the coarse contour; the fine one has _NODE_STEP more.
-_NODE_COUNT = 32
-_NODE_STEP = 16
-_SELF_CHECK_REL = 1e-3
-# Fraction of |v| below which the self-check stops being relative; the
-# floor is capped at 1, where the gate becomes 1e-3 absolute.
-_SELF_CHECK_FLOOR = 1e-6
+# e^(-A) sets the aliasing error, e^(A/2) the amplification of rounding.
+_A = 30.0
+_ALIASING = 3.0 * math.exp(-_A) / math.expm1(-_A) ** 2
+_EULER = np.array([math.comb(15, m) for m in range(16)]) / 2.0**15
 
 
 def _log_qphi(s, eff: EffectiveParams, k: int, mu: float):
-    """L = ln(q phi^k(s)) = -k ln(1 + s/mu) - k ln(alpha), without cancellation where |s| << mu.
-
-    With x + iy = s/mu, ln(1 + s/mu) is log1p(x(2 + x) + y^2)/2 + i atan2(y, 1 + x);
-    ln(s + mu) - ln(mu) would lose the digits of s that s + mu rounds away.
-    """
+    """L = -k ln(1 + s/mu) - k ln(alpha), with x + iy = s/mu and ln(1 + s/mu) =
+    log1p(x(2 + x) + y^2)/2 + i atan2(y, 1 + x): ln(s + mu) - ln(mu) would
+    lose the digits of s that s + mu rounds away where |s| << mu."""
     x, y = np.real(s) / mu, np.imag(s) / mu
     log_ratio = 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
     return -k * log_ratio - _k_log_alpha(k, eff.r_eff, mu)
 
 
-def _w_hat_raw(s, eff: EffectiveParams, k: int, mu: float):
-    """theta * q phi^k(s) / (s (1 - q phi^k(s))) with L = ln(q phi^k(s)) in log space.
-
-    The ratio e^L / (1 - e^L) is 1 / expm1(-L) where Re L >= 0 and
-    -e^L / expm1(L) elsewhere, so the exponential never overflows: near
-    s = -mu at large k, where q phi^k is huge, the value tends to -theta/s,
-    and far out on the contour, where it underflows, to 0.
-    """
-    log_qphi = _log_qphi(s, eff, k, mu)
-    large = log_qphi.real >= 0
-    tame = np.where(large, -log_qphi, log_qphi)
-    return eff.theta * np.where(large, 1.0, -np.exp(tame)) / (s * np.expm1(tame))
+def _w_hat_raw(s, log_qphi, theta: float):
+    """-theta e^L / (s expm1(L)); with Re L < 0, e^L never overflows."""
+    return -theta * np.exp(log_qphi) / (s * np.expm1(log_qphi))
 
 
 def w_hat(s: complex, params: ModelParams) -> complex:
@@ -96,50 +66,57 @@ def w_hat(s: complex, params: ModelParams) -> complex:
     if not s.real > 0:
         raise ValueError(f"w_hat requires Re(s) > 0, got {s}")
     eff = effective(params)
-    return complex(_w_hat_raw(s, eff, params.k, params.mu))
+    return complex(_w_hat_raw(s, _log_qphi(s, eff, params.k, params.mu), eff.theta))
 
 
-def _talbot_nodes(t: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Contour points s_j and path weights gamma_j for the M-node fixed contour."""
-    r_scale = 2.0 * m / (5.0 * t)
-    theta = np.pi * np.arange(m) / m
-    s = np.empty(m, dtype=complex)
-    s[0] = r_scale
-    cot = 1.0 / np.tan(theta[1:])
-    s[1:] = r_scale * theta[1:] * (cot + 1j)
-    weights = np.empty(m, dtype=complex)
-    weights[0] = 0.5 * np.exp(r_scale * t)
-    weights[1:] = np.exp(t * s[1:]) * (1.0 + 1j * theta[1:] * (1.0 + cot**2) - 1j * cot)
-    return s, weights, r_scale
+def _term_count(eff: EffectiveParams, k: int, mu: float, t: float) -> int:
+    """n over the poles p <= k/2, alpha s_p = mu (omega_p - 1) - r_eff with
+    omega_p - 1 = 2i sin(pi p/k) e^(i pi p/k) formed without cancellation."""
+    half = np.pi / k * np.arange(k // 2 + 1)
+    sin = np.sin(half)
+    live = (2.0 * mu * sin * sin + eff.r_eff) / eff.alpha * t < 45.0  # |Re s_p| t
+    reach = float((2.0 * mu * sin * np.cos(half))[live].max()) / eff.alpha if live.any() else 0.0
+    return math.floor(1.5 * t * reach / math.pi) + 64
 
 
-def _talbot(params: ModelParams, eff: EffectiveParams, t: float, m: int) -> float:
-    """w(t) from the M-node contour: (r/M) * Re sum_j gamma_j * w_hat(s_j)."""
-    s, weights, r_scale = _talbot_nodes(t, m)
-    values = _w_hat_raw(s, eff, params.k, params.mu)
-    return float(r_scale / m * np.sum((weights * values).real))
+def _gate(value: float, estimate: float, v: float, t: float) -> float:
+    """value, unless estimate exceeds 1e-3 max(|value|, min(1, 1e-6 |v|)) or either is not finite."""
+    if not (math.isfinite(value) and estimate <= 1e-3 * max(abs(value), min(1.0, 1e-6 * abs(v)))):
+        raise ArithmeticError(
+            f"Bromwich-line inversion failed its self-check at t={t}: "
+            f"error estimate {estimate:.3e} on the value {value:.6g}"
+        )
+    return value
+
+
+def _line_sum(eff: EffectiveParams, k: int, mu: float, t: float, n: int) -> tuple[float, float]:
+    """The Euler-summed line sum over s_0, ..., s_(n+15) and its error estimate."""
+    s = _A / (2.0 * t) + 1j * (np.pi / t) * np.arange(n + _EULER.size)
+    log_qphi = _log_qphi(s, eff, k, mu)
+    values = _w_hat_raw(s, log_qphi, eff.theta)
+    terms = values.real.copy()
+    terms[0] *= 0.5
+    terms[1::2] *= -1.0
+    partial = np.cumsum(terms)[n - 1 :]  # S_(n-1), ..., S_(n+15)
+    scale = math.exp(_A / 2.0) / t
+    value = scale * float(_EULER @ partial[1:])
+    step = abs(value - scale * float(_EULER @ partial[:-1]))
+    rounding = 2.0**-53 * scale * float(np.abs(values) @ (np.abs(log_qphi) + 1.0))
+    aliasing = _ALIASING * eff.v * -math.expm1(-mu * t * math.log1p(eff.r_eff / mu))
+    return value, step + rounding + aliasing
 
 
 def invert(params: ModelParams, t: float) -> float:
-    """Value at horizon t by contour inversion of the transform.
+    """Value at horizon t by inversion of the transform on the Bromwich line.
 
-    t = 0 returns the exact w(0) = 0 without touching the contour; a
-    negative or non-finite t is a domain error.  The coarse/fine node-count
-    pair is the built-in self-check: their gap is the realized accuracy
-    estimate, and a gap beyond 1e-3 of max(|value|, min(1, 1e-6 * |v|)), or
-    a non-finite one, raises instead of returning a silently wrong value.
+    t = 0 returns the exact w(0) = 0; a negative or non-finite t is a
+    domain error.  The error estimate is the self-check: where it fails the
+    gate, the call raises instead of returning a silently wrong value.
     """
     t = _check_horizon(t)
     eff = effective(params)
     if t == 0:
         return 0.0
-    coarse = _talbot(params, eff, t, _NODE_COUNT)
-    fine = _talbot(params, eff, t, _NODE_COUNT + _NODE_STEP)
-    gap = abs(coarse - fine)
-    scale = max(abs(fine), min(1.0, _SELF_CHECK_FLOOR * abs(eff.v)))
-    if not gap <= _SELF_CHECK_REL * scale:
-        raise ArithmeticError(
-            f"contour inversion failed its resolution self-check at t={t}: "
-            f"{_NODE_COUNT} vs {_NODE_COUNT + _NODE_STEP} nodes differ by {gap:.3e}"
-        )
-    return fine
+    k, mu = params.k, params.mu
+    value, estimate = _line_sum(eff, k, mu, t, _term_count(eff, k, mu, t))
+    return _gate(value, estimate, eff.v, t)

@@ -281,6 +281,27 @@ class TestCompare:
         assert {row["method"] for row in rows if row["t"] == 10.0} == {"series", "volterra", "laplace"}
         assert all(row["value"] == pytest.approx(row["t"], abs=1e-6) for row in rows)
 
+    def test_laplace_rows_print_the_series_digits(self, capsys):
+        # the benchmark's compare grid: every laplace row agrees with the
+        # series row at the same t in all 10 printed digits
+        code, out, _ = run_cli(capsys, "compare", *TABLE_FLAGS, "--t-max", "500", "--step", "50", "--h", "0.05")
+        assert code == 0
+        rows = parse_csv(out)
+        series = {row["t"]: row["value"] for row in rows if row["method"] == "series"}
+        laplace = {row["t"]: row["value"] for row in rows if row["method"] == "laplace"}
+        assert len(laplace) == 11
+        assert laplace == series
+
+    def test_large_stock_near_the_pole_ring_passes(self, capsys):
+        # a fixed Talbot contour printed 5.707040228 here against the series'
+        # 5.893108094, and the gate failed
+        code, _, err = run_cli(
+            capsys, "compare", "--k", "500", "--mu", "10", "--r", "0.0001", "--theta", "1",
+            "--t-max", "315.2", "--step", "315.2",
+        )
+        assert code == 0
+        assert "pass" in err
+
     def test_unachievable_gate_fails(self, capsys):
         code, _, err = run_cli(
             capsys, "compare", *TABLE_FLAGS, "--t-max", "50", "--step", "25", "--h", "0.05", "--tol", "1e-12"
