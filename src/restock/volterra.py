@@ -178,7 +178,8 @@ def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np
     # i-l and (A - B) from panel i-l+1; w_i itself sees only (A_1 - B_1).
     # As power series the step equations read C(x) W(x) = G(x) mod x^(n+1),
     # and G(0) = W(0) = 0, so W/x = (G/x) / C, where c_j = 0 from j = support
-    # on and g_j = theta*q from j = size - 1 on where size < n.
+    # on and g_j = theta*q from j = size - 1 on where size < n; g is cut
+    # where it turns constant, often well before the sweep's end.
     q = eff.phi_k
     c = np.empty(size)
     c[0] = 1.0 - q * (a_panel[0] - b_panel[0])
@@ -188,7 +189,8 @@ def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np
     support = int(np.flatnonzero(c)[-1]) + 1
     g = cdf_k[1:]
     g *= eff.theta * q
-    return c[:support], g
+    changes = np.flatnonzero(g != g[-1])
+    return c[:support], g[: changes[-1] + 2 if changes.size else 1]
 
 
 def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
