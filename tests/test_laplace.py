@@ -77,6 +77,11 @@ class TestInvert:
         with pytest.raises(ValueError):
             invert(bad, 0.0)
 
+    def test_tiny_horizon_does_not_overflow(self):
+        # t = 1e-200 puts every node past |s/mu| = 1e201, where
+        # x(2 + x) + y^2 would overflow; w(t) is about theta*q*mu*t there
+        assert 0.0 <= invert(K1, 1e-200) <= 1e-199
+
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             invert(TABLE, -1.0)
@@ -107,7 +112,7 @@ class TestInvert:
         assert got == pytest.approx(series_value(params, 900.0), rel=1e-6)
 
     def test_values_far_below_v_are_checked_against_v(self):
-        # k=200, t=20: w is ~1e-123 and the error estimate ~1e-13, which is
+        # k=200, t=20: w is ~1e-123 and the error estimate ~4e-13, which is
         # far below 1e-9 * v; the value is returned, not raised on
         params = ModelParams(k=200, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
         assert abs(invert(params, 20.0)) < 1e-12 * perpetual_value(params)
