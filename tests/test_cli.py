@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -653,6 +654,88 @@ class TestOutputHygiene:
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0
         assert __version__ in out
+
+
+_PIN_GRID = ["--t-max", "50", "--step", "10"]
+_PIN_MC = ["--paths", "2000", "--seed", "3"]
+# SHA-256 of stdout in CSV and in JSON for each subcommand; the JSON carries
+# the package version, so a version change moves every JSON digest.
+_PINNED_STDOUT = {
+    "value": (
+        ["value", *TABLE_FLAGS],
+        "d612288a2ee41ce589bd2c93b040645e3bdac581ed70eb783b5e3702431219b3",
+        "e5c4d46d560fa3738462ef065f90b44eae19cba5e880e110f1907100dd3c8b1a",
+    ),
+    "curve-series": (
+        ["curve", "--method", "series", *TABLE_FLAGS, *_PIN_GRID],
+        "acbbbb1b713f15ce5738001a3032de40ba31fdc189138d184c7e2e1658997d8e",
+        "567f8255539624634db0c5deae8f1ed581357d806da28bf9362f2307de836416",
+    ),
+    "curve-volterra": (
+        ["curve", "--method", "volterra", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05"],
+        "70da1568de381cd50fe90d00d0f5ee0fd7ad982253e98d930f8dd65d0fca49ca",
+        "b8ecb5895003bac9f9bbf8d7acd4d8525187c51de4c9d6c594510e8d2bb22d86",
+    ),
+    "curve-laplace": (
+        ["curve", "--method", "laplace", *TABLE_FLAGS, *_PIN_GRID],
+        "97b40e5b2f42802b8bea00ed716c39ea28f4f70062afbea7f9b4fed7a111b77e",
+        "0231fc5959dc9ff1245cfeb1207157cb4e24efffd71f619d4926900845eb11af",
+    ),
+    "curve-asymptotic": (
+        ["curve", "--method", "asymptotic", *TABLE_FLAGS, *_PIN_GRID],
+        "99df460e6ff3c8e6ebd6e0166a7cd04a62c852b338cc99d0a6ab33c24ac7f672",
+        "f379f4ea443eaa4e6bb0985046ecbfc4a5cf30281eed4640921574f45ded792a",
+    ),
+    "curve-exact_k1": (
+        ["curve", "--method", "exact_k1", "--k", "1", "--mu", "1", "--r", "0.5", "--theta", "1", *_PIN_GRID],
+        "632781f062864e0c5d876955c8e7f730ddc9c43b1141550fa9fff785e09502be",
+        "ed82560a970bfb5e8e2f1c2f8ed82fafcca8fff9b8ed38c70178bc7fe515753c",
+    ),
+    "curve-mc": (
+        ["curve", "--method", "mc", *TABLE_FLAGS, *_PIN_GRID, *_PIN_MC],
+        "0d15f721f40a2eb93149350c937171caefad9e44f2b622abc6f4a05d8485fc1f",
+        "3c15c8ee1ff872b4d471ac0cc3cce525bb2c996601a8205cb1493a6c0310fd0c",
+    ),
+    "curve-all": (
+        ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
+        "4030c4c05a64db99aee02522b9308e50da0695f49d2086bd4cdf0d82928cc40a",
+        "90afe6a412b52a19ed9f4fb4d555f2c5546206723112eb351cda0a30dbbefbed",
+    ),
+    "compare": (
+        ["compare", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
+        "a241ccecd041b6081bc2a91f397b3cc17c75c9bdbe6a52cc69bc1cd53cea3cd3",
+        "a0fee30fe24e7e8bd72ccb1c8fe17c325aebf1240abcd5b61b3f011870d53de8",
+    ),
+    "optimize": (
+        ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"],
+        "a822155c373cd8668f8970f3a99644ed85237ab01c63ac7185a279960d3fba7d",
+        "ef3f45c1c8d8549e0bc90d38fc86cec7981db649ecee09778e9970a0e57b87f9",
+    ),
+    "paper-table": (
+        ["paper-table"],
+        "4cc13b3f4f00798d8bfadc306a4c4526e112ef315ab03d1094b692f1863b6c6d",
+        "620e85ab142c97478bc2c91f1f5d54bbbb62ae39b8e87238cce5620260dd8aa7",
+    ),
+    "simulate-horizon": (
+        ["simulate", "--horizon", "10", *TABLE_FLAGS, *_PIN_MC],
+        "3a7ed8eae4942939cb8ef2a888462e66f0587a9a818d6fcf45e4623344870a4b",
+        "334233068664c2cd59db751b7673934263a68986e28a7f62d5d2bf7dafe16544",
+    ),
+    "simulate-perpetual": (
+        ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_MC],
+        "c6f3afb07e025e5b9f0abc5b7d3aea75faba18cbb38210051c8d3b3c87d2dcad",
+        "59428ef024a65a4d5e0774c7c77270278f61adccf8d64c1c2677adc7f8863beb",
+    ),
+}
+
+
+@pytest.mark.parametrize("out", ["csv", "json"])
+@pytest.mark.parametrize("command", list(_PINNED_STDOUT))
+def test_stdout_is_pinned(capsys, command, out):
+    argv, csv_digest, json_digest = _PINNED_STDOUT[command]
+    code, stdout, _ = run_cli(capsys, *argv, "--out", out)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (csv_digest if out == "csv" else json_digest)
 
 
 def _fresh_python(code: str) -> str:
