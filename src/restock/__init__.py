@@ -45,9 +45,7 @@ _HOMES = {
     "exact_k1_value": "restock.valuation",
     "optimal_stock_scan": "restock.valuation",
     "GridSpec": "restock.grid",
-    "ValueCurve": "restock.volterra",
     "solve_renewal": "restock.volterra",
-    "w_hat": "restock.laplace",
     "invert": "restock.laplace",
     "MCEstimate": "restock.montecarlo",
     "MCCurve": "restock.montecarlo",

@@ -149,7 +149,7 @@ def _method_rows(
     times[-1], and mc simulates every time in one call.
     """
     if method == "volterra":
-        values = _cli.solve_renewal(params, GridSpec(t_max=times[-1], h=args.h)).values
+        values = _cli.solve_renewal(params, GridSpec(t_max=times[-1], h=args.h))
         return [(t, method, float(values[GridSpec(t_max=t, h=args.h).n_steps]), None) for t in times]
     if method == "mc":
         curve = _cli.simulate_wk(params, times, args.paths, args.seed)

@@ -36,9 +36,9 @@ import math
 import numpy as np
 
 from restock.distributions import _check_horizon
-from restock.valuation import EffectiveParams, ModelParams, _k_log_alpha, effective
+from restock.valuation import EffectiveParams, ModelParams, _k_log_alpha, _pole, effective
 
-__all__ = ["w_hat", "invert"]
+__all__ = ["invert"]
 
 # e^(-A) sets the aliasing error, e^(A/2) the amplification of rounding.
 _A = 30.0
@@ -67,22 +67,22 @@ def _w_hat_raw(s, log_qphi, theta: float):
     return -theta * np.exp(log_qphi) / (s * np.expm1(log_qphi))
 
 
-def w_hat(s: complex, params: ModelParams) -> complex:
-    """Transform of the value function at a point with Re(s) > 0."""
-    s = complex(s)
-    if not s.real > 0:
-        raise ValueError(f"w_hat requires Re(s) > 0, got {s}")
-    eff = effective(params)
-    return complex(_w_hat_raw(s, _log_qphi(s, eff, params.k, params.mu), eff.theta))
-
-
 def _term_count(eff: EffectiveParams, k: int, mu: float, t: float) -> int:
-    """n over the poles p <= k/2, alpha s_p = mu (omega_p - 1) - r_eff with
-    omega_p - 1 = 2i sin(pi p/k) e^(i pi p/k) formed without cancellation."""
-    half = np.pi / k * np.arange(k // 2 + 1)
-    sin = np.sin(half)
-    live = (2.0 * mu * sin * sin + eff.r_eff) / eff.alpha * t < 45.0  # |Re s_p| t
-    reach = float((2.0 * mu * sin * np.cos(half))[live].max()) / eff.alpha if live.any() else 0.0
+    """n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64 over the poles
+    s_p of :func:`restock.valuation._pole`.
+
+    |Re s_p| grows with p up to k/2, so the live poles are p = 0, ..., m;
+    Im s_p = mu sin(2 pi p/k)/alpha grows with p up to k/4 and, over whole
+    p, peaks at p <= (k+1)/4.  So the last live pole up to (k+1)/4 has the
+    largest Im of the live ones, and the walk stops at the first dead pole
+    (s_0 is real and adds nothing).
+    """
+    reach = 0.0
+    for p in range(1, (k + 1) // 4 + 1):
+        pole = _pole(p, k, mu, eff.r_eff)[1]  # alpha s_p
+        if not -pole.real / eff.alpha * t < 45.0:
+            break
+        reach = pole.imag / eff.alpha
     return math.floor(1.5 * t * reach / math.pi) + 64
 
 

@@ -290,17 +290,29 @@ def _key_renewal_term(eff: EffectiveParams, mu: float, k: int, t: float) -> floa
     return -(eff.theta * mu / (k * eff.r_eff)) * math.exp(-eff.rho * t)
 
 
+def _pole(j: int, k: int, mu: float, r_eff: float) -> tuple[complex, complex]:
+    """omega_j - 1 and alpha s_j = mu (omega_j - 1) - r_eff for the pole
+    s_j = mu (omega_j/alpha - 1), omega_j = e^(2 pi i j/k).
+
+    omega_j - 1 is formed as 2i sin(pi j/k) e^(i pi j/k), without the
+    cancellation of subtracting 1, so the real parts of both addends of
+    alpha s_j are nonpositive.
+    """
+    half = math.pi * j / k
+    sin = math.sin(half)
+    gap = complex(-2.0 * sin * sin, 2.0 * sin * math.cos(half))
+    return gap, mu * gap - r_eff
+
+
 def _residue_sum(eff: EffectiveParams, mu: float, k: int, t: float) -> tuple[float, float]:
     """w(t) = v + (theta/k) Re sum_j mu omega_j / (alpha s_j) e^(s_j t), and a rounding bound.
 
-    The poles are formed without cancellation, alpha s_j = mu (omega_j - 1)
-    - r_eff with omega_j - 1 = 2i sin(pi j/k) e^(i pi j/k), so the real
-    parts of both addends are nonpositive; 1 + mu/s_j is written
-    mu omega_j / (alpha s_j).  Only j <= k/2 is summed, the conjugate pairs
-    doubled.  The residues are summed with their rounding errors (Knuth's
-    TwoSum), then v and the errors are added, two roundings of w up to a
-    u^2 k sum |term| remainder; no list, generator or closure is
-    allocated.  With u = 2^-53 the bound is
+    The poles come from :func:`_pole`, without cancellation; 1 + mu/s_j is
+    written mu omega_j / (alpha s_j).  Only j <= k/2 is summed, the
+    conjugate pairs doubled.  The residues are summed with their rounding
+    errors (Knuth's TwoSum), then v and the errors are added, two roundings
+    of w up to a u^2 k sum |term| remainder; no list, generator or closure
+    is allocated.  With u = 2^-53 the bound is
 
         u ((4 k ln(alpha) + 7) |v| + (4 rho t + 6) |term_0|
            + sum_(j>=1) (13 |s_j| t + 34) |term_j| + 2 |w|),
@@ -316,13 +328,10 @@ def _residue_sum(eff: EffectiveParams, mu: float, k: int, t: float) -> tuple[flo
     """
     lead = _key_renewal_term(eff, mu, k, t)
     mass = (4.0 * _k_log_alpha(k, eff.r_eff, mu) + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
-    r_eff, scale, t_alpha = eff.r_eff, eff.theta * mu / k, t / eff.alpha
+    scale, t_alpha = eff.theta * mu / k, t / eff.alpha
     total, spill = lead, 0.0  # the residues' sum and its rounding errors (TwoSum)
     for j in range(1, k // 2 + 1):
-        half = math.pi * j / k
-        sin = math.sin(half)
-        gap = complex(-2.0 * sin * sin, 2.0 * sin * math.cos(half))  # omega_j - 1
-        pole = mu * gap - r_eff  # alpha s_j
+        gap, pole = _pole(j, k, mu, eff.r_eff)
         exponent = pole * t_alpha  # s_j t
         decay = math.exp(exponent.real)
         rotation = complex(decay * math.cos(exponent.imag), decay * math.sin(exponent.imag))

@@ -5,8 +5,9 @@ The expected present value solves the second-kind Volterra equation
     w(t) = theta * q * F(t) + integral_0^t w(t - s) * q * f(s) ds,
 
 whose kernel q*f has total mass q = phi^k(r_eff) < 1 (defective).  The
-solver represents w as piecewise linear on a uniform grid and integrates
-the kernel *exactly* over each panel using first moments of the gamma
+solver represents w as piecewise linear on the caller's uniform grid,
+returns its values at the grid points as one array, and integrates the
+kernel *exactly* over each panel using first moments of the gamma
 density, which are themselves gamma cdfs one shape higher:
 
     int_panel f(s) ds           = F_k(b) - F_k(a),
@@ -53,39 +54,18 @@ validated to keep the documented step contract).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
 from restock.grid import GridSpec
 from restock.valuation import ModelParams, effective
 
-__all__ = ["GridSpec", "ValueCurve", "solve_renewal"]
+__all__ = ["GridSpec", "solve_renewal"]
 
 # Fewest steps per block of the division: below a few thousand, the blocks'
 # per-call overhead outweighs their shorter FFTs (a support of one step, as
 # where q underflows to 0, would otherwise take a block per step).
 _MIN_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class ValueCurve:
-    """Horizon grid with values produced by one method."""
-
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    method: str = "series"
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if times.size and (np.any(times < 0) or np.any(np.diff(times) <= 0)):
-            raise ValueError("times must be nonnegative and strictly ascending")
 
 
 def _fft_length(m: int) -> int:
@@ -193,16 +173,18 @@ def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np
     return c[:support], g[: changes[-1] + 2 if changes.size else 1]
 
 
-def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
+def solve_renewal(params: ModelParams, grid: GridSpec) -> np.ndarray:
     """Solve the renewal equation on the grid; global accuracy O(h^2).
 
-    Returns the ``volterra`` ValueCurve on t_i = i*h, with w(0) = 0 (all of
-    it at t_max = 0).  The error bound is absolute: O(h^2) plus a round-off
-    floor from the FFT products, a few 1e-15 * max|w| where q is well below
-    1; where q is near 1 no error decays and the floor grows linearly with
-    t_max (k = 1, r = 1e-8, h = 0.01: 3.9e-14 * max|w| at t_max = 250,
-    1.3e-13 at t_max = 1000, 2.4e-13 at t_max = 2000).  Relative accuracy
-    where w is close to 0 is not promised.  The exact discrete solution is
+    Returns the n + 1 values w(i*h), i = 0, ..., n, as a float array, with
+    w(0) = 0 (the one value [0.0] at t_max = 0); their times are the grid's
+    own, ``np.arange(n + 1) * grid.h``, for a caller that needs them.  The
+    error bound is absolute: O(h^2) plus a round-off floor from the FFT
+    products, a few 1e-15 * max|w| where q is well below 1; where q is near
+    1 no error decays and the floor grows linearly with t_max (k = 1,
+    r = 1e-8, h = 0.01: 3.9e-14 * max|w| at t_max = 250, 1.3e-13 at
+    t_max = 1000, 2.4e-13 at t_max = 2000).  Relative accuracy where w is
+    close to 0 is not promised.  The exact discrete solution is
     nonnegative (G and 1/C have nonnegative coefficients), so round-off
     below 0 is clipped.
 
@@ -214,7 +196,7 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
     """
     n = grid.n_steps
     if n == 0:
-        return ValueCurve(times=np.zeros(1), values=np.zeros(1), method="volterra")
+        return np.zeros(1)
     c, g = _renewal_system(params, grid)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     block = _fft_length(min(n, max(c.size, _MIN_BLOCK)))
@@ -252,6 +234,5 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> ValueCurve:
             if start < g.size:  # else G_b was the constant tail already
                 g_spec = rfft(rhs(stop), nfft)
             r_spec += g_spec
-    del y_spec, r_spec, c_spec, g_spec  # spent spectra go before the times array is built
     np.maximum(w, 0.0, out=w)
-    return ValueCurve(times=np.arange(n + 1) * grid.h, values=w, method="volterra")
+    return w

@@ -125,12 +125,12 @@ def trapezoid_transform(times: np.ndarray, values: np.ndarray, s: float) -> floa
     return float(np.trapezoid(integrand, times))
 
 
-def volterra_direct(params, grid):
+def volterra_direct(params, grid) -> np.ndarray:
     """The renewal solver's discrete equation solved step by step, O(n^2).
 
     Builds the same exact panel moments as ``restock.volterra`` and solves
     denom * w_i - q * sum_{l<i} conv_w[i-l] * w_l = g_i one step at a time
-    with a dot product per step.  Returns (times, values).
+    with a dot product per step.  Returns the n + 1 values.
     """
     from restock.erlang import erlang_cdf_grid
 
@@ -155,7 +155,7 @@ def volterra_direct(params, grid):
     for i in range(1, n + 1):
         acc = np.dot(w[1:i], conv_w_rev[n - i : n - 1]) if i > 1 else 0.0
         w[i] = (g[i] + q * acc) / denom
-    return times, w
+    return w
 
 
 def volterra_longdouble(params, grid) -> np.ndarray:

@@ -58,8 +58,8 @@ def series_on_grid() -> dict[float, float]:
 
 @pytest.fixture(scope="module")
 def volterra_on_grid() -> dict[float, float]:
-    curve = solve_renewal(TABLE, GridSpec(t_max=500.0, h=0.01))
-    return {t: float(curve.values[round(t / 0.01)]) for t in ACCEPTANCE_TIMES}
+    values = solve_renewal(TABLE, GridSpec(t_max=500.0, h=0.01))
+    return {t: float(values[round(t / 0.01)]) for t in ACCEPTANCE_TIMES}
 
 
 def test_c1_perpetual_value():
@@ -77,9 +77,9 @@ def test_c2_optimal_stock():
 def test_c3_single_unit_exactness_and_order():
     errors = {}
     for h in (0.05, 0.025):
-        curve = solve_renewal(K1, GridSpec(t_max=500.0, h=h))
-        exact = np.array([exact_k1_value(K1, float(t)) for t in curve.times])
-        errors[h] = float(np.abs(curve.values - exact).max())
+        grid = GridSpec(t_max=500.0, h=h)
+        exact = np.array([exact_k1_value(K1, float(t)) for t in np.arange(grid.n_steps + 1) * h])
+        errors[h] = float(np.abs(solve_renewal(K1, grid) - exact).max())
     assert errors[0.05] < 1e-4
     ratio = errors[0.05] / errors[0.025]
     assert 3.5 <= ratio <= 4.5
@@ -206,9 +206,8 @@ def test_c8_metamorphic_suite():
     assert series_value(grown, 25.0) == series_value(flat, 25.0)
     assert perpetual_value(grown) == perpetual_value(flat)
     assert invert(grown, 25.0) == invert(flat, 25.0)
-    g_curve = solve_renewal(grown, GridSpec(t_max=20.0, h=0.1))
-    f_curve = solve_renewal(flat, GridSpec(t_max=20.0, h=0.1))
-    assert np.array_equal(g_curve.values, f_curve.values)
+    grid = GridSpec(t_max=20.0, h=0.1)
+    assert np.array_equal(solve_renewal(grown, grid), solve_renewal(flat, grid))
     assert simulate_wk(grown, 15.0, 20_000, 5) == simulate_wk(flat, 15.0, 20_000, 5)
     assert simulate_vk(grown, 20_000, 5) == simulate_vk(flat, 20_000, 5)
 

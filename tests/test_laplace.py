@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from restock.laplace import _A, _gate, _line_sum, _log_qphi, _term_count, _w_hat_raw, invert, w_hat
+from restock.laplace import _A, _gate, _line_sum, _log_qphi, _term_count, _w_hat_raw, invert
 from restock.valuation import (
     FixedCost,
     LinearCost,
@@ -22,6 +22,12 @@ TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
 
 
+def w_hat(s, params: ModelParams):
+    """The transform at a point with Re s > 0, as ``invert`` forms it on the line."""
+    eff = effective(params)
+    return _w_hat_raw(s, _log_qphi(s, eff, params.k, params.mu), eff.theta)
+
+
 class TestTransform:
     def test_unit_rate_point(self):
         p = ModelParams(k=1, mu=1.0, r=1.0, cost=FixedCost(1.0))
@@ -36,12 +42,6 @@ class TestTransform:
     def test_initial_value_limit(self):
         # s * w_hat(s) -> w(0) = 0 as s -> infinity
         assert abs(1e9 * w_hat(1e9, TABLE)) < 1e-6
-
-    def test_left_half_plane_rejected(self):
-        with pytest.raises(ValueError):
-            w_hat(0.0, TABLE)
-        with pytest.raises(ValueError):
-            w_hat(-0.5 + 1.0j, TABLE)
 
     def test_conjugate_symmetry(self):
         # the transform of a real function: w_hat(conj s) == conj(w_hat(s)),
@@ -214,9 +214,11 @@ class TestTransformConsistency:
         # quadrature of e^(-s t) * w(t) over [0, t_max] must approach w_hat(s)
         # within the tail bound v * e^(-s t_max) / s
         t_max, h = 200.0, 0.01
-        curve = solve_renewal(TABLE, GridSpec(t_max=t_max, h=h))
+        grid = GridSpec(t_max=t_max, h=h)
+        values = solve_renewal(TABLE, grid)
+        times = np.arange(grid.n_steps + 1) * h
         v = perpetual_value(TABLE)
         for s in (0.05, 0.1):
-            numeric = trapezoid_transform(curve.times, curve.values, s)
+            numeric = trapezoid_transform(times, values, s)
             bound = v * math.exp(-s * t_max) / s
             assert abs(numeric - w_hat(s, TABLE).real) < bound + 1e-4

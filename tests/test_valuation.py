@@ -1,6 +1,4 @@
 import math
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,14 +19,9 @@ from restock.valuation import (
     perpetual_value,
     series_value,
 )
-from restock.volterra import ValueCurve
 
 import oracles
 from oracles import residual_value, tail_weight, tilted_kernel_moments
-
-# the benchmark's 50-digit residue expansion of w(t), shared as an oracle
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import reference  # noqa: E402
 
 # flagship parameter set: 10 units, unit demand, 2% discounting, unit margins
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -85,14 +78,6 @@ class TestParamsValidation:
     def test_rejects_wrong_cost_type(self):
         with pytest.raises(TypeError):
             ModelParams(k=1, mu=1.0, r=0.1, cost=2.0)
-
-    def test_value_curve_validation(self):
-        with pytest.raises(ValueError):
-            ValueCurve(times=[0.0, 1.0], values=[0.0], method="series")
-        with pytest.raises(ValueError):
-            ValueCurve(times=[1.0, 1.0], values=[0.0, 0.0], method="series")
-        with pytest.raises(ValueError):
-            ValueCurve(times=[-1.0, 1.0], values=[0.0, 0.0], method="series")
 
 
 class TestEffective:
@@ -246,9 +231,9 @@ class TestSeriesValue:
     )
     @settings(max_examples=30)
     def test_matches_residue_reference(self, k, mu, log_r, log_cycles):
-        # t from 0.05 to 100 mean cycles k/mu; at k >> 10 the residue sum cancels
+        # t from 0.05 to 100 mean cycles k/mu, against the adaptive-precision residue sum
         r, t = math.exp(log_r), math.exp(log_cycles) * k / mu
-        exact = reference.horizon_value(reference.Store(k=k, mu=mu, r=r, a=0.0, b=1.0), t)
+        exact = oracles.residue_value(k, mu, r, float(k), t)
         got = series_value(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(float(k))), t)
         assert abs(got - exact) <= 1e-12 * exact
 

@@ -21,6 +21,11 @@ TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
 
 
+def grid_times(grid: GridSpec) -> np.ndarray:
+    """The times i*h, i = 0, ..., n, of ``solve_renewal``'s values on the grid."""
+    return np.arange(grid.n_steps + 1) * grid.h
+
+
 class TestGridSpec:
     def test_accepts_clean_grid(self):
         grid = GridSpec(t_max=10.0, h=0.5)
@@ -174,50 +179,47 @@ class TestSeriesDivide:
 
 class TestSolveRenewal:
     def test_value_starts_at_zero(self):
-        curve = solve_renewal(TABLE, GridSpec(t_max=5.0, h=0.05))
-        assert curve.values[0] == 0.0
-        assert curve.method == "volterra"
+        assert solve_renewal(TABLE, GridSpec(t_max=5.0, h=0.05))[0] == 0.0
 
     def test_single_unit_matches_closed_form(self):
         grid = GridSpec(t_max=500.0, h=0.05)
-        curve = solve_renewal(K1, grid)
-        exact = np.array([exact_k1_value(K1, float(t)) for t in curve.times])
-        assert np.abs(curve.values - exact).max() < 1e-4
+        values = solve_renewal(K1, grid)
+        exact = np.array([exact_k1_value(K1, float(t)) for t in grid_times(grid)])
+        assert np.abs(values - exact).max() < 1e-4
 
     def test_halving_step_quarters_error(self):
         # down to fine steps, so round-off must not pollute the O(h^2) order
         errors = []
         for h in (0.1, 0.05, 0.025, 0.0125):
-            curve = solve_renewal(K1, GridSpec(t_max=500.0, h=h))
-            exact = np.array([exact_k1_value(K1, float(t)) for t in curve.times])
-            errors.append(np.abs(curve.values - exact).max())
+            grid = GridSpec(t_max=500.0, h=h)
+            exact = np.array([exact_k1_value(K1, float(t)) for t in grid_times(grid)])
+            errors.append(np.abs(solve_renewal(K1, grid) - exact).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert 3.5 <= coarse / fine <= 4.5
 
     def test_flagship_point_against_series(self):
-        curve = solve_renewal(TABLE, GridSpec(t_max=10.0, h=0.01))
-        got = float(curve.values[-1])
+        got = float(solve_renewal(TABLE, GridSpec(t_max=10.0, h=0.01))[-1])
         assert got == pytest.approx(series_value(TABLE, 10.0), abs=1e-3)
         assert got == pytest.approx(4.023, abs=5e-3)
 
     def test_cross_method_bound(self):
         h = 0.02
-        curve = solve_renewal(TABLE, GridSpec(t_max=50.0, h=h))
+        values = solve_renewal(TABLE, GridSpec(t_max=50.0, h=h))
         gate = max(10.0 * h * h, 1e-6)
         for t in (10.0, 25.0, 50.0):
             index = round(t / h)
-            assert abs(curve.values[index] - series_value(TABLE, t)) < gate
+            assert abs(values[index] - series_value(TABLE, t)) < gate
 
     def test_monotone_and_bounded(self):
         h = 0.05
-        curve = solve_renewal(TABLE, GridSpec(t_max=120.0, h=h))
-        assert np.all(np.diff(curve.values) >= -1e-12)
-        assert curve.values.max() <= perpetual_value(TABLE) + 10.0 * h * h
+        values = solve_renewal(TABLE, GridSpec(t_max=120.0, h=h))
+        assert np.all(np.diff(values) >= -1e-12)
+        assert values.max() <= perpetual_value(TABLE) + 10.0 * h * h
 
     def test_large_stock_stays_nonnegative_and_monotone(self):
         # w is ~0 for t well below k/mu, where FFT round-off would dip below 0
         params = ModelParams(k=200, mu=1.0, r=0.02, cost=FixedCost(1.0))
-        values = solve_renewal(params, GridSpec(t_max=500.0, h=0.05)).values
+        values = solve_renewal(params, GridSpec(t_max=500.0, h=0.05))
         assert values.min() >= 0.0
         assert np.diff(values).min() >= -1e-12
 
@@ -230,15 +232,15 @@ class TestSolveRenewal:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.7e6
+        assert peak < 1.3e6
 
     def test_underflowed_kernel_mass_solves_to_zero(self):
         # q = alpha^-k underflows to 0 at k ln(alpha) ~ 1920: the exact discrete
         # solution is 0, as are the series and v
         params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
-        curve = solve_renewal(params, GridSpec(t_max=349.2, h=174.6))
+        values = solve_renewal(params, GridSpec(t_max=349.2, h=174.6))
         assert perpetual_value(params) == 0.0
-        assert curve.values.tolist() == [0.0, 0.0, 0.0]
+        assert values.tolist() == [0.0, 0.0, 0.0]
         assert series_value(params, 349.2) == 0.0
 
     def test_underflowed_kernel_mass_keeps_blocks_long(self, fft_lengths):
@@ -246,7 +248,7 @@ class TestSolveRenewal:
         # _MIN_BLOCK steps, 2 FFTs each, after one Newton inverse of that size
         params = ModelParams(k=5000, mu=0.0236, r=0.0346, cost=FixedCost(theta=1.0))
         grid = GridSpec(t_max=100_000 * 174.6, h=174.6)
-        values = solve_renewal(params, grid).values
+        values = solve_renewal(params, grid)
         assert grid.n_steps == 100_000
         assert not values.any()
         assert len(fft_lengths) <= 2 * math.ceil(grid.n_steps / _MIN_BLOCK) + 5 * _MIN_BLOCK.bit_length() + 8
@@ -276,9 +278,9 @@ class TestSolveRenewal:
         # each carrying round-off into the next
         params = ModelParams(k=3, mu=1.0, r=1e-4, cost=FixedCost(theta=1.0))
         h = 0.01
-        curve = solve_renewal(params, GridSpec(t_max=5000.0, h=h))
+        values = solve_renewal(params, GridSpec(t_max=5000.0, h=h))
         for t in np.linspace(500.0, 5000.0, 10):
-            assert abs(curve.values[round(t / h)] - series_value(params, float(t))) <= h**2 / 20
+            assert abs(values[round(t / h)] - series_value(params, float(t))) <= h**2 / 20
 
     def test_defective_kernel_mass(self):
         # the kernel mass phi^k is below 1 short of rounding (see
@@ -292,9 +294,9 @@ class TestSolveRenewal:
         params = ModelParams(k=k, mu=mu, r=r, cost=FixedCost(theta=1.0))
         assert effective(params).phi_k == 1.0
         h = 0.05
-        curve = solve_renewal(params, GridSpec(t_max=100.0, h=h))
-        series = np.array([series_value(params, float(t)) for t in curve.times[::10]])
-        assert np.abs(curve.values[::10] - series).max() <= h**2 / 20
+        grid = GridSpec(t_max=100.0, h=h)
+        series = np.array([series_value(params, float(t)) for t in grid_times(grid)[::10]])
+        assert np.abs(solve_renewal(params, grid)[::10] - series).max() <= h**2 / 20
 
     def test_single_unit_step_bound(self):
         # h * phi * mu / 2 >= 1 must be refused for k = 1
@@ -311,10 +313,10 @@ class TestSolveRenewal:
     def test_tracks_series_on_random_models(self, k, mu, r, theta):
         params = ModelParams(k=k, mu=mu, r=r, cost=FixedCost(theta))
         h = 0.05
-        curve = solve_renewal(params, GridSpec(t_max=20.0, h=h))
+        values = solve_renewal(params, GridSpec(t_max=20.0, h=h))
         for t in (5.0, 10.0, 20.0):
             index = round(t / h)
-            assert abs(curve.values[index] - series_value(params, t)) < max(20.0 * h * h * theta, 1e-6)
+            assert abs(values[index] - series_value(params, t)) < max(20.0 * h * h * theta, 1e-6)
 
 
 class TestAgainstDirectRecursion:
@@ -323,10 +325,10 @@ class TestAgainstDirectRecursion:
 
     @staticmethod
     def _check(params, grid):
-        curve = solve_renewal(params, grid)
-        times, direct = volterra_direct(params, grid)
-        assert np.array_equal(curve.times, times)
-        assert np.abs(curve.values - direct).max() <= 1e-12 * np.abs(direct).max()
+        values = solve_renewal(params, grid)
+        direct = volterra_direct(params, grid)
+        assert values.shape == direct.shape == (grid.n_steps + 1,)
+        assert np.abs(values - direct).max() <= 1e-12 * np.abs(direct).max()
 
     @given(
         k=st.integers(1, 30),
@@ -407,10 +409,10 @@ class TestAgainstDirectRecursion:
         params = ModelParams(k=1, mu=1.0, r=1e-8, cost=FixedCost(1.0))
         grid = GridSpec(t_max=t_max, h=0.01)
         exact = volterra_longdouble(params, grid)
-        values = solve_renewal(params, grid).values
+        values = solve_renewal(params, grid)
         assert np.abs(values - exact).max() <= floor * np.abs(exact).max()
 
     def test_zero_horizon_is_the_origin(self):
-        curve = solve_renewal(TABLE, GridSpec(t_max=0.0, h=0.01))
-        assert curve.times.tolist() == [0.0]
-        assert curve.values.tolist() == [0.0]
+        values = solve_renewal(TABLE, GridSpec(t_max=0.0, h=0.01))
+        assert values.dtype == float
+        assert values.tolist() == [0.0]
