@@ -658,6 +658,7 @@ class TestOutputHygiene:
 
 _PIN_GRID = ["--t-max", "50", "--step", "10"]
 _PIN_MC = ["--paths", "2000", "--seed", "3"]
+_PIN_GROWTH = ["--growth", "0.01"]
 # SHA-256 of stdout in CSV and in JSON for each subcommand; the JSON carries
 # the package version, so a version change moves every JSON digest.
 _PINNED_STDOUT = {
@@ -725,6 +726,22 @@ _PINNED_STDOUT = {
         ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_MC],
         "c6f3afb07e025e5b9f0abc5b7d3aea75faba18cbb38210051c8d3b3c87d2dcad",
         "59428ef024a65a4d5e0774c7c77270278f61adccf8d64c1c2677adc7f8863beb",
+    ),
+    # cost growth shifts every method to the rate r - growth
+    "value-growth": (
+        ["value", *TABLE_FLAGS, *_PIN_GROWTH],
+        "70be0d80819876a063bf07799df4fd3397b879fb3c5d5740bf86e033a52cfb75",
+        "71bd599b45d64a6666fb96fe0ff697fefe2eeaebd7a79da013b42d7f8a769c7d",
+    ),
+    "curve-all-growth": (
+        ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
+        "fe9cd3689153713e47bbac480408b101214fa91a5386a8309b3b0526c430da94",
+        "4d33ed568127c158ee909de6f01321acbc6af668147bda2062ac4ef2e8471a0c",
+    ),
+    "simulate-perpetual-growth": (
+        ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_MC],
+        "21bbf5aecdf9f91ee1be29395585033f223ace433d01dd4b841d1c8bbf780e3f",
+        "104129792737f804506b0e70f267ce62ec4b9a8846f4fd7c68fa3285de971c8d",
     ),
 }
 
