@@ -180,7 +180,8 @@ def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = N
 
 def cmd_value(args: argparse.Namespace) -> int:
     params = _build_params(args)
-    eff = dataclasses.asdict(effective(params))
+    derived = effective(params)
+    eff = {name: getattr(derived, name) for name in ("theta", "r_eff", "alpha", "phi_k", "rho", "mu0", "v")}
     row = {"k": params.k, "mu": params.mu, "r": params.r, "growth": params.growth, **eff}
     v = eff.pop("v")
     csv = [",".join(row), ",".join(_fmt(x) for x in row.values())]

@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from restock.distributions import _check_horizon
-from restock.valuation import EffectiveParams, ModelParams, _k_log_alpha, _pole, effective
+from restock.valuation import EffectiveParams, ModelParams, _pole, effective
 
 __all__ = ["invert"]
 
@@ -46,20 +46,20 @@ _ALIASING = 3.0 * math.exp(-_A) / math.expm1(-_A) ** 2
 _EULER = np.array([math.comb(15, m) for m in range(16)]) / 2.0**15
 
 
-def _log_qphi(s, eff: EffectiveParams, k: int, mu: float):
+def _log_qphi(s, eff: EffectiveParams):
     """L = -k ln(1 + s/mu) - k ln(alpha) for Re s > 0, with x + iy = s/mu.
 
     ln|1 + s/mu| is log1p(x(2 + x) + y^2)/2 where |s| <= mu, since
     ln(s + mu) - ln(mu) would lose the digits of s that s + mu rounds away,
     and ln(hypot(1 + x, y)) beyond, where x(2 + x) + y^2 could overflow.
     """
-    x, y = np.real(s) / mu, np.imag(s) / mu
+    x, y = np.real(s) / eff.mu, np.imag(s) / eff.mu
     size = np.hypot(x, y)
     near = np.minimum(size, 1.0)
     log_abs = np.where(
         size <= 1.0, 0.5 * np.log1p(near * near + 2.0 * np.minimum(x, 1.0)), np.log(np.hypot(1.0 + x, y))
     )
-    return -k * (log_abs + 1j * np.arctan2(y, 1.0 + x)) - _k_log_alpha(k, eff.r_eff, mu)
+    return -eff.k * (log_abs + 1j * np.arctan2(y, 1.0 + x)) - eff.k_log_alpha
 
 
 def _w_hat_raw(s, log_qphi, theta: float):
@@ -67,7 +67,7 @@ def _w_hat_raw(s, log_qphi, theta: float):
     return -theta * np.exp(log_qphi) / (s * np.expm1(log_qphi))
 
 
-def _term_count(eff: EffectiveParams, k: int, mu: float, t: float) -> int:
+def _term_count(eff: EffectiveParams, t: float) -> int:
     """n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64 over the poles
     s_p of :func:`restock.valuation._pole`.
 
@@ -78,8 +78,8 @@ def _term_count(eff: EffectiveParams, k: int, mu: float, t: float) -> int:
     (s_0 is real and adds nothing).
     """
     reach = 0.0
-    for p in range(1, (k + 1) // 4 + 1):
-        pole = _pole(p, k, mu, eff.r_eff)[1]  # alpha s_p
+    for p in range(1, (eff.k + 1) // 4 + 1):
+        pole = _pole(p, eff)[1]  # alpha s_p
         if not -pole.real / eff.alpha * t < 45.0:
             break
         reach = pole.imag / eff.alpha
@@ -96,10 +96,10 @@ def _gate(value: float, estimate: float, v: float, t: float) -> float:
     return value
 
 
-def _line_sum(eff: EffectiveParams, k: int, mu: float, t: float, n: int) -> tuple[float, float]:
+def _line_sum(eff: EffectiveParams, t: float, n: int) -> tuple[float, float]:
     """The Euler-summed line sum over s_0, ..., s_(n+15) and its error estimate."""
     s = _A / (2.0 * t) + 1j * (np.pi / t) * np.arange(n + _EULER.size)
-    log_qphi = _log_qphi(s, eff, k, mu)
+    log_qphi = _log_qphi(s, eff)
     values = _w_hat_raw(s, log_qphi, eff.theta)
     terms = values.real.copy()
     terms[0] *= 0.5
@@ -109,7 +109,7 @@ def _line_sum(eff: EffectiveParams, k: int, mu: float, t: float, n: int) -> tupl
     value = scale * float(_EULER @ partial[1:])
     step = abs(value - scale * float(_EULER @ partial[:-1]))
     rounding = 2.0**-53 * scale * float(np.abs(values) @ (np.abs(log_qphi) + 1.0))
-    aliasing = _ALIASING * eff.v * -math.expm1(-mu * t * math.log1p(eff.r_eff / mu))
+    aliasing = _ALIASING * eff.v * -math.expm1(-eff.mu * t * math.log1p(eff.r_eff / eff.mu))
     return value, step + rounding + aliasing
 
 
@@ -124,6 +124,5 @@ def invert(params: ModelParams, t: float) -> float:
     eff = effective(params)
     if t == 0:
         return 0.0
-    k, mu = params.k, params.mu
-    value, estimate = _line_sum(eff, k, mu, t, _term_count(eff, k, mu, t))
+    value, estimate = _line_sum(eff, t, _term_count(eff, t))
     return _gate(value, estimate, eff.v, t)

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from restock.distributions import _check_count, _check_horizon
-from restock.valuation import ModelParams, _k_log_alpha, effective
+from restock.valuation import EffectiveParams, ModelParams, effective
 
 __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 
@@ -182,7 +182,7 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     times = _check_times((t,) if scalar else t)
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
-    estimates = _horizon_estimates(params, times, n_paths, seed)
+    estimates = _horizon_estimates(effective(params), times, n_paths, seed)
     return estimates[0] if scalar else MCCurve(times=times, estimates=estimates)
 
 
@@ -199,12 +199,10 @@ def _check_times(times) -> tuple[float, ...]:
     return tuple(checked)
 
 
-def _horizon_estimates(params: ModelParams, times: tuple[float, ...], n_paths: int, seed: int) -> tuple[MCEstimate, ...]:
+def _horizon_estimates(eff: EffectiveParams, times: tuple[float, ...], n_paths: int, seed: int) -> tuple[MCEstimate, ...]:
     """One estimate per time, a repeated time simulated once; block b of time t
     draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits in the counter."""
-    eff = effective(params)
-    k, mu = params.k, params.mu
-    log_q = -_k_log_alpha(k, eff.r_eff, mu)
+    k, mu, log_q = eff.k, eff.mu, -eff.k_log_alpha
     scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
     drawn = list(dict.fromkeys(t for t in times if t > 0))
 
@@ -258,7 +256,7 @@ def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[
     return estimates
 
 
-def _perpetuity_block(params: ModelParams, stream: np.random.Generator, size: int) -> np.ndarray:
+def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: int) -> np.ndarray:
     """Discounted payment totals of ``size`` paths, ended by weight-window roulette.
 
     Once a round's payment theta * D_n is added, a path whose discount
@@ -272,8 +270,7 @@ def _perpetuity_block(params: ModelParams, stream: np.random.Generator, size: in
     to its slot of the result, and the rest shrink to the survivors one
     array at a time, so that no two old arrays outlive their copies.
     """
-    eff = effective(params)
-    k, rate, theta = params.k, eff.r_eff / params.mu, eff.theta
+    k, rate, theta = eff.k, eff.r_eff / eff.mu, eff.theta
     totals = np.empty(size)
     slots = np.arange(size)
     log_discount = np.zeros(size)
@@ -340,8 +337,9 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
     """
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
+    eff = effective(params)
 
     def totals(_: int, block: int, size: int) -> np.ndarray:
-        return _perpetuity_block(params, _stream(seed, _VK_PRICE, block), size)
+        return _perpetuity_block(eff, _stream(seed, _VK_PRICE, block), size)
 
     return _block_estimates(totals, 1, n_paths, seed)[0]

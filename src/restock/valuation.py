@@ -130,7 +130,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Quantities derived from ModelParams that every method consumes.
+    """The one record every method reads once it has called :func:`effective`.
 
     theta: payment per replacement (currency)
     r_eff: effective discount rate r - growth
@@ -141,6 +141,8 @@ class EffectiveParams:
            kernel mass; governs the exponential approach of w(t) to v
     mu0:   mean of the tilted kernel, k*(r_eff+mu)/mu^2 = k*alpha/mu (time units)
     v:     perpetual value theta*phi_k/(1-phi_k) (currency)
+    k, mu: stock size and demand intensity, as in ModelParams
+    k_log_alpha: k ln(alpha) = -ln(phi_k) > 0, accurate where phi_k rounds to 1
     """
 
     theta: float
@@ -150,11 +152,9 @@ class EffectiveParams:
     rho: float
     mu0: float
     v: float
-
-
-def _k_log_alpha(k: int, r_eff: float, mu: float) -> float:
-    """k ln(alpha) = -ln(q), with ln(alpha) = log1p(r_eff/mu) accurate for tiny r_eff/mu."""
-    return k * math.log1p(r_eff / mu)
+    k: int
+    mu: float
+    k_log_alpha: float
 
 
 def _perpetuity(theta: float, k_log_alpha: float) -> float:
@@ -196,13 +196,14 @@ def effective(params: ModelParams) -> EffectiveParams:
             raise ValueError(
                 f"non-positive replacement payoff: b*k = {params.cost.b * params.k} <= a = {params.cost.a}"
             )
-    alpha = r_eff / params.mu + 1.0
-    k_log_alpha = _k_log_alpha(params.k, r_eff, params.mu)
+    k, mu = params.k, params.mu
+    alpha = r_eff / mu + 1.0
+    k_log_alpha = k * math.log1p(r_eff / mu)
     phi_k = math.exp(-k_log_alpha)
     v = _perpetuity(theta, k_log_alpha)
-    rho = r_eff * params.mu / (r_eff + params.mu)
-    mu0 = params.k * alpha / params.mu
-    return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=mu0, v=v)
+    rho = r_eff * mu / (r_eff + mu)
+    return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=k * alpha / mu, v=v,
+                           k=k, mu=mu, k_log_alpha=k_log_alpha)
 
 
 def perpetual_value(params: ModelParams) -> float:
@@ -236,16 +237,15 @@ def series_value(params: ModelParams, t: float) -> float:
     """
     t = _check_horizon(t)
     eff = effective(params)
-    lam = params.mu * t
+    lam = eff.mu * t
     if lam == 0.0:
         return 0.0
-    k = params.k
-    log_q = -_k_log_alpha(k, eff.r_eff, params.mu)
+    k, log_q = eff.k, -eff.k_log_alpha
     bulk = lam - _LOWER_SPAN * math.sqrt(lam)
     if bulk >= k and math.floor(bulk / k) * log_q < _LOG_HALF_ULP:
         return eff.v
     if k < _RESIDUE_REACH * math.sqrt(lam):
-        value, bound = _residue_sum(eff, params.mu, k, t)
+        value, bound = _residue_sum(eff, t)
         if bound <= _RESIDUE_TOL * abs(value) < math.inf:  # finite, and within the tolerance
             return value
     j0 = max(k, math.floor(lam))
@@ -281,16 +281,16 @@ def series_value(params: ModelParams, t: float) -> float:
     return eff.v * total
 
 
-def _key_renewal_term(eff: EffectiveParams, mu: float, k: int, t: float) -> float:
+def _key_renewal_term(eff: EffectiveParams, t: float) -> float:
     """The j = 0 residue -(theta*mu/(k*r_eff)) e^(-rho t), at the pole s_0 = -rho.
 
     The coefficient is the tilted-tail integral divided by the tilted
     kernel mean; v plus this term is the key-renewal asymptotic.
     """
-    return -(eff.theta * mu / (k * eff.r_eff)) * math.exp(-eff.rho * t)
+    return -(eff.theta * eff.mu / (eff.k * eff.r_eff)) * math.exp(-eff.rho * t)
 
 
-def _pole(j: int, k: int, mu: float, r_eff: float) -> tuple[complex, complex]:
+def _pole(j: int, eff: EffectiveParams) -> tuple[complex, complex]:
     """omega_j - 1 and alpha s_j = mu (omega_j - 1) - r_eff for the pole
     s_j = mu (omega_j/alpha - 1), omega_j = e^(2 pi i j/k).
 
@@ -298,13 +298,13 @@ def _pole(j: int, k: int, mu: float, r_eff: float) -> tuple[complex, complex]:
     cancellation of subtracting 1, so the real parts of both addends of
     alpha s_j are nonpositive.
     """
-    half = math.pi * j / k
+    half = math.pi * j / eff.k
     sin = math.sin(half)
     gap = complex(-2.0 * sin * sin, 2.0 * sin * math.cos(half))
-    return gap, mu * gap - r_eff
+    return gap, eff.mu * gap - eff.r_eff
 
 
-def _residue_sum(eff: EffectiveParams, mu: float, k: int, t: float) -> tuple[float, float]:
+def _residue_sum(eff: EffectiveParams, t: float) -> tuple[float, float]:
     """w(t) = v + (theta/k) Re sum_j mu omega_j / (alpha s_j) e^(s_j t), and a rounding bound.
 
     The poles come from :func:`_pole`, without cancellation; 1 + mu/s_j is
@@ -326,12 +326,12 @@ def _residue_sum(eff: EffectiveParams, mu: float, k: int, t: float) -> tuple[flo
     enter, so a growth shift is exact here too.  Where theta*mu is past
     the double range the value or the bound is inf or nan.
     """
-    lead = _key_renewal_term(eff, mu, k, t)
-    mass = (4.0 * _k_log_alpha(k, eff.r_eff, mu) + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
-    scale, t_alpha = eff.theta * mu / k, t / eff.alpha
+    k, lead = eff.k, _key_renewal_term(eff, t)
+    mass = (4.0 * eff.k_log_alpha + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
+    scale, t_alpha = eff.theta * eff.mu / k, t / eff.alpha
     total, spill = lead, 0.0  # the residues' sum and its rounding errors (TwoSum)
     for j in range(1, k // 2 + 1):
-        gap, pole = _pole(j, k, mu, eff.r_eff)
+        gap, pole = _pole(j, eff)
         exponent = pole * t_alpha  # s_j t
         decay = math.exp(exponent.real)
         rotation = complex(decay * math.cos(exponent.imag), decay * math.sin(exponent.imag))
@@ -357,7 +357,7 @@ def asymptotic_value(params: ModelParams, t: float) -> float:
     """
     t = _check_horizon(t)
     eff = effective(params)
-    return eff.v + _key_renewal_term(eff, params.mu, params.k, t)
+    return eff.v + _key_renewal_term(eff, t)
 
 
 def exact_k1_value(params: ModelParams, t: float) -> float:
@@ -369,7 +369,7 @@ def exact_k1_value(params: ModelParams, t: float) -> float:
         raise ValueError(f"closed form only holds for k = 1, got k = {params.k}")
     t = _check_horizon(t)
     eff = effective(params)
-    return -(eff.theta * params.mu / eff.r_eff) * math.expm1(-eff.rho * t)
+    return -(eff.theta * eff.mu / eff.r_eff) * math.expm1(-eff.rho * t)
 
 
 def optimal_stock_scan(

@@ -58,7 +58,7 @@ import numpy as np
 
 from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
 from restock.grid import GridSpec
-from restock.valuation import ModelParams, effective
+from restock.valuation import EffectiveParams, ModelParams, effective
 
 __all__ = ["GridSpec", "solve_renewal"]
 
@@ -126,16 +126,14 @@ def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.nd
     return np.concatenate(cdfs_k), np.concatenate(cdfs_k1)
 
 
-def _renewal_system(params: ModelParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """The step equations on a grid of n >= 1 steps as C(x) W(x)/x = G(x)/x
     mod x^n: C's coefficients up to its last nonzero one, and G/x's up to the
     grid's end or to where they turn constant, the last one returned being
     that constant theta*q.
     """
-    eff = effective(params)
-    n = grid.n_steps
-    k, mu = params.k, params.mu
-    h = grid.h
+    n, h = grid.n_steps, grid.h
+    k, mu = eff.k, eff.mu
     if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
         raise ValueError(f"step too large for implicit diagonal: h={h} with mu={mu}")
 
@@ -197,7 +195,7 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> np.ndarray:
     n = grid.n_steps
     if n == 0:
         return np.zeros(1)
-    c, g = _renewal_system(params, grid)
+    c, g = _renewal_system(effective(params), grid)
     rfft, irfft = np.fft.rfft, np.fft.irfft
     block = _fft_length(min(n, max(c.size, _MIN_BLOCK)))
     nfft = 2 * block

@@ -169,7 +169,7 @@ def volterra_longdouble(params, grid) -> np.ndarray:
     from restock.volterra import _renewal_system
 
     n = grid.n_steps
-    c, g = _renewal_system(params, grid)
+    c, g = _renewal_system(effective(params), grid)
     rhs = np.full(n, g[-1], dtype=np.longdouble)
     rhs[: g.size] = g
     lags = c[:0:-1].astype(np.longdouble)  # c_(L-1), ..., c_1
@@ -279,8 +279,9 @@ def tail_weight(params: ModelParams, t: float) -> float:
 
 def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:
     """Totals of n_paths perpetuity paths, one ``_perpetuity_block`` draw per block b on (seed, domain, b)."""
+    eff = effective(params)
     sizes = [min(_BLOCK, n_paths - start) for start in range(0, n_paths, _BLOCK)]
-    return np.concatenate([_perpetuity_block(params, _stream(seed, domain, b), size) for b, size in enumerate(sizes)])
+    return np.concatenate([_perpetuity_block(eff, _stream(seed, domain, b), size) for b, size in enumerate(sizes)])
 
 
 def verify_perpetuity_equation(params: ModelParams, n_paths: int, seed: int) -> tuple[MCEstimate, MCEstimate]:

@@ -25,7 +25,7 @@ K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
 def w_hat(s, params: ModelParams):
     """The transform at a point with Re s > 0, as ``invert`` forms it on the line."""
     eff = effective(params)
-    return _w_hat_raw(s, _log_qphi(s, eff, params.k, params.mu), eff.theta)
+    return _w_hat_raw(s, _log_qphi(s, eff), eff.theta)
 
 
 class TestTransform:
@@ -92,7 +92,7 @@ class TestInvert:
         eff = effective(TABLE)
         for t in (1.0, 10.0, 60.0, 300.0):
             a = invert(TABLE, t)
-            b, _ = _line_sum(eff, TABLE.k, TABLE.mu, t, 2 * _term_count(eff, TABLE.k, TABLE.mu, t))
+            b, _ = _line_sum(eff, t, 2 * _term_count(eff, t))
             assert abs(a - b) < 1e-9 * max(1.0, abs(b))
 
     @pytest.mark.parametrize("t", [150.0, 200.0])
@@ -141,7 +141,7 @@ class TestInvert:
     @pytest.mark.parametrize("t", [50.0, 100.0, 250.0, 500.0])
     def test_flagship_grid_passes_the_relative_gate(self, t):
         eff = effective(TABLE)
-        value, estimate = _line_sum(eff, TABLE.k, TABLE.mu, t, _term_count(eff, TABLE.k, TABLE.mu, t))
+        value, estimate = _line_sum(eff, t, _term_count(eff, t))
         assert estimate <= 1e-9 * abs(value)
         assert invert(TABLE, t) == value
 
@@ -169,9 +169,9 @@ class TestInvert:
         signs = (-1.0) ** np.arange(m)
 
         def sum_over(nodes):
-            return np.sum(signs[1:] * _w_hat_raw(nodes, _log_qphi(nodes, eff, TABLE.k, TABLE.mu), eff.theta))
+            return np.sum(signs[1:] * _w_hat_raw(nodes, _log_qphi(nodes, eff), eff.theta))
 
-        base = _w_hat_raw(s[0], _log_qphi(s[0], eff, TABLE.k, TABLE.mu), eff.theta)
+        base = _w_hat_raw(s[0], _log_qphi(s[0], eff), eff.theta)
         total = math.exp(_A / 2.0) / (2.0 * t) * (base + sum_over(s[1:]) + sum_over(np.conj(s[1:])))
         assert abs(total.imag) <= 1e-12 * abs(total.real)
         assert total.real == pytest.approx(series_value(TABLE, t), abs=1e-9)
@@ -190,7 +190,7 @@ class TestSweeps:
             for t in np.geomspace(0.05 * k / mu, 100.0 * k / mu, 12):
                 t = float(t)
                 value = series_value(params, t)
-                got, estimate = _line_sum(eff, k, mu, t, _term_count(eff, k, mu, t))
+                got, estimate = _line_sum(eff, t, _term_count(eff, t))
                 assert invert(params, t) == got
                 assert abs(got - value) <= estimate
                 worst = max(worst, abs(got - value) / max(1.0, value))

@@ -149,6 +149,10 @@ class TestEffective:
         assert eff.rho == pytest.approx(eff.r_eff / eff.alpha, rel=1e-13)
         assert eff.mu0 == pytest.approx(params.k * (eff.r_eff + params.mu) / params.mu**2, rel=1e-13)
         assert eff.v == pytest.approx(eff.theta * eff.phi_k / (1.0 - eff.phi_k), rel=1e-11)
+        assert eff.k == params.k
+        assert eff.mu == params.mu
+        if eff.phi_k > 0.0:
+            assert eff.k_log_alpha == pytest.approx(-math.log(eff.phi_k), rel=1e-12)
 
 
 class TestPerpetualValue:
@@ -286,7 +290,7 @@ class TestSeriesRoutes:
         mu, r = math.exp(log_mu), math.exp(log_r)
         t = math.exp(log_cycles) * k / mu
         eff = effective(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(1.0)))
-        value, bound = valuation._residue_sum(eff, mu, k, t)
+        value, bound = valuation._residue_sum(eff, t)
         assume(bound <= valuation._RESIDUE_TOL * value)
         assert abs(value - oracles.residue_value(k, mu, r, 1.0, t)) <= bound
 
