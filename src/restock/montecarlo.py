@@ -98,6 +98,10 @@ _BLOCK = 8192
 _WINDOW = 0.03
 _LOG_WINDOW = math.log(_WINDOW)
 
+# A perpetuity path takes about ln(1/c)/(k ln(alpha)) + 1/(1 - q) rounds;
+# simulate_vk refuses a model whose paths need more than this many.
+_MAX_ROUNDS = 10**5
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -334,10 +338,21 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
     roulette ends it (see ``_perpetuity_block``).  The roulette leaves
     every path's expected total equal to v, so the estimate has no
     truncation bias and its error is the sampling error ``stderr``.
+
+    A path takes about ln(1/c)/(k ln(alpha)) + 1/(1 - q) rounds, each a
+    numpy call over the live paths.  Where that is more than
+    ``_MAX_ROUNDS`` = 10^5 (at k = 1, mu = 1: r below 4.51e-5, or q
+    rounding to 1), ValueError is raised before anything is drawn; at the
+    cap 2,000 paths take 6.1 s and 100,000 take 203 s on a 2-vCPU Xeon.
+    ``effective(params).v`` is the exact value.
     """
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
     eff = effective(params)
+    rounds = -_LOG_WINDOW / eff.k_log_alpha - 1.0 / math.expm1(-eff.k_log_alpha)
+    if not rounds <= _MAX_ROUNDS:
+        raise ValueError(f"a perpetuity path needs about {rounds:.3g} rounds, past the cap of {_MAX_ROUNDS}; "
+                         "`restock value` gives the exact perpetual value")
 
     def totals(_: int, block: int, size: int) -> np.ndarray:
         return _perpetuity_block(eff, _stream(seed, _VK_PRICE, block), size)

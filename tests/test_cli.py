@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,16 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert "--perpetual" in err
+
+    def test_perpetuity_past_the_round_cap_exits_2_at_once(self, capsys):
+        # about 4.5e8 rounds a path: some 5 hours of simulation, refused instead
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "simulate", "--perpetual", "--k", "1", "--mu", "1", "--r", "1e-8", "--theta", "1", "--paths", "100"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "restock value" in err
 
     def test_mode_required(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", *TABLE_FLAGS, "--paths", "100", "--seed", "1")
