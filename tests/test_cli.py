@@ -518,15 +518,17 @@ class TestSimulate:
         assert out == ""
         assert "--perpetual" in err
 
-    def test_perpetuity_past_the_round_cap_exits_2_at_once(self, capsys):
-        # about 4.5e8 rounds a path: some 5 hours of simulation, refused instead
+    @pytest.mark.parametrize("r", ["1e-8", "1e-17"], ids=["slow", "q-rounds-to-1"])
+    def test_perpetuity_past_the_round_cap_exits_2_at_once(self, capsys, r):
+        # about 4.5e8 rounds a path (some 5 hours of simulation) and 4.5e17,
+        # where q rounds to 1 and no path ever ended; both refused unsimulated
         start = time.perf_counter()
         code, out, err = run_cli(
-            capsys, "simulate", "--perpetual", "--k", "1", "--mu", "1", "--r", "1e-8", "--theta", "1", "--paths", "100"
+            capsys, "simulate", "--perpetual", "--k", "1", "--mu", "1", "--r", r, "--theta", "1", "--paths", "100"
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, "")
-        assert "restock value" in err
+        assert "past the cap of 100000; `restock value`" in err
 
     def test_mode_required(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", *TABLE_FLAGS, "--paths", "100", "--seed", "1")

@@ -303,13 +303,6 @@ class TestPerpetuity:
         est = simulate_vk(ModelParams(k=1, mu=1.0, r=1e-4, cost=FixedCost(theta=1.0)), 2_000, 1)
         assert (sizes, est.mean) == ([2_000], 1.0)
 
-    @pytest.mark.parametrize("r", [1e-8, 1e-17], ids=["slow", "q-rounds-to-1"])
-    def test_round_cap_refuses_before_drawing(self, monkeypatch, r):
-        # about 4.5e8 and 4.5e17 rounds a path; at r=1e-17 q rounds to 1
-        monkeypatch.setattr(montecarlo, "_perpetuity_block", no_draws)
-        with pytest.raises(ValueError, match=r"rounds, past the cap of 100000; `restock value`"):
-            simulate_vk(ModelParams(k=1, mu=1.0, r=r, cost=FixedCost(theta=1.0)), 100, 0)
-
     def test_large_stock_draws_in_bounded_memory(self):
         params = ModelParams(k=1000, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
         tracemalloc.start()
@@ -319,10 +312,6 @@ class TestPerpetuity:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-
-
-def no_draws(*args):
-    raise AssertionError("a perpetuity block was drawn")
 
 
 class TestPerpetuityBlocks:
