@@ -32,8 +32,6 @@ __version__ = "0.1.0"
 
 # name -> home module, imported on first access
 _HOMES = {
-    "GammaLaw": "restock.distributions",
-    "convolution_cdf": "restock.distributions",
     "ModelParams": "restock.valuation",
     "FixedCost": "restock.valuation",
     "LinearCost": "restock.valuation",

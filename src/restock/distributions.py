@@ -1,25 +1,24 @@
-"""Gamma renewal-time law and its convolutions.
+"""The package's one domain rule, and Loader's Poisson pmf.
+
+The module states the one domain rule every input of the package goes
+through: :func:`_check_real` for reals and :func:`_check_count` for
+integer counts, each with one error message.
 
 With unit Poisson demand of intensity ``mu``, a full stock of ``shape``
 units lasts a Gamma(shape, mu) time: the sum of ``shape`` exponential
 inter-demand gaps.  Since shapes are integers,
 P(Gamma(m, rate) <= t) = P(Poisson(rate*t) >= m), so every gamma cdf in the
-package is a Poisson tail, and all of them come from one primitive:
+package is a Poisson tail, and all of them come from
+:func:`restock.erlang.erlang_cdf_grid`.  A Poisson tail is summed from its
+smaller side, starting from a pmf value anchored by Loader's saddle-point
+form (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000), so each cdf is accurate relative to itself, deep
+tails included.  The scalar pmf ``_pmf`` also anchors the convolution
+series' walk (:func:`restock.valuation.series_value`).
 
-* :func:`restock.erlang.erlang_cdf_grid` -- Gamma(shape) and
-  Gamma(shape + 1) cdfs on an array of points, in one sweep,
-* ``convolution_cdf``             -- distribution of n consecutive cycles,
-  one call into ``erlang_cdf_grid``.
-
-A Poisson tail is summed from its smaller side, starting from a pmf value
-anchored by Loader's saddle-point form (C. Loader, "Fast and Accurate
-Computation of Binomial Probabilities", 2000), so each cdf is accurate
-relative to itself, deep tails included.  The scalar pmf ``_pmf`` also
-anchors the convolution series' walk (:func:`restock.valuation.series_value`).
-
-The module also states the one domain rule every input of the package
-goes through: :func:`_check_real` for reals and :func:`_check_count` for
-integer counts, each with one error message.
+``convolution_cdf``, the distribution of n consecutive cycles, is one call
+into ``erlang_cdf_grid`` that no method makes; it is kept only as the name
+the benchmark harness traces at :mod:`restock.valuation`.
 
 The module is pure Python: the scalar methods and the CLI start without
 numpy, and ``convolution_cdf`` imports the numpy primitive on first use.
@@ -29,12 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-__all__ = [
-    "GammaLaw",
-    "convolution_cdf",
-]
+__all__ = ["convolution_cdf"]
 
 
 def _numpy_scalars(*kinds: str) -> tuple[type, ...]:
@@ -72,23 +67,6 @@ def _check_count(name: str, x, low: int) -> int:
 def _check_horizon(t) -> float:
     """The horizon check every pointwise method shares: t finite and >= 0."""
     return _check_real("t", t, "nonnegative")
-
-
-@dataclass(frozen=True)
-class GammaLaw:
-    """Gamma(shape, rate) law of the time one full stock lasts.
-
-    ``shape`` is the stock size (number of exponential demand stages,
-    integer >= 1); ``rate`` is the demand intensity mu > 0 in events per
-    unit time.  The density is rate^shape x^(shape-1) e^(-rate x) / (shape-1)!.
-    """
-
-    shape: int
-    rate: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", _check_count("shape", self.shape, 1))
-        object.__setattr__(self, "rate", _check_real("rate", self.rate, "positive"))
 
 
 # Loader's Stirling-formula error ln(n!) - ln(sqrt(2 pi n) (n/e)^n) for
@@ -148,17 +126,19 @@ def _pmf(x: int, lam: float) -> float:
     return math.exp(-_stirlerr(x) - _bd0(x, lam)) / (_SQRT_2PI * math.sqrt(x))
 
 
-def convolution_cdf(n: int, t: float, law: GammaLaw) -> float:
-    """n-fold convolution F*n(t): probability that n consecutive stocks are
-    exhausted by time t.
+def convolution_cdf(n: int, t: float, shape: int, rate: float) -> float:
+    """n-fold convolution F*n(t) of the Gamma(shape, rate) cycle law: the
+    probability that n consecutive stocks are exhausted by time t.
 
     The sum of n Gamma(shape, rate) cycles is Gamma(n*shape, rate), and the
     zero-fold convolution is identically 1.
     """
     n = _check_count("n", n, 0)
     t = _check_horizon(t)
+    shape = _check_count("shape", shape, 1)
+    rate = _check_real("rate", rate, "positive")
     if n == 0:
         return 1.0
     from restock.erlang import erlang_cdf_grid  # numpy, loaded on first use
 
-    return float(erlang_cdf_grid(n * law.shape, law.rate, [t])[0][0])
+    return float(erlang_cdf_grid(n * shape, rate, [t])[0][0])

@@ -4,9 +4,7 @@
 array of points in one sweep, as the Poisson tails
 P(Poisson(rate*x) >= shape) and >= shape + 1 (see :mod:`restock.distributions`
 for the identity and Loader's pmf, which anchors each walk here too).  The
-renewal-equation solver builds its panel moments from it, and
-:func:`restock.distributions.convolution_cdf` is one call into it, which
-imports this module on first use so that its own module stays numpy-free.
+renewal-equation solver builds its panel moments from it.
 """
 
 from __future__ import annotations

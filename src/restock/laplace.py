@@ -109,7 +109,7 @@ def _line_sum(eff: EffectiveParams, t: float, n: int) -> tuple[float, float]:
     value = scale * float(_EULER @ partial[1:])
     step = abs(value - scale * float(_EULER @ partial[:-1]))
     rounding = 2.0**-53 * scale * float(np.abs(values) @ (np.abs(log_qphi) + 1.0))
-    aliasing = _ALIASING * eff.v * -math.expm1(-eff.mu * t * math.log1p(eff.r_eff / eff.mu))
+    aliasing = _ALIASING * eff.v * -math.expm1(-eff.mu * t / eff.k * eff.k_log_alpha)
     return value, step + rounding + aliasing
 
 

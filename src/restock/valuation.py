@@ -37,8 +37,8 @@ import math
 from dataclasses import dataclass
 
 from restock.distributions import _EPS, _LOWER_SPAN, _check_count, _check_horizon, _check_real, _pmf
-# The series no longer calls convolution_cdf; the name stays bound here
-# because perfbench/spans.py wraps it at this module as a benchmark layer.
+# No method calls convolution_cdf; the name stays bound here only because
+# perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
 
 __all__ = [

@@ -18,10 +18,10 @@ transform's pole residues in mpmath, at whatever precision the sum's
 cancellation needs, from its own poles and roots of unity.
 
 The last section holds derived quantities that only the tests use (the
-counting process of replacements, the cycle transform, a one-path cycle
-sampler, the residual value, the tilted forcing term, the perpetuity's
-path totals block by block and both sides of the perpetuity equation).  They are built on the package's own
-primitives, and their tests check identities between those primitives.
+residual value, the tilted forcing term, the perpetuity's path totals
+block by block and both sides of the perpetuity equation).  They are
+built on the package's own primitives, and their tests check identities
+between those primitives.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import mpmath
 import numpy as np
 
 from restock import valuation
-from restock.distributions import GammaLaw, convolution_cdf
+from restock.distributions import convolution_cdf
 from restock.montecarlo import _BLOCK, MCEstimate, _perpetuity_block, _stream, simulate_vk
 from restock.valuation import ModelParams, effective
 
@@ -204,67 +204,6 @@ def tilted_kernel_moments(params: ModelParams) -> tuple[float, float]:
 # Test-only quantities built on the package's primitives.
 
 
-def counting_pmf(n: int, t: float, law: GammaLaw) -> float:
-    """P[N(t) = n]: exactly n replacements completed by time t.
-
-    N(t) >= n iff the n-th replacement epoch is <= t, so the pmf is the
-    difference of consecutive convolution cdfs.
-    """
-    p = convolution_cdf(n, t, law) - convolution_cdf(n + 1, t, law)
-    # clip the rounding residue of the difference
-    return min(1.0, max(0.0, p))
-
-
-def counting_pgf(t: float, s: float, law: GammaLaw, tol: float = 1e-12) -> float:
-    """E[s^N(t)] for s in [0, 1], truncated under a rigorous tail bound.
-
-    For s < 1 the tail beyond the n-th term is below s^n / (1 - s) because
-    every pmf value is at most 1; summation stops once that bound drops
-    under ``tol``.  For s = 1 the value is exactly 1 (pmf normalization).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [0, 1], got {s}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if s == 1.0:
-        return 1.0
-    if t == 0.0:
-        return 1.0
-    total = 0.0
-    s_pow = 1.0
-    n = 0
-    while True:
-        total += s_pow * counting_pmf(n, t, law)
-        n += 1
-        s_pow *= s
-        if s_pow / (1.0 - s) < tol:
-            break
-    return total
-
-
-def laplace_phi(s: float, law: GammaLaw) -> float:
-    """E[exp(-s X)] = (rate / (s + rate))^shape for s > -rate.
-
-    Computed in log space so large shapes neither overflow nor underflow
-    prematurely.
-    """
-    if not s > -law.rate:
-        raise ValueError(f"transform diverges for s <= -rate ({s} <= {-law.rate})")
-    return math.exp(law.shape * (math.log(law.rate) - math.log(s + law.rate)))
-
-
-def sample_renewal_time(law: GammaLaw, stream: np.random.Generator) -> float:
-    """Exact draw of one availability time from a caller-owned stream.
-
-    Realized as the sum of ``shape`` unit-exponential inverse-transform
-    draws scaled by 1/rate; consumes exactly ``shape`` uniforms.
-    """
-    u = stream.random(law.shape)
-    return float(-np.log1p(-u).sum() / law.rate)
-
-
 def residual_value(params: ModelParams, t: float) -> float:
     """Remaining value v - w(t) still to accrue after horizon t."""
     return effective(params).v - valuation.series_value(params, t)
@@ -274,7 +213,7 @@ def tail_weight(params: ModelParams, t: float) -> float:
     """Forcing term v * (1 - F(t)) of the tilted residual equation."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return effective(params).v * (1.0 - convolution_cdf(1, t, GammaLaw(params.k, params.mu)))
+    return effective(params).v * (1.0 - convolution_cdf(1, t, params.k, params.mu))
 
 
 def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:

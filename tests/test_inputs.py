@@ -14,12 +14,10 @@ import pytest
 
 from restock import (
     FixedCost,
-    GammaLaw,
     GridSpec,
     LinearCost,
     ModelParams,
     asymptotic_value,
-    convolution_cdf,
     exact_k1_value,
     invert,
     optimal_stock_scan,
@@ -27,11 +25,11 @@ from restock import (
     simulate_vk,
     simulate_wk,
 )
+from restock.distributions import convolution_cdf
 from restock.erlang import erlang_cdf_grid
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
-LAW = GammaLaw(shape=2, rate=1.0)
 XS = np.array([0.5, 1.0])
 
 
@@ -52,11 +50,11 @@ REALS = {
     "FixedCost.theta": ("theta", "", FixedCost),
     "LinearCost.a": ("fixed cost a", "nonnegative", lambda x: LinearCost(a=x, b=1.0)),
     "LinearCost.b": ("unit margin b", "positive", lambda x: LinearCost(a=0.0, b=x)),
-    "GammaLaw.rate": ("rate", "positive", lambda x: GammaLaw(shape=2, rate=x)),
     "erlang_cdf_grid.rate": ("rate", "positive", lambda x: erlang_cdf_grid(2, x, XS)),
     "GridSpec.t_max": ("t_max", "nonnegative", lambda x: GridSpec(t_max=x, h=0.5)),
     "GridSpec.h": ("h", "positive", lambda x: GridSpec(t_max=1.0, h=x)),
-    "convolution_cdf.t": ("t", "nonnegative", lambda x: convolution_cdf(1, x, LAW)),
+    "convolution_cdf.t": ("t", "nonnegative", lambda x: convolution_cdf(1, x, 2, 1.0)),
+    "convolution_cdf.rate": ("rate", "positive", lambda x: convolution_cdf(1, 1.0, 2, x)),
     "series_value.t": ("t", "nonnegative", lambda x: series_value(TABLE, x)),
     "asymptotic_value.t": ("t", "nonnegative", lambda x: asymptotic_value(TABLE, x)),
     "exact_k1_value.t": ("t", "nonnegative", lambda x: exact_k1_value(K1, x)),
@@ -73,9 +71,9 @@ REALS = {
 # entry point -> (name in the message, lower bound, call with the input set to x)
 COUNTS = {
     "ModelParams.k": ("k", 1, lambda x: _model(k=x)),
-    "GammaLaw.shape": ("shape", 1, lambda x: GammaLaw(shape=x, rate=1.0)),
     "erlang_cdf_grid.shape": ("shape", 1, lambda x: erlang_cdf_grid(x, 1.0, XS)),
-    "convolution_cdf.n": ("n", 0, lambda x: convolution_cdf(x, 1.0, LAW)),
+    "convolution_cdf.n": ("n", 0, lambda x: convolution_cdf(x, 1.0, 2, 1.0)),
+    "convolution_cdf.shape": ("shape", 1, lambda x: convolution_cdf(1, 1.0, x, 1.0)),
     "optimal_stock_scan.k_max": ("k_max", 1, lambda x: optimal_stock_scan(0.5, 1.0, 1.0, 2.0, k_max=x)),
     "simulate_wk.n_paths": ("n_paths", 2, lambda x: simulate_wk(TABLE, 1.0, x, 0)),
     "simulate_wk.seed": ("seed", 0, lambda x: simulate_wk(TABLE, 1.0, 2, x)),
@@ -119,6 +117,14 @@ def test_count_inputs_share_one_rule(entry):
         _rejects(call, x, TypeError, f"{name} must be an integer, got {x!r}")
     for x in (low - 1, np.int64(low - 1)):
         _rejects(call, x, ValueError, f"{name} must be >= {low}, got {x!r}")
+
+
+def test_zero_fold_convolution_checks_its_law():
+    # the zero-fold value is 1 whatever the law, but a bad law still raises
+    with pytest.raises(ValueError, match="shape must be >= 1, got 0"):
+        convolution_cdf(0, 1.0, 0, 1.0)
+    with pytest.raises(ValueError, match="rate must be a finite positive real, got 0.0"):
+        convolution_cdf(0, 1.0, 1, 0.0)
 
 
 def test_numpy_scalars_are_stored_as_python_numbers():
