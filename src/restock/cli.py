@@ -18,7 +18,7 @@ endings, 10 significant digits) or JSON (lossless floats, ``metadata``
 last).  Diagnostics go to stderr only, so stdout can be piped.  Every
 command is deterministic given its full flag set; exit code 0 means the
 command completed and its tolerance gates passed, 1 a failed gate, 2 a
-usage or validation error.
+usage or validation error, or an input whose arrays do not fit in memory.
 """
 
 from __future__ import annotations
@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, TypeError, ArithmeticError) as exc:
         _diag(f"error: {exc}")
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError too
+        _diag(f"error: out of memory: {exc}")
         return 2
 
 

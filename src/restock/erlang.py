@@ -17,9 +17,6 @@ from restock.distributions import _EPS, _SQRT_2PI, _check_count, _check_real, _s
 
 __all__ = ["erlang_cdf_grid"]
 
-# points per sweep of erlang_cdf_grid
-_GRID_CHUNK = 8192
-
 
 def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(shape, rate) and Gamma(shape + 1, rate) cdfs on an array of points.
@@ -33,9 +30,9 @@ def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray,
 
     and one sweep gives both cdfs, since F_(shape+1) = F_shape - pmf_shape.
     Each walk stops where what is left is below 2^-53 of its largest term
-    at every point, so values are accurate relative to themselves.  Points
-    are swept in chunks of ``_GRID_CHUNK``, so the working arrays stay
-    small next to the two results.
+    at every point, so values are accurate relative to themselves.  The
+    working arrays are as large as x; a caller with a long grid sweeps it
+    in parts.
     """
     shape = _check_count("shape", shape, 1)
     rate = _check_real("rate", rate, "positive")
@@ -43,19 +40,9 @@ def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray,
     # min and max reduce without a temporary the size of x; nan fails both
     if x.size and not (x.min() >= 0 and math.isfinite(x.max())):
         raise ValueError("x must be finite and nonnegative")
-    cdf = np.empty(x.shape)
-    cdf_next = np.empty(x.shape)
-    flat_x, flat_cdf, flat_next = x.ravel(), cdf.ravel(), cdf_next.ravel()
-    for start in range(0, flat_x.size, _GRID_CHUNK):
-        part = slice(start, start + _GRID_CHUNK)
-        _erlang_chunk(shape, rate * flat_x[part], flat_cdf[part], flat_next[part])
-    return cdf, cdf_next
-
-
-def _erlang_chunk(shape: int, lam: np.ndarray, cdf: np.ndarray, cdf_next: np.ndarray) -> None:
-    """Fill cdf and cdf_next with P(Poisson(lam) >= shape) and >= shape + 1."""
-    cdf.fill(0.0)
-    cdf_next.fill(0.0)
+    lam = rate * x
+    cdf = np.zeros(x.shape)
+    cdf_next = np.zeros(x.shape)
     upper = (lam > 0.0) & (lam < shape)
     if upper.any():
         lam_up = lam[upper]
@@ -84,6 +71,7 @@ def _erlang_chunk(shape: int, lam: np.ndarray, cdf: np.ndarray, cdf_next: np.nda
         below_next += below
         cdf[lower] = 1.0 - below
         cdf_next[lower] = 1.0 - below_next
+    return cdf, cdf_next
 
 
 def _pmf_grid(j: int, lam: np.ndarray) -> np.ndarray:

@@ -130,13 +130,13 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class MCCurve:
-    """Horizon estimates on a grid: ``estimates[i]`` is the estimate at ``times[i]``.
+    """Horizon estimates on a grid: ``estimates[i]`` is the estimate at the
+    caller's i-th time.
 
     Each entry is bit-identical to a call of :func:`simulate_wk` at that
     time alone, with the same seed and n_paths.
     """
 
-    times: tuple[float, ...]
     estimates: tuple[MCEstimate, ...]
 
     @property
@@ -187,7 +187,7 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
     estimates = _horizon_estimates(effective(params), times, n_paths, seed)
-    return estimates[0] if scalar else MCCurve(times=times, estimates=estimates)
+    return estimates[0] if scalar else MCCurve(estimates=estimates)
 
 
 def _check_times(times) -> tuple[float, ...]:

@@ -11,10 +11,10 @@ horizon t, giving
 :func:`series_value` evaluates w(t) by one of two routes.  Under Poisson
 demand F*n(t) = P(N >= n k) with N ~ Poisson(mu t), so the series sums by
 parts to one expectation over the count, w(t) = v * E[1 - q^floor(N/k)]:
-one walk of the Poisson pmf with no tolerance to set, about
-17 sqrt(mu t) pmf steps.  The transform of w is rational with k simple
-poles s_j = mu (omega_j/alpha - 1), omega_j the k-th roots of unity, so
-the residue (Heaviside) expansion
+one walk of the Poisson pmf with no tolerance to set, in whole blocks of k
+pmf steps: O(max(k, sqrt(mu t))) steps.  The transform of w is rational
+with k simple poles s_j = mu (omega_j/alpha - 1), omega_j the k-th roots
+of unity, so the residue (Heaviside) expansion
 
     w(t) = v + (theta/k) Re sum_j (1 + mu/s_j) e^(s_j t)
 
@@ -62,8 +62,8 @@ _LOG_HALF_ULP = -54 * math.log(2.0)
 # fraction of the value, ~1e-14 relative like the walk.
 _RESIDUE_TOL = 2.0**-44
 # It is tried where k < _RESIDUE_REACH * sqrt(mu t): its k/2 pole pairs
-# cost about 13 pmf steps each, the walk about 17 sqrt(mu t) steps, so an
-# attempt costs at most ~3/4 of the walk it may replace.
+# cost about 13 pmf steps each, the walk there at least about 17 sqrt(mu t)
+# steps, so an attempt costs at most ~3/4 of the walk it may replace.
 _RESIDUE_REACH = 2.0
 
 
@@ -231,8 +231,10 @@ def series_value(params: ModelParams, t: float) -> float:
     j in [nk, nk+k) where the weight -expm1(n ln q) is constant: up until
     the rest, at most p_j (j+1)/(j+1-mu t), is at most 2^-53 of the sum,
     then down to k until the rest, at most p_j j/(mu t-j) times the next
-    weight, is; about 17 sqrt(mu t) pmf steps.  All but 2^-58 of the mass
-    is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
+    weight, is.  The stop rule is tested only at block ends, so the walk
+    takes O(max(k, sqrt(mu t))) pmf steps: about 17 sqrt(mu t) where k is
+    the smaller, and one block of k or more otherwise.  All but 2^-58 of
+    the mass is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
     weight that counts rounds to 1, and v is returned without either route.
     """
     t = _check_horizon(t)
@@ -392,12 +394,11 @@ def optimal_stock_scan(
     up to the stopping point; raises if no k <= k_max has b*k > a, or if
     v* underflows to 0 (alpha^k past the double range at every candidate).
     """
-    checked = ModelParams(k=1, mu=mu, r=r, cost=LinearCost(a=a, b=b), growth=growth)
-    a, b, mu, r, growth = checked.cost.a, checked.cost.b, checked.mu, checked.r, checked.growth
-    if not growth < r:
-        raise ValueError(f"growth must satisfy 0 <= growth < r, got {growth!r}")
+    cost = LinearCost(a=a, b=b)
+    a, b = cost.a, cost.b
+    # ln(alpha) and the growth rule; a zero payment's perpetuity cannot overflow
+    log_alpha = effective(ModelParams(k=1, mu=mu, r=r, cost=FixedCost(0.0), growth=growth)).k_log_alpha
     cap = DEFAULT_KMAX if k_max is None else _check_count("k_max", k_max, 1)
-    log_alpha = math.log1p((r - growth) / mu)
 
     first = max(1, math.floor(a / b) + 1)
     while first <= cap and b * first <= a:  # float guard at the feasibility edge

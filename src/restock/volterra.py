@@ -56,11 +56,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from restock.erlang import _GRID_CHUNK, erlang_cdf_grid
+from restock.erlang import erlang_cdf_grid
 from restock.grid import GridSpec
 from restock.valuation import EffectiveParams, ModelParams, effective
 
 __all__ = ["GridSpec", "solve_renewal"]
+
+# Points per erlang_cdf_grid call of _kernel_cdfs, whose sweep stops at the
+# first part that ends in an exact 1.0.
+_GRID_CHUNK = 8192
 
 # Fewest steps per block of the division: below a few thousand, the blocks'
 # per-call overhead outweighs their shorter FFTs (a support of one step, as
@@ -106,13 +110,13 @@ def _series_inverse(c: np.ndarray, m: int) -> np.ndarray:
 
 def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gamma(k) and Gamma(k + 1) cdfs at t_i = i*h for i = 0, ..., n, or only
-    up to the point after the first ``_GRID_CHUNK`` sweep that ends in a
-    Gamma(k + 1) cdf of exactly 1.0: both cdfs are 1.0 at every later point.
+    up to the point after the first ``erlang_cdf_grid`` sweep of at most
+    ``_GRID_CHUNK`` points that ends in a Gamma(k + 1) cdf of exactly 1.0:
+    both cdfs are 1.0 at every later point.
 
     That holds because the Poisson mass that 1.0 is reduced by falls with t,
     per step by a relative mu*h*(1 - k/(mu*t)) or more, far above its
-    rounding.  The sweeps are ``erlang_cdf_grid``'s own chunks, so every
-    value is bit-equal to one call over the whole grid.
+    rounding.
     """
     cdfs_k, cdfs_k1 = [], []
     for start in range(0, n + 1, _GRID_CHUNK):

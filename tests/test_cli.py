@@ -178,6 +178,17 @@ class TestCurve:
             assert (code, err) == (0, "")
             assert [float(row["value"]) for row in parse_csv(out)] == [0.0, 0.0, 0.0]
 
+    def test_grid_past_memory_is_a_usage_error(self, capsys, monkeypatch):
+        # a horizon of 1e15 steps cannot be allocated; exit 1 is kept for a failed gate
+        def solve_renewal(params, grid):
+            raise MemoryError("Unable to allocate 7.28 PiB for an array with shape (1000000000000001,)")
+
+        monkeypatch.setattr(cli, "solve_renewal", solve_renewal)
+        argv = ["--k", "10", "--mu", "1", "--r", "0.02", "--theta", "1", "--t-max", "1e15", "--step", "1e15"]
+        code, out, err = run_cli(capsys, "curve", "--method", "volterra", *argv, "--h", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory: Unable to allocate 7.28 PiB for an array with shape (1000000000000001,)\n"
+
     def test_overflowing_perpetual_value_is_named(self, capsys):
         # v is past the double range: a named error, not a walk without end
         argv = ["--k", "1", "--mu", "1", "--r", "1e-10", "--theta", "1e300"]

@@ -192,7 +192,6 @@ class TestHorizonGrid:
     def test_scalar_call_equals_its_grid_entry(self):
         curve = simulate_wk(TABLE, list(self.TIMES), self.N_PATHS, 42)
         assert isinstance(curve, MCCurve)
-        assert curve.times == self.TIMES
         assert curve.estimates == tuple(simulate_wk(TABLE, t, self.N_PATHS, 42) for t in self.TIMES)
         assert curve.n_paths == 4 * self.N_PATHS
         assert simulate_wk(TABLE, np.array(self.TIMES), self.N_PATHS, 42) == curve
@@ -209,6 +208,13 @@ class TestHorizonGrid:
             monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
             curves.append(simulate_wk(TABLE, self.TIMES, self.N_PATHS, 3))
         assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, count, usable):
+        # macOS and Windows have no sched_getaffinity; os.cpu_count may be None
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: count)
+        assert montecarlo._usable_cpus() == usable
 
     def test_every_block_lands_once_under_contention(self, monkeypatch):
         # more workers than cores and a short switch interval: a block result
@@ -231,9 +237,9 @@ class TestHorizonGrid:
         assert result == [expected]
 
     def test_empty_and_all_zero_grids_draw_nothing(self):
-        assert simulate_wk(TABLE, [], 100, 1) == MCCurve(times=(), estimates=())
+        assert simulate_wk(TABLE, [], 100, 1) == MCCurve(estimates=())
         zero = MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=1)
-        assert simulate_wk(TABLE, (0.0, 0), 100, 1) == MCCurve(times=(0.0, 0.0), estimates=(zero, zero))
+        assert simulate_wk(TABLE, (0.0, 0), 100, 1) == MCCurve(estimates=(zero, zero))
 
     def test_grid_memory_stays_per_block(self):
         # 20 times x 100,000 paths: blocks are reduced as they finish, so

@@ -510,13 +510,22 @@ class TestOptimalStock:
         assert scan == [(3, 1.0 / math.expm1(3 * math.log1p(0.02)))]
         assert k_star == 3
 
+    def test_scan_skips_a_rounded_feasibility_edge(self):
+        # b*868 == a exactly, yet floor(a/b) = 867 because a/b rounds below
+        # 868: the scan must still start past k = 868, where b*k > a
+        a, b = 1173.795357256747, 1.3522987986828883
+        assert b * 868 == a and math.floor(a / b) == 867
+        k_star, _, scan = optimal_stock_scan(a=a, b=b, mu=1.0, r=0.02)
+        assert scan[0][0] == 869
+        assert (k_star, len(scan)) == (918, 204)
+
     def test_rejects_bad_inputs(self):
         cases = [
             ({"a": -1.0}, "fixed cost a must be a finite nonnegative real"),
             ({"b": 0.0}, "unit margin b must be a finite positive real"),
             ({"mu": 0.0}, "mu must be a finite positive real"),
             ({"r": -1.0}, "r must be a finite positive real"),
-            ({"growth": 0.02}, "growth must satisfy 0 <= growth < r"),
+            ({"growth": 0.02}, "perpetual value divergent under cost growth"),
             ({"growth": -0.01}, "growth must be a finite nonnegative real"),
             ({"k_max": 0}, "k_max must be >= 1"),
         ]
@@ -537,13 +546,15 @@ class TestOptimalStock:
     @pytest.mark.parametrize("a, b, mu, r", [(1000.0, 1.0, 0.1, 0.5), (1000.0, 0.0248, 0.011, 0.0359)])
     def test_underflowed_optimum_is_named(self, monkeypatch, a, b, mu, r):
         # every candidate value underflows to 0; the scan must stop at the
-        # second candidate (envelope 0 <= v* = 0), not run on to k_max = 10^6
+        # second candidate (envelope 0 <= v* = 0), not run on to k_max = 10^6:
+        # one call from effective() at k = 1, then the first candidate's
+        # value and the second's envelope
         calls = []
         perpetuity = valuation._perpetuity
         monkeypatch.setattr(valuation, "_perpetuity", lambda *xs: calls.append(xs) or perpetuity(*xs))
         with pytest.raises(ValueError, match="optimal value underflows to 0"):
             optimal_stock_scan(a=a, b=b, mu=mu, r=r)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("k_max", [2.5, 10.0, True])
     def test_rejects_non_integer_cap(self, k_max):
