@@ -14,11 +14,12 @@ simulate    seeded Monte Carlo run (finite horizon or perpetuity)
 The CLI only parses and formats: :func:`_method_rows` maps a method tag to
 library values and :func:`_report` writes every report to stdout, as CSV
 (curve-like commands: bit-exact header ``t,method,value,stderr``, LF
-endings, 10 significant digits) or JSON (lossless floats, ``metadata``
-last).  Diagnostics go to stderr only, so stdout can be piped.  Every
-command is deterministic given its full flag set; exit code 0 means the
-command completed and its tolerance gates passed, 1 a failed gate, 2 a
-usage or validation error, or an input whose arrays do not fit in memory.
+endings, 10 significant digits) or JSON (lossless finite floats, null for
+an infinite or NaN one, ``metadata`` last).  Diagnostics go to stderr
+only, so stdout can be piped.  Every command is deterministic given its
+full flag set; exit code 0 means the command completed and its tolerance
+gates passed, 1 a failed gate, 2 a usage or validation error, or an input
+whose arrays do not fit in memory.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = N
 
     CSV: the given ``csv`` lines, else the rows under CSV_HEADER.  JSON: one
     object with ``command`` first, then ``fields`` in order, ``rows`` (when
-    given) and ``metadata`` last.
+    given) and ``metadata`` last, with null for every infinite or NaN float.
     """
     if args.out == "csv":
         if csv is None:
@@ -175,7 +176,18 @@ def _report(args: argparse.Namespace, command: str, rows: list[tuple] | None = N
     if rows is not None:
         fields["rows"] = [{"t": t, "method": m, "value": v, "stderr": e} for t, m, v, e in rows]
     payload = {"command": command, **fields, "metadata": {"version": restock.__version__}}
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    sys.stdout.write(json.dumps(_finite_or_null(payload), indent=2, allow_nan=False) + "\n")
+
+
+def _finite_or_null(node):
+    """``node`` with every infinite or NaN float replaced by None, written as null: RFC 8259 has neither."""
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_finite_or_null(value) for value in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 def cmd_value(args: argparse.Namespace) -> int:

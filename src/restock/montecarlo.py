@@ -48,16 +48,18 @@ Chan, Golub & LeVeque's pairwise update (Amer. Statist. 37(3), 1983), so
 memory stays at one block per worker for both.  The blocks run on every
 CPU the process may use (numpy's samplers and ufuncs release the GIL).
 
-Determinism: every draw comes from a Philox counter-based stream keyed by
-(seed, stream domain, index), the perpetuity's block b by index b, and the
-horizon's (t, block b) pair by index b with the float64 bits of t in the
-counter's high word.  A block's draws and reductions are the same on every
-schedule, and blocks are merged in fixed order, so results are
+Determinism: every draw comes from an SFC64 stream (Doty-Humphrey's Small
+Fast Chaotic generator) seeded through numpy's SeedSequence by the key
+(seed, stream domain, index, high): the perpetuity's block b by index b
+and high 0, and the horizon's (t, block b) pair by index b with the
+float64 bits of t as high.  SeedSequence hashes the whole key into the
+generator's state (O'Neill's seed_seq design), so keys that differ in any
+bit seed unrelated streams.  A block's draws and reductions are the same
+on every schedule, and blocks are merged in fixed order, so results are
 bit-reproducible from (seed, n_paths, params, t, ``_BLOCK``) for a horizon
 estimate, whatever other times share the call, and from (seed, n_paths,
 params, ``_BLOCK``, ``_WINDOW``) for the perpetuity, and neither depends
-on the number of cores or on how the blocks are scheduled (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  The numpy
+on the number of cores or on how the blocks are scheduled.  The numpy
 version is part of the recipe too, because the horizon clock uses
 ``Generator.poisson`` and the perpetuity ``Generator.standard_gamma``
 (Marsaglia & Tsang, ACM TOMS 26(3), 2000) and ``Generator.random``,
@@ -78,10 +80,10 @@ from restock.valuation import EffectiveParams, ModelParams, effective
 
 __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 
-# Stream domains; each (seed, domain, index) triple, with the counter's
-# high word (a horizon's t bits, else 0), is an independent Philox
-# substream.  The numbers key the draws, so they are part of the
-# reproducibility recipe and must never be reassigned.
+# Stream domains; each (seed, domain, index) triple, with a third key word
+# (a horizon's t bits, else 0), seeds an independent SFC64 stream.  The
+# numbers key the draws, so they are part of the reproducibility recipe and
+# must never be reassigned.
 _WK_CLOCK = 0
 _VK_PRICE = 2
 # 3 and 4 are taken: the perpetuity-equation checker in tests/oracles.py
@@ -115,7 +117,7 @@ class MCEstimate:
     path block size ``_BLOCK`` on the same numpy version, whatever other
     times a horizon call shares; a perpetuity estimate also depends on its
     roulette window ``_WINDOW``.  Blocks draw from streams keyed by (seed,
-    stream, block), with a horizon's t in the counter; each block is reduced
+    stream, block), with a horizon's t in the key; each block is reduced
     as it is drawn and the blocks merge in block order, so neither estimate
     holds more than one block per core or depends on how many cores ran
     them.  Neither estimator truncates, so neither carries a bias term:
@@ -147,16 +149,21 @@ class MCCurve:
 
 def _check_seed(seed: int) -> int:
     seed = _check_count("seed", seed, 0)
-    if seed >= 2**64:  # the width of the Philox key's seed word
+    if seed >= 2**64:  # the width of the stream key's seed word
         raise ValueError(f"seed must fit an unsigned 64-bit integer, got {seed}")
     return seed
 
 
 def _stream(seed: int, domain: int, index: int, high: int = 0) -> np.random.Generator:
-    """The Philox stream keyed by (seed, domain, index), its counter starting at high * 2^192."""
-    key = np.array([seed, (domain << 56) | index], dtype=np.uint64)
-    counter = np.array([0, 0, 0, high], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    """The SFC64 stream keyed by the 64-bit words (seed, domain << 56 | index, high).
+
+    SeedSequence hashes the key's 32-bit words.  Given integers, it splits
+    each into as many words as it needs, so [2^32, 0, 0] and [0, 1, 0] would
+    seed one stream; every 64-bit word is therefore passed as exactly two
+    words, low half first, split by arithmetic rather than by byte order.
+    """
+    words = [(int(w) >> shift) & 0xFFFFFFFF for w in (seed, (domain << 56) | index, high) for shift in (0, 32)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(words)))
 
 
 def _usable_cpus() -> int:
@@ -172,15 +179,15 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
 
     Each path draws the number of completed cycles by t,
     N = floor(Poisson(mu*t) / k), and its sample is the exact conditional
-    payout theta * sum_{n=1}^{N} q^n, evaluated as
-    theta * q * expm1(N ln q) / expm1(ln q), which keeps full relative
-    accuracy when q is close to 1.  A float t returns an :class:`MCEstimate`;
-    a sequence of times returns an :class:`MCCurve` with one estimate per
-    time, all simulated in one pass over (time, block) pairs (see
-    ``_horizon_estimates``), each equal bit for bit to the call at that time
-    alone.  t = 0 gives the exact 0 from no path (n_paths 0); a negative or
-    non-finite time raises ValueError (the infinite-horizon value is
-    :func:`simulate_vk`).
+    payout theta * sum_{n=1}^{N} q^n, evaluated as -v * expm1(N ln q)
+    with v = theta * q / (1 - q) the perpetual value, which keeps full
+    relative accuracy when q is close to 1.  A float t returns an
+    :class:`MCEstimate`; a sequence of times returns an :class:`MCCurve`
+    with one estimate per time, all simulated in one pass over (time,
+    block) pairs (see ``_horizon_estimates``), each equal bit for bit to
+    the call at that time alone.  t = 0 gives the exact 0 from no path
+    (n_paths 0); a negative or non-finite time raises ValueError (the
+    infinite-horizon value is :func:`simulate_vk`).
     """
     scalar = np.ndim(t) == 0
     times = _check_times((t,) if scalar else t)
@@ -205,9 +212,8 @@ def _check_times(times) -> tuple[float, ...]:
 
 def _horizon_estimates(eff: EffectiveParams, times: tuple[float, ...], n_paths: int, seed: int) -> tuple[MCEstimate, ...]:
     """One estimate per time, a repeated time simulated once; block b of time t
-    draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits in the counter."""
-    k, mu, log_q = eff.k, eff.mu, -eff.k_log_alpha
-    scale = eff.theta * math.exp(log_q) / math.expm1(log_q)
+    draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits as the key's high word."""
+    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v
     drawn = list(dict.fromkeys(t for t in times if t > 0))
 
     def payouts(i: int, block: int, size: int) -> np.ndarray:
@@ -343,7 +349,7 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
     numpy call over the live paths.  Where that is more than
     ``_MAX_ROUNDS`` = 10^5 (at k = 1, mu = 1: r below 4.51e-5, or q
     rounding to 1), ValueError is raised before anything is drawn; at the
-    cap 2,000 paths take 6.1 s and 100,000 take 203 s on a 2-vCPU Xeon.
+    cap 2,000 paths take 6.3-7.1 s and 100,000 take 170 s on a 2-vCPU Xeon.
     ``effective(params).v`` is the exact value.
     """
     n_paths = _check_count("n_paths", n_paths, 2)

@@ -400,7 +400,8 @@ def optimal_stock_scan(
     log_alpha = effective(ModelParams(k=1, mu=mu, r=r, cost=FixedCost(0.0), growth=growth)).k_log_alpha
     cap = DEFAULT_KMAX if k_max is None else _check_count("k_max", k_max, 1)
 
-    first = max(1, math.floor(a / b) + 1)
+    # a / b may overflow to inf, which floor() refuses; no k <= cap is feasible then
+    first = max(1, math.floor(a / b) + 1) if a / b < cap else cap + 1
     while first <= cap and b * first <= a:  # float guard at the feasibility edge
         first += 1
     scan: list[tuple[int, float]] = []
@@ -413,7 +414,7 @@ def optimal_stock_scan(
         if value > best_v:
             best_k, best_v = k, value
     if best_k is None:
-        raise ValueError(f"no stock size up to k_max={cap} has positive payoff b*k - a")
+        raise ValueError(f"no stock size up to k_max={cap} has positive payoff b*k - a (a={a!r}, b={b!r})")
     if best_v == 0.0:
         raise ValueError(
             f"optimal value underflows to 0: alpha^-k is below the double range from the first "

@@ -444,6 +444,12 @@ class TestOptimize:
         assert code == 2
         assert "positive payoff" in err
 
+    def test_overflowing_cost_ratio_is_infeasible(self, capsys):
+        # a / b overflows to inf: no stock size is feasible, and floor(inf) must not escape
+        code, out, err = run_cli(capsys, "optimize", "--a", "1e299", "--b", "1e-300", "--mu", "1", "--r", "0.02")
+        assert (code, out) == (2, "")
+        assert "no stock size up to k_max=1000000 has positive payoff b*k - a (a=1e+299, b=1e-300)" in err
+
     @pytest.mark.parametrize("a, b, mu, r, first", [("1000", "1", "0.1", "0.5", 1001),
                                                     ("1000", "0.0248", "0.011", "0.0359", 40323)])
     def test_underflowed_optimum_is_named(self, capsys, a, b, mu, r, first):
@@ -718,18 +724,18 @@ _PINNED_STDOUT = {
     ),
     "curve-mc": (
         ["curve", "--method", "mc", *TABLE_FLAGS, *_PIN_GRID, *_PIN_MC],
-        "0d15f721f40a2eb93149350c937171caefad9e44f2b622abc6f4a05d8485fc1f",
-        "3c15c8ee1ff872b4d471ac0cc3cce525bb2c996601a8205cb1493a6c0310fd0c",
+        "c7a93d760e3d384a45e9c66cf7997df8dc261c357a76e23246b29b2759d570aa",
+        "a275848ac243d86d8d2cd73b6f0a9ad863ed910778e346bb3f1c586604cb6480",
     ),
     "curve-all": (
         ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
-        "4030c4c05a64db99aee02522b9308e50da0695f49d2086bd4cdf0d82928cc40a",
-        "90afe6a412b52a19ed9f4fb4d555f2c5546206723112eb351cda0a30dbbefbed",
+        "69e823ced7077415724199fc9a10ad7e8aa749ce5105a6c2ccd013243b5c874e",
+        "7121e6204a6c96016760e67c409c5294de484b23cb2aad1bb7b52c3e9751450e",
     ),
     "compare": (
         ["compare", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
-        "a241ccecd041b6081bc2a91f397b3cc17c75c9bdbe6a52cc69bc1cd53cea3cd3",
-        "a0fee30fe24e7e8bd72ccb1c8fe17c325aebf1240abcd5b61b3f011870d53de8",
+        "726513484c33c75882debab4e33badd66775334fd0becd3c07a97cb6c86668fc",
+        "86e869a0d2a198c32bd84c331f75750cc2895c71621288a4fc4c3f2313b6b337",
     ),
     "optimize": (
         ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"],
@@ -739,17 +745,17 @@ _PINNED_STDOUT = {
     "paper-table": (
         ["paper-table"],
         "4cc13b3f4f00798d8bfadc306a4c4526e112ef315ab03d1094b692f1863b6c6d",
-        "620e85ab142c97478bc2c91f1f5d54bbbb62ae39b8e87238cce5620260dd8aa7",
+        "eb5f5aab37a7c9afad7323fad0997da5e1b970b938f9b9a96578ec33ac7eadda",
     ),
     "simulate-horizon": (
         ["simulate", "--horizon", "10", *TABLE_FLAGS, *_PIN_MC],
-        "3a7ed8eae4942939cb8ef2a888462e66f0587a9a818d6fcf45e4623344870a4b",
-        "334233068664c2cd59db751b7673934263a68986e28a7f62d5d2bf7dafe16544",
+        "28561d4c7b60370615a9f9fab50fe3bc8902425324c076876399dfc2c14c2498",
+        "0d8f3fd6069b55410fd02e469f85ae05f48ec3bd7b9f05cc821070fbbe1383a8",
     ),
     "simulate-perpetual": (
         ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_MC],
-        "c6f3afb07e025e5b9f0abc5b7d3aea75faba18cbb38210051c8d3b3c87d2dcad",
-        "59428ef024a65a4d5e0774c7c77270278f61adccf8d64c1c2677adc7f8863beb",
+        "2fbb0dd38000c9916621af8624e8145d1e832db8951b8ef4f051723559fb6848",
+        "dad801106232addb78dc4dca4d28ed90d27697eb8eb4cd9d46fabd2563966460",
     ),
     # cost growth shifts every method to the rate r - growth
     "value-growth": (
@@ -759,13 +765,13 @@ _PINNED_STDOUT = {
     ),
     "curve-all-growth": (
         ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
-        "fe9cd3689153713e47bbac480408b101214fa91a5386a8309b3b0526c430da94",
-        "4d33ed568127c158ee909de6f01321acbc6af668147bda2062ac4ef2e8471a0c",
+        "17ebb15aa13673d4371836440e88076e40ba1bd90201c9d96a2194da63ea9008",
+        "93696ca36473ef0032824b1d1f407c46b665365c1c22933f30b87a1d8a41e427",
     ),
     "simulate-perpetual-growth": (
         ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_MC],
-        "21bbf5aecdf9f91ee1be29395585033f223ace433d01dd4b841d1c8bbf780e3f",
-        "104129792737f804506b0e70f267ce62ec4b9a8846f4fd7c68fa3285de971c8d",
+        "3494513dfe9362000ecb49307185bcba83d1f4ee3600e8827ca5ee00bdaf4d37",
+        "2645b66f6dddee6f92b10aaff49496719aa309273e2380ff069a2ddc0b07dd2e",
     ),
 }
 
@@ -776,7 +782,46 @@ def test_stdout_is_pinned(capsys, command, out):
     argv, csv_digest, json_digest = _PINNED_STDOUT[command]
     code, stdout, _ = run_cli(capsys, *argv, "--out", out)
     assert code == 0
+    if out == "json":
+        strict_json(stdout)
     assert hashlib.sha256(stdout.encode()).hexdigest() == (csv_digest if out == "csv" else json_digest)
+
+
+def strict_json(text: str):
+    """``text`` parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+
+    def refuse(name: str):
+        raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_floats_are_written_as_null(capsys):
+    _, out, _ = run_cli(capsys, "paper-table", "--out", "json")
+    assert [row["t"] for row in strict_json(out)["rows"]].count(None) == 3
+    _, out, _ = run_cli(capsys, "value", "--k", "1", "--mu", "1e-300", "--r", "1e300", "--theta", "1")
+    effective = strict_json(out)["effective"]
+    assert (effective["alpha"], effective["mu0"]) == (None, None)
+
+
+@pytest.mark.parametrize("command", [command for command, (argv, _, _) in _PINNED_STDOUT.items() if "--seed" in argv])
+def test_pinned_mc_rows_lie_within_four_stderr(capsys, command):
+    # the pinned digests must encode estimates that agree with the exact value
+    argv = _PINNED_STDOUT[command][0]
+    params = cli._build_params(build_parser().parse_args(argv))
+    code, out, _ = run_cli(capsys, *argv, "--out", "json")
+    assert code == 0
+    report = json.loads(out)
+    if command.startswith("simulate"):
+        estimate = report["estimate"]
+        exact = perpetual_value(params) if report["mode"] == "perpetual" else series_value(params, report["horizon"])
+        checked = [(exact, estimate["mean"], estimate["stderr"])]
+    else:
+        checked = [(series_value(params, row["t"]), row["value"], row["stderr"])
+                   for row in report["rows"] if row["method"] == "mc"]
+    assert checked
+    for exact, mean, stderr in checked:
+        assert abs(mean - exact) <= 4.0 * stderr, (exact, mean, stderr)
 
 
 def _fresh_python(code: str) -> str:
