@@ -42,7 +42,7 @@ _HOMES = {
     "asymptotic_value": "restock.valuation",
     "exact_k1_value": "restock.valuation",
     "optimal_stock_scan": "restock.valuation",
-    "GridSpec": "restock.grid",
+    "GridSpec": "restock.valuation",
     "solve_renewal": "restock.volterra",
     "invert": "restock.laplace",
     "MCEstimate": "restock.montecarlo",

@@ -33,10 +33,10 @@ import sys
 
 import restock
 from restock.distributions import _check_real
-from restock.grid import DEFAULT_STEP, GridSpec
 from restock.valuation import (
     DEFAULT_KMAX,
     FixedCost,
+    GridSpec,
     LinearCost,
     ModelParams,
     asymptotic_value,
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--t-max", type=float, required=True, help="last report time; the grid starts at 0")
     grid.add_argument("--step", type=float, default=None, help="report spacing; must tile --t-max (required if > 0)")
-    grid.add_argument("--h", type=float, default=DEFAULT_STEP, help="Volterra solver step (default %(default)s)")
+    grid.add_argument("--h", type=float, default=0.01, help="Volterra solver step (default %(default)s)")
     mc = argparse.ArgumentParser(add_help=False)
     mc.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths (default %(default)s)")
     mc.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")

@@ -91,8 +91,6 @@ _STIRLERR = (
 _SQRT_2PI = 2.5066282746310007
 # unit roundoff of a double
 _EPS = 2.0**-53
-# P(Poisson(lam) < lam - 9 sqrt(lam)) < exp(-81/2) < 2^-58
-_LOWER_SPAN = 9.0
 
 
 def _stirlerr(n: int) -> float:

@@ -11,10 +11,10 @@ horizon t, giving
 :func:`series_value` evaluates w(t) by one of two routes.  Under Poisson
 demand F*n(t) = P(N >= n k) with N ~ Poisson(mu t), so the series sums by
 parts to one expectation over the count, w(t) = v * E[1 - q^floor(N/k)]:
-one walk of the Poisson pmf with no tolerance to set, in whole blocks of k
-pmf steps: O(max(k, sqrt(mu t))) steps.  The transform of w is rational
-with k simple poles s_j = mu (omega_j/alpha - 1), omega_j the k-th roots
-of unity, so the residue (Heaviside) expansion
+one walk of the Poisson pmf with no tolerance to set, in pieces of at
+most 9 sqrt(mu t) + 2 pmf steps: O(sqrt(mu t)) steps whatever k is.  The
+transform of w is rational with k simple poles s_j = mu (omega_j/alpha - 1),
+omega_j the k-th roots of unity, so the residue (Heaviside) expansion
 
     w(t) = v + (theta/k) Re sum_j (1 + mu/s_j) e^(s_j t)
 
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from restock.distributions import _EPS, _LOWER_SPAN, _check_count, _check_horizon, _check_real, _pmf
+from restock.distributions import _EPS, _check_count, _check_horizon, _check_real, _pmf
 # No method calls convolution_cdf; the name stays bound here only because
 # perfbench/spans.py wraps it at this module as a benchmark layer.
 from restock.distributions import convolution_cdf  # noqa: F401
@@ -45,6 +45,7 @@ __all__ = [
     "FixedCost",
     "LinearCost",
     "ModelParams",
+    "GridSpec",
     "EffectiveParams",
     "effective",
     "perpetual_value",
@@ -58,6 +59,8 @@ DEFAULT_KMAX = 10**6
 
 # ln(2^-54): 1 - x rounds to 1 for 0 <= x < 2^-54
 _LOG_HALF_ULP = -54 * math.log(2.0)
+# P(Poisson(lam) < lam - 9 sqrt(lam)) < exp(-81/2) < 2^-58
+_LOWER_SPAN = 9.0
 # The residue sum is returned where its rounding bound is at most this
 # fraction of the value, ~1e-14 relative like the walk.
 _RESIDUE_TOL = 2.0**-44
@@ -126,6 +129,29 @@ class ModelParams:
         if not isinstance(self.cost, (FixedCost, LinearCost)):
             raise TypeError(f"cost must be FixedCost or LinearCost, got {self.cost!r}")
         object.__setattr__(self, "growth", _check_real("growth", self.growth, "nonnegative"))
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Uniform solution grid: horizon ``t_max`` tiled by n_steps >= 0 steps ``h``.
+
+    A positive ``t_max`` needs at least one step: a step that rounds it to
+    0 steps does not tile it.
+    """
+
+    t_max: float
+    h: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "t_max", _check_real("t_max", self.t_max, "nonnegative"))
+        object.__setattr__(self, "h", _check_real("h", self.h, "positive"))
+        n = self.n_steps
+        if (n == 0 and self.t_max > 0) or abs(n * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
+            raise ValueError(f"step h={self.h} does not tile t_max={self.t_max}")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.t_max / self.h)
 
 
 @dataclass(frozen=True)
@@ -227,15 +253,17 @@ def series_value(params: ModelParams, t: float) -> float:
 
     Every term is nonnegative, so the sum is accurate relative to itself,
     deep tails and q near 1 included.  The walk starts at
-    j0 = max(k, floor(mu t)) from Loader's pmf and goes block by block, over
-    j in [nk, nk+k) where the weight -expm1(n ln q) is constant: up until
-    the rest, at most p_j (j+1)/(j+1-mu t), is at most 2^-53 of the sum,
-    then down to k until the rest, at most p_j j/(mu t-j) times the next
-    weight, is.  The stop rule is tested only at block ends, so the walk
-    takes O(max(k, sqrt(mu t))) pmf steps: about 17 sqrt(mu t) where k is
-    the smaller, and one block of k or more otherwise.  All but 2^-58 of
-    the mass is above b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every
-    weight that counts rounds to 1, and v is returned without either route.
+    j0 = max(k, floor(mu t)) from Loader's pmf and goes piece by piece, each
+    inside one block j in [nk, nk+k), where the weight -expm1(n ln q) is
+    constant, and at most ceil(9 sqrt(mu t)) + 1 terms long, the walk's
+    reach on each side: up until the rest, at most p_j (j+1)/(j+1-mu t), is
+    at most 2^-53 of the sum, then down to k until the rest, at most
+    p_j j/(mu t-j) times the next weight, is.  The stop rule is tested at
+    each piece's end, so the walk takes O(sqrt(mu t)) pmf steps whatever k
+    is: about 17 sqrt(mu t), or 9 sqrt(mu t) where it starts at j0 = k >=
+    mu t and only goes up.  All but 2^-58 of the mass is above
+    b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every weight that
+    counts rounds to 1, and v is returned without either route.
     """
     t = _check_horizon(t)
     eff = effective(params)
@@ -250,36 +278,37 @@ def series_value(params: ModelParams, t: float) -> float:
         value, bound = _residue_sum(eff, t)
         if bound <= _RESIDUE_TOL * abs(value) < math.inf:  # finite, and within the tolerance
             return value
+    span = math.ceil(lam - bulk) + 1  # the walk's reach on each side
     j0 = max(k, math.floor(lam))
     p0 = _pmf(j0, lam)
-    top = j0 // k
 
     total = 0.0
-    n, j, p = top, j0, p0  # block n holds j in [nk, nk + k)
-    while True:  # up, block by block, from p_j0
-        block = 0.0
-        end = (n + 1) * k
+    j, p = j0, p0  # block n holds j in [nk, nk + k)
+    while True:  # up, piece by piece, from p_j0
+        n = j // k
+        end = min((n + 1) * k, j + span)
+        piece = 0.0
         while j < end:
-            block += p
+            piece += p
             j += 1
             p *= lam / j
-        total += block * -math.expm1(n * log_q)
-        n += 1
+        total += piece * -math.expm1(n * log_q)
         if p * (j + 1) <= _EPS * total * (j + 1 - lam):
             break
 
-    n, j, p = top, j0, p0
-    while j > k:  # down, block by block, from p_(j0-1)
+    j, p = j0, p0
+    while j > k:  # down, piece by piece, from p_(j0-1)
+        n = (j - 1) // k
         weight = -math.expm1(n * log_q)
         if p * j * weight <= _EPS * total * (lam - j):
             break
-        block = 0.0
-        while j > n * k:
+        end = max(n * k, j - span)
+        piece = 0.0
+        while j > end:
             p *= j / lam
             j -= 1
-            block += p
-        total += block * weight
-        n -= 1
+            piece += p
+        total += piece * weight
     return eff.v * total
 
 
@@ -371,7 +400,7 @@ def exact_k1_value(params: ModelParams, t: float) -> float:
         raise ValueError(f"closed form only holds for k = 1, got k = {params.k}")
     t = _check_horizon(t)
     eff = effective(params)
-    return -(eff.theta * eff.mu / eff.r_eff) * math.expm1(-eff.rho * t)
+    return _key_renewal_term(eff, 0.0) * math.expm1(-eff.rho * t)
 
 
 def optimal_stock_scan(

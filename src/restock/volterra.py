@@ -57,10 +57,9 @@ from __future__ import annotations
 import numpy as np
 
 from restock.erlang import erlang_cdf_grid
-from restock.grid import GridSpec
-from restock.valuation import EffectiveParams, ModelParams, effective
+from restock.valuation import EffectiveParams, GridSpec, ModelParams, effective
 
-__all__ = ["GridSpec", "solve_renewal"]
+__all__ = ["solve_renewal"]
 
 # Points per erlang_cdf_grid call of _kernel_cdfs, whose sweep stops at the
 # first part that ends in an exact 1.0.

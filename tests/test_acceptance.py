@@ -24,6 +24,7 @@ from restock.laplace import invert
 from restock.montecarlo import simulate_vk, simulate_wk
 from restock.valuation import (
     FixedCost,
+    GridSpec,
     LinearCost,
     ModelParams,
     effective,
@@ -31,8 +32,8 @@ from restock.valuation import (
     perpetual_value,
     series_value,
 )
-from restock.volterra import GridSpec, solve_renewal
 from restock.valuation import exact_k1_value
+from restock.volterra import solve_renewal
 
 from oracles import tilted_kernel_moments
 

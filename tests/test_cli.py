@@ -110,6 +110,17 @@ class TestCurve:
         assert by_t[10.0]["stderr"] == ""
         assert by_t[10.0]["method"] == "series"
 
+    def test_series_at_a_huge_stock_walks_sqrt_mu_t_steps(self, capsys, pmf_products):
+        # k = 10^6 at mu t up to 3 k: each row walks O(sqrt(mu t)) pmf steps, not O(k)
+        pmf_products.most = sum(30 * math.sqrt(t) + 100 for t in (1e6, 2e6, 3e6))
+        code, out, _ = run_cli(
+            capsys,
+            "curve", "--method", "series", "--k", "1000000", "--mu", "1", "--r", "1e-6", "--theta", "1",
+            "--t-max", "3000000", "--step", "1000000",
+        )
+        assert code == 0
+        assert [float(row["t"]) for row in parse_csv(out)] == [0.0, 1e6, 2e6, 3e6]
+
     def test_zero_horizon_asymptotic(self, capsys):
         code, out, _ = run_cli(capsys, "curve", "--method", "asymptotic", *TABLE_FLAGS, "--t-max", "0")
         assert code == 0

@@ -140,7 +140,7 @@ def test_the_check_finds_an_eager_numpy_import():
     source = (
         "import numpy.fft\n"
         "from restock import laplace\n"
-        "from restock.grid import GridSpec\n"
+        "from restock.valuation import GridSpec\n"
         "if True:\n    from restock.volterra import solve_renewal\n"
         "class A:\n    import numpy as np\n"
         "def f():\n    import numpy\n    from restock.erlang import erlang_cdf_grid\n"

@@ -7,6 +7,7 @@ import pytest
 from restock.laplace import _A, _gate, _line_sum, _log_qphi, _term_count, _w_hat_raw, invert
 from restock.valuation import (
     FixedCost,
+    GridSpec,
     LinearCost,
     ModelParams,
     effective,
@@ -14,7 +15,7 @@ from restock.valuation import (
     perpetual_value,
     series_value,
 )
-from restock.volterra import GridSpec, solve_renewal
+from restock.volterra import solve_renewal
 
 from oracles import trapezoid_transform
 

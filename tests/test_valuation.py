@@ -241,6 +241,30 @@ class TestSeriesValue:
         got = series_value(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(float(k))), t)
         assert abs(got - exact) <= 1e-12 * exact
 
+    @given(
+        k=st.integers(50, 2000),
+        mu=st.floats(0.1, 10.0),
+        log_r=st.floats(math.log(1e-8), math.log(0.5)),
+        log_share=st.floats(math.log(1 / 400), math.log(1 / 100)),
+    )
+    @settings(max_examples=10)
+    def test_matches_residue_reference_where_pieces_end_inside_blocks(self, k, mu, log_r, log_share):
+        # mu t from k^2/400 to k^2/100: the walk's pieces, ~9 sqrt(mu t) <= 0.9 k
+        # steps, are shorter than its blocks of k
+        r, t = math.exp(log_r), math.exp(log_share) * k * k / mu
+        exact = oracles.residue_value(k, mu, r, float(k), t)
+        got = series_value(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(float(k))), t)
+        assert abs(got - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("t", [5e5, 1e6, 3e6])
+    def test_walk_steps_follow_sqrt_mu_t_not_k(self, pmf_products, t):
+        # k = 10^6 >> sqrt(mu t): pieces of ~9 sqrt(mu t) steps end inside a
+        # block, where whole blocks would take 10^6 steps or more; at t = 5e5
+        # the walk starts 707 sd into the tail and w(t) underflows to 0
+        params = ModelParams(k=10**6, mu=1.0, r=1e-6, cost=FixedCost(theta=1.0))
+        pmf_products.most = 30 * math.sqrt(t) + 100
+        assert 0.0 <= series_value(params, t) < perpetual_value(params)
+
     def test_long_horizon_returns_v_without_a_walk(self, monkeypatch):
         # r t = 2e10: every weight rounds to 1; a walk would take ~1.7e7 pmf steps
         monkeypatch.setattr(valuation, "_pmf", no_walk)

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from oracles import poisson_tail, volterra_direct, volterra_longdouble
 from restock.erlang import erlang_cdf_grid
 from restock.valuation import (
-    FixedCost, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
+    FixedCost, GridSpec, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
 )
 from restock.volterra import (
-    _GRID_CHUNK, _MIN_BLOCK, GridSpec, _fft_length, _kernel_cdfs, _series_inverse, solve_renewal,
+    _GRID_CHUNK, _MIN_BLOCK, _fft_length, _kernel_cdfs, _series_inverse, solve_renewal,
 )
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
