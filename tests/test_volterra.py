@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -9,12 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct, volterra_longdouble
+from restock import volterra
 from restock.erlang import erlang_cdf_grid
+from restock.laplace import invert
+from restock.montecarlo import simulate_vk
 from restock.valuation import (
     FixedCost, GridSpec, LinearCost, ModelParams, effective, exact_k1_value, perpetual_value, series_value,
 )
 from restock.volterra import (
-    _GRID_CHUNK, _MIN_BLOCK, _fft_length, _kernel_cdfs, _series_inverse, solve_renewal,
+    _GRID_CHUNK, _MIN_BLOCK, _fft_length, _kernel_cdfs, _renewal_system, _series_inverse, _support_bound,
+    solve_renewal,
 )
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
@@ -115,25 +120,40 @@ class TestErlangGrid:
 
 
 class TestKernelCdfs:
-    """The solver's cdf sweep stops at the first chunk that ends in an exact
-    1.0; every cdf it leaves out must be exactly 1.0."""
+    """The solver's cdf sweep stops at the closed-form bound on the kernel's
+    support; every cdf it leaves out must be exactly 1.0."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10, 50, 200, 500])
     def test_early_stop_leaves_out_only_exact_ones(self, k):
         for mu, h in itertools.product((0.1, 1.0, 10.0), (0.001, 0.01, 0.05, 0.2)):
             cdf_k, cdf_k1 = _kernel_cdfs(k, mu, h, 10**12)
-            # the stop chunk ends at the last point but one; one exact 1.0 follows
-            end = cdf_k.size - 1
-            assert end % _GRID_CHUNK == 0
+            # the sweep ends at the last point but one; one exact 1.0 follows
+            last = cdf_k.size - 2
             assert cdf_k[-1] == cdf_k1[-1] == 1.0
-            assert np.all(cdf_k1[_GRID_CHUNK - 1 : end - 1 : _GRID_CHUNK] < 1.0)
-            # the stop chunk and the three after it, as one sweep over the
-            # whole grid computes them
-            times = np.arange(end - _GRID_CHUNK, end + 3 * _GRID_CHUNK) * h
+            # the support is the first exact 1.0 of F_(k+1); the sweep ends
+            # past it, by at most a tenth and one step
+            support = int(np.argmax(cdf_k1 == 1.0))
+            assert cdf_k1[support] == 1.0
+            assert support <= last <= 1.12 * support + 1
+            # the cut part, the rest of it and the part after it, as one sweep
+            # over the grid computes them
+            start = last - last % _GRID_CHUNK
+            times = np.arange(start, start + 2 * _GRID_CHUNK) * h
             full_k, full_k1 = erlang_cdf_grid(k, mu, times)
             for got, full in ((cdf_k, full_k), (cdf_k1, full_k1)):
-                assert np.array_equal(got[end - _GRID_CHUNK :], full[: _GRID_CHUNK + 1])
-                assert np.all(full[_GRID_CHUNK:] == 1.0)
+                assert np.array_equal(got[start:-1], full[: last + 1 - start])
+                assert np.all(full[max(support - start, 0) :] == 1.0)
+
+    @pytest.mark.parametrize("k, mu_h", [(1, 0.01), (2, 4.9), (10, 0.05), (10, 3.0), (200, 0.5)])
+    def test_system_equals_a_sweep_of_the_whole_grid(self, monkeypatch, k, mu_h):
+        # at coarse steps F_(k+1) can first read 1.0 at the sweep's last point
+        # (k = 2, mu*h = 4.9), so the 1.0 after it gives C its last coefficient
+        eff = effective(ModelParams(k=k, mu=mu_h, r=0.02, cost=FixedCost(1.0)))
+        grid = GridSpec(t_max=float(math.ceil(3.0 * _support_bound(k) / mu_h)), h=1.0)
+        bounded = _renewal_system(eff, grid)
+        monkeypatch.setattr(volterra, "_support_bound", lambda k: math.inf)
+        for got, want in zip(bounded, _renewal_system(eff, grid)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n", [0, 1, 8191, 8192, 20_000, 64_000, 200_000])
     def test_padded_with_ones_is_the_full_sweep(self, n):
@@ -223,16 +243,30 @@ class TestSolveRenewal:
         assert values.min() >= 0.0
         assert np.diff(values).min() >= -1e-12
 
-    def test_flagship_fine_grid_memory(self):
-        grid = GridSpec(t_max=500.0, h=0.01)
+    @staticmethod
+    def _peak_bytes(grid):
         solve_renewal(TABLE, GridSpec(t_max=10.0, h=0.01))  # lazy numpy.fft import
         tracemalloc.start()
         try:
             solve_renewal(TABLE, grid)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3e6
+
+    def test_flagship_fine_grid_memory(self):
+        assert self._peak_bytes(GridSpec(t_max=500.0, h=0.01)) < 1.3e6
+
+    def test_flagship_compare_grid_memory(self):
+        # the compare grid's kernel support is 1,283 steps: the cdf sweep
+        # stops at the bound's 1,389 points, not at a whole part of 8,192
+        assert self._peak_bytes(GridSpec(t_max=500.0, h=0.05)) < 0.4e6
+
+    def test_underflowed_step_demand_sweeps_the_grid(self):
+        # mu*h underflows to 0, so the support bound cannot size the sweep:
+        # it covers the grid's 101 points, where every cdf and value is 0
+        params = ModelParams(k=3, mu=1e-200, r=1e-200, cost=FixedCost(1.0))
+        values = solve_renewal(params, GridSpec(t_max=1e-180, h=1e-182))
+        assert values.tolist() == [0.0] * 101
 
     def test_underflowed_kernel_mass_solves_to_zero(self):
         # q = alpha^-k underflows to 0 at k ln(alpha) ~ 1920: the exact discrete
@@ -416,3 +450,30 @@ class TestAgainstDirectRecursion:
         values = solve_renewal(TABLE, GridSpec(t_max=0.0, h=0.01))
         assert values.dtype == float
         assert values.tolist() == [0.0]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TABLE,
+        ModelParams(k=1, mu=0.3, r=0.01, cost=FixedCost(2.5)),
+        ModelParams(k=50, mu=2.5, r=0.1, cost=FixedCost(1.0), growth=0.03),
+    ],
+)
+def test_binary_rescaling_is_exact_for_every_method(params):
+    # (mu, r, t, h) -> (2 mu, 2 r, t/2, h/2) scales every rate and time by a
+    # power of two, so each exponent, ratio and grid point is the same float.
+    # simulate_wk is left out: it keys each time's streams by that time's
+    # float bits, so t/2 draws other paths.
+    doubled = dataclasses.replace(params, mu=2 * params.mu, r=2 * params.r, growth=2 * params.growth)
+    for t in (0.5, 10.0, 37.5, 400.0):
+        assert series_value(doubled, t / 2) == series_value(params, t)
+        assert invert(doubled, t / 2) == invert(params, t)
+    assert np.array_equal(
+        solve_renewal(doubled, GridSpec(t_max=150.0, h=0.025)), solve_renewal(params, GridSpec(t_max=300.0, h=0.05))
+    )
+    assert simulate_vk(doubled, 4000, 3) == simulate_vk(params, 4000, 3)
+    # the cdf sweep's end depends on mu*h alone, so it stops at the same point
+    swept = _kernel_cdfs(params.k, params.mu, 0.05, 10**9)
+    for got, want in zip(_kernel_cdfs(params.k, doubled.mu, 0.025, 10**9), swept):
+        assert np.array_equal(got, want)
