@@ -13,7 +13,7 @@ by four mutually cross-checking routes:
 
 plus a discrete search for the stock size maximising the perpetual value,
 and a CLI (``restock``) that emits CSV/JSON reports.  Every gamma cdf comes
-from one primitive, :func:`restock.erlang.erlang_cdf_grid`.  The series
+from one primitive, :func:`restock.volterra.erlang_cdf_grid`.  The series
 takes the O(k) residue sum over the transform's poles where its rounding
 bound is tight, and one walk of the Poisson pmf, accurate relative to
 itself, everywhere else; neither has a tolerance to set.
@@ -21,9 +21,9 @@ itself, everywhere else; neither has a tolerance to set.
 The package's names load lazily (PEP 562): each is imported from its home
 module on first access, so ``import restock`` loads no numpy, and neither
 do the scalar methods -- the closed forms, the series and the stock scan
-(:mod:`restock.valuation`).  Only the array modules import numpy:
-:mod:`restock.erlang`, :mod:`restock.volterra`, :mod:`restock.laplace` and
-:mod:`restock.montecarlo`.
+(:mod:`restock.valuation`, which also holds the input records and the
+domain rule).  Only the array modules import numpy: :mod:`restock.volterra`,
+:mod:`restock.laplace` and :mod:`restock.montecarlo`.
 """
 
 import importlib

@@ -32,13 +32,13 @@ import math
 import sys
 
 import restock
-from restock.distributions import _check_real
 from restock.valuation import (
     DEFAULT_KMAX,
     FixedCost,
     GridSpec,
     LinearCost,
     ModelParams,
+    _check_real,
     asymptotic_value,
     effective,
     exact_k1_value,

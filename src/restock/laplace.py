@@ -35,8 +35,7 @@ import math
 
 import numpy as np
 
-from restock.distributions import _check_horizon
-from restock.valuation import EffectiveParams, ModelParams, _pole, effective
+from restock.valuation import EffectiveParams, ModelParams, _check_horizon, _pole, effective
 
 __all__ = ["invert"]
 

@@ -75,8 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restock.distributions import _check_count, _check_horizon
-from restock.valuation import EffectiveParams, ModelParams, effective
+from restock.valuation import EffectiveParams, ModelParams, _check_count, _check_horizon, effective
 
 __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 

@@ -13,8 +13,11 @@ density, which are themselves gamma cdfs one shape higher:
     int_panel f(s) ds           = F_k(b) - F_k(a),
     int_panel s f(s) ds         = (k/mu) * (F_{k+1}(b) - F_{k+1}(a)).
 
-Both cdfs come from sweeps of ``erlang_cdf_grid``, which sums each
-Poisson tail from its smaller side, so the panel masses are nonnegative
+Both cdfs come from sweeps of :func:`erlang_cdf_grid`, the package's one
+gamma-cdf primitive: one sweep gives both on an array of points as the
+Poisson tails P(Poisson(mu*t) >= k) and >= k + 1 (the identity, and
+Loader's pmf that anchors each walk, are in :mod:`restock.valuation`),
+each summed from its smaller side, so the panel masses are nonnegative
 and accurate relative to themselves even where F_k is far below 1e-16.
 Both cdfs are exactly 1.0 from an expected demand mu*t bounded in closed
 form (``_support_bound``): from there on every panel mass is exactly 0, so
@@ -60,8 +63,9 @@ import math
 
 import numpy as np
 
-from restock.erlang import erlang_cdf_grid
-from restock.valuation import EffectiveParams, GridSpec, ModelParams, effective
+from restock.valuation import (
+    _EPS, _SQRT_2PI, EffectiveParams, GridSpec, ModelParams, _check_count, _check_real, _stirlerr, effective,
+)
 
 __all__ = ["solve_renewal"]
 
@@ -79,6 +83,110 @@ _TAIL_EXPONENT = 40.0
 # per-call overhead outweighs their shorter FFTs (a support of one step, as
 # where q underflows to 0, would otherwise take a block per step).
 _MIN_BLOCK = 2048
+
+
+def erlang_cdf_grid(shape: int, rate: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma(shape, rate) and Gamma(shape + 1, rate) cdfs on an array of points.
+
+    With lam = rate*x, F_shape = P(Poisson(lam) >= shape), summed from the
+    smaller side,
+
+    * where lam >= shape: 1 - sum_{j<shape} pmf_j, walked down from
+      pmf_(shape-1);
+    * elsewhere: sum_{j>=shape} pmf_j, walked up from pmf_shape;
+
+    and one sweep gives both cdfs, since F_(shape+1) = F_shape - pmf_shape.
+    Each walk stops where what is left is below 2^-53 of its largest term
+    at every point, so values are accurate relative to themselves.  The
+    working arrays are as large as x; a caller with a long grid sweeps it
+    in parts.
+    """
+    shape = _check_count("shape", shape, 1)
+    rate = _check_real("rate", rate, "positive")
+    x = np.asarray(x, dtype=float)
+    # min and max reduce without a temporary the size of x; nan fails both
+    top = float(x.max()) if x.size else 0.0
+    if x.size and not (x.min() >= 0 and math.isfinite(top)):
+        raise ValueError("x must be finite and nonnegative")
+    if not math.isfinite(rate * top):  # a Python product: numpy's would warn
+        raise ValueError(f"rate * x overflows: rate = {rate!r}, x up to {top!r}")
+    lam = rate * x
+    cdf = np.zeros(x.shape)
+    cdf_next = np.zeros(x.shape)
+    upper = (lam > 0.0) & (lam < shape)
+    if upper.any():
+        lam_up = lam[upper]
+        head = _pmf_grid(shape, lam_up)
+        pmf = head.copy()
+        rest = np.zeros_like(lam_up)
+        for j in range(shape + 1, _upper_end(shape, float(lam_up.max())) + 1):
+            pmf *= lam_up
+            pmf /= j
+            rest += pmf
+        cdf_next[upper] = rest
+        rest += head
+        cdf[upper] = rest
+
+    lower = lam >= shape
+    if lower.any():
+        lam_lo = lam[lower]
+        pmf = _pmf_grid(shape - 1, lam_lo)
+        below_next = pmf * lam_lo  # pmf_shape
+        below_next /= shape
+        below = pmf.copy()
+        for j in range(shape - 1, _lower_end(shape, float(lam_lo.min())), -1):
+            pmf *= j
+            pmf /= lam_lo
+            below += pmf
+        below_next += below
+        cdf[lower] = 1.0 - below
+        cdf_next[lower] = 1.0 - below_next
+    return cdf, cdf_next
+
+
+def _pmf_grid(j: int, lam: np.ndarray) -> np.ndarray:
+    """P(Poisson(lam) = j) on an array lam > 0: :func:`_pmf` without the
+    near-mean series, so its relative error is about |j - lam| * 2^-51."""
+    if j == 0:
+        return np.exp(-lam)
+    diff = j - lam
+    # lam below ~j/1e308 overflows diff/lam, and above j 2^53 rounds it to
+    # -1, where log1p is -inf; the pmf is 0 at both ends
+    with np.errstate(over="ignore", divide="ignore"):
+        out = diff / lam
+        np.log1p(out, out=out)
+    np.maximum(out, -40.0, out=out)  # else log1p >= ln(2^-53); keeps that pmf 0, not inf
+    out *= j
+    out -= diff
+    out += _stirlerr(j)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out /= _SQRT_2PI * math.sqrt(j)
+    return out
+
+
+def _upper_end(shape: int, lam: float) -> int:
+    """Last j to add above pmf_shape: past it the rest, at most
+    pmf_j lam / (j + 1 - lam), is below 2^-53 pmf_(shape+1).  The ratio
+    grows with lam, so the largest lam of the walk decides."""
+    ratio = 1.0  # pmf_j / pmf_(shape+1)
+    j = shape + 1
+    while ratio * lam > _EPS * (j + 1 - lam):
+        j += 1
+        ratio *= lam / j
+    return j
+
+
+def _lower_end(shape: int, lam: float) -> int:
+    """Last j to add below pmf_(shape-1): past it the rest, at most
+    pmf_j j / (lam - j), is below 2^-53 pmf_(shape-1).  The smallest lam
+    of the walk decides."""
+    ratio = 1.0  # pmf_j / pmf_(shape-1)
+    j = shape - 1
+    while j > 0 and ratio * j > _EPS * (lam - j):
+        ratio *= j / lam
+        j -= 1
+    return j
 
 
 def _fft_length(m: int) -> int:

@@ -32,9 +32,8 @@ import mpmath
 import numpy as np
 
 from restock import valuation
-from restock.distributions import convolution_cdf
 from restock.montecarlo import _BLOCK, MCEstimate, _perpetuity_block, _stream, simulate_vk
-from restock.valuation import ModelParams, effective
+from restock.valuation import ModelParams, convolution_cdf, effective
 
 # Stream domains of the perpetuity-equation checker: its cycle draw and its
 # fresh perpetuity.  restock.montecarlo leaves these two numbers unused.
@@ -132,7 +131,7 @@ def volterra_direct(params, grid) -> np.ndarray:
     denom * w_i - q * sum_{l<i} conv_w[i-l] * w_l = g_i one step at a time
     with a dot product per step.  Returns the n + 1 values.
     """
-    from restock.erlang import erlang_cdf_grid
+    from restock.volterra import erlang_cdf_grid
 
     eff = effective(params)
     k, mu = params.k, params.mu

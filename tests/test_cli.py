@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,15 @@ class TestCurve:
         code, out, err = run_cli(capsys, "curve", "--method", "volterra", *argv, "--h", "1")
         assert (code, out) == (2, "")
         assert err == "error: out of memory: Unable to allocate 7.28 PiB for an array with shape (1000000000000001,)\n"
+
+    def test_overflowing_step_demand_is_named(self, capsys):
+        # mu*h is past the double range: one error line, not nan rows
+        argv = ["--k", "2", "--mu", "1e300", "--r", "1", "--theta", "1", "--t-max", "1e10", "--step", "1e9"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "curve", "--method", "volterra", *argv, "--h", "1e9")
+        assert (code, out) == (2, "")
+        assert err == "error: rate * x overflows: rate = 1e+300, x up to 1000000000.0\n"
 
     def test_overflowing_perpetual_value_is_named(self, capsys):
         # v is past the double range: a named error, not a walk without end

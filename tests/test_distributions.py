@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restock.distributions import convolution_cdf
-from restock.erlang import erlang_cdf_grid
+from restock.valuation import convolution_cdf
+from restock.volterra import erlang_cdf_grid
 
 from oracles import erlang_cdf, poisson_tail
 

@@ -1,5 +1,7 @@
-"""The README's examples run against the public surface as it is."""
+"""The README's examples run, and the package's docstring cross-references
+resolve, against the code as it is."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -10,6 +12,7 @@ import restock
 from restock.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "restock"
 # Monte Carlo examples print their figures at 1e6 paths; 1e4 keeps the run short
 EXAMPLE_PATHS = "10000"
 
@@ -50,3 +53,44 @@ def test_every_exported_name_resolves():
 def test_readme_cli_example_runs(capsys, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out
+
+
+# a :mod:`restock.x` or :func:`restock.x.f` reference in src/restock
+XREF = re.compile(r":(?:mod|func):`(restock(?:\.\w+)*)`")
+
+
+def resolve(dotted: str):
+    """What a dotted name names: its longest importable module prefix, then
+    the attributes after it."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != name:  # a module that exists failed to import
+                raise
+            continue
+        for attr in parts[cut:]:
+            target = getattr(target, attr)
+        return target
+
+
+def test_docstring_cross_references_resolve():
+    refs = sorted({ref for path in SRC.glob("*.py") for ref in XREF.findall(path.read_text(encoding="utf-8"))})
+    assert "restock.valuation" in refs
+    stale = []
+    for ref in refs:
+        try:
+            resolve(ref)
+        except (ModuleNotFoundError, AttributeError):
+            stale.append(ref)
+    assert stale == []
+
+
+def test_the_resolver_finds_a_stale_reference():
+    assert resolve("restock.valuation._check_real").__name__ == "_check_real"
+    with pytest.raises(ModuleNotFoundError):
+        resolve("restock.erlang.erlang_cdf_grid")
+    with pytest.raises(AttributeError):
+        resolve("restock.valuation.GammaLaw")

@@ -109,7 +109,7 @@ def test_private_functions_are_used_in_src():
 
 # The modules that import numpy; every other module runs without it, so
 # `import restock`, the CLI's start-up and the scalar commands never load it.
-ARRAY_MODULES = {"erlang", "laplace", "montecarlo", "volterra"}
+ARRAY_MODULES = {"laplace", "montecarlo", "volterra"}
 
 
 def eager_imports(source: str) -> set[str]:
@@ -143,9 +143,17 @@ def test_the_check_finds_an_eager_numpy_import():
         "from restock.valuation import GridSpec\n"
         "if True:\n    from restock.volterra import solve_renewal\n"
         "class A:\n    import numpy as np\n"
-        "def f():\n    import numpy\n    from restock.erlang import erlang_cdf_grid\n"
+        "def f():\n    import numpy\n    from restock.laplace import invert\n"
     )
     assert numpy_imports(source) == ["numpy", "numpy.fft", "restock.laplace", "restock.volterra", "restock.volterra.solve_renewal"]
+
+
+@pytest.mark.parametrize("module", sorted(ARRAY_MODULES))
+def test_array_modules_import_numpy(module):
+    # a module deleted, or no longer loading numpy, leaves no stale name here
+    path = SRC / f"{module}.py"
+    assert path.is_file()
+    assert "numpy" in eager_imports(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("module", sorted(path.name for path in SRC.glob("*.py") if path.stem not in ARRAY_MODULES))

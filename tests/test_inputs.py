@@ -24,9 +24,10 @@ from restock import (
     series_value,
     simulate_vk,
     simulate_wk,
+    solve_renewal,
 )
-from restock.distributions import convolution_cdf
-from restock.erlang import erlang_cdf_grid
+from restock.valuation import convolution_cdf
+from restock.volterra import erlang_cdf_grid
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -139,3 +140,18 @@ def test_an_infinite_time_in_a_grid_points_to_the_perpetuity():
     for times in ([1.0, math.inf], (math.inf,), np.array([2.0, np.inf])):
         with pytest.raises(ValueError, match=r"got (np\.float64\()?inf\)?; simulate the perpetual value with simulate_vk"):
             simulate_wk(TABLE, times, 2, 0)
+
+
+# entry point -> call whose expected demand mu*t = 1e300 * 1e9 overflows
+OVERFLOWS = {
+    "erlang_cdf_grid": lambda: erlang_cdf_grid(2, 1e300, [0.0, 1e9]),
+    "solve_renewal": lambda: solve_renewal(_model(k=2, mu=1e300, r=1.0), GridSpec(t_max=1e10, h=1e9)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVERFLOWS))
+def test_an_overflowing_demand_is_named(entry):
+    # numpy's product would warn and leave nan cdfs, and nan values
+    with pytest.raises(ValueError) as info:
+        OVERFLOWS[entry]()
+    assert str(info.value) == "rate * x overflows: rate = 1e+300, x up to 1000000000.0"

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct, volterra_longdouble
 from restock import volterra
-from restock.erlang import erlang_cdf_grid
 from restock.laplace import invert
 from restock.montecarlo import simulate_vk
 from restock.valuation import (
@@ -19,7 +18,7 @@ from restock.valuation import (
 )
 from restock.volterra import (
     _GRID_CHUNK, _MIN_BLOCK, _fft_length, _kernel_cdfs, _renewal_system, _series_inverse, _support_bound,
-    solve_renewal,
+    erlang_cdf_grid, solve_renewal,
 )
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
