@@ -88,8 +88,9 @@ _ERRATUM_NOTE = (
 )
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".10g")
+def _fmt(x) -> str:
+    """A CSV cell: a float to 10 significant digits, an integer exactly."""
+    return format(float(x), ".10g") if isinstance(x, float) else str(x)
 
 
 def _diag(message: str) -> None:
@@ -202,6 +203,8 @@ def cmd_value(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
+    if args.with_mc and args.method != "all":
+        raise ValueError("--with-mc adds Monte Carlo rows to --method all only; use --method mc for them alone")
     params = _build_params(args)
     times = _time_grid(args.t_max, args.step)
     if args.method == "all":
@@ -296,8 +299,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         mode, horizon, est = "horizon", args.horizon, _cli.simulate_wk(params, args.horizon, args.paths, args.seed)
     estimate = dataclasses.asdict(est)
-    cells = [mode, "" if horizon is None else _fmt(horizon)]
-    cells += [_fmt(x) if isinstance(x, float) else str(x) for x in estimate.values()]
+    cells = [mode, "" if horizon is None else _fmt(horizon), *map(_fmt, estimate.values())]
     csv = [",".join(["mode", "horizon", *estimate]), ",".join(cells)]
     _report(args, "simulate", csv=csv, params=_params_echo(params), mode=mode, horizon=horizon, estimate=estimate)
     return 0

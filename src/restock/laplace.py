@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from restock.valuation import EffectiveParams, ModelParams, _check_horizon, _pole, effective
+from restock.valuation import _EPS, EffectiveParams, ModelParams, _check_horizon, _pole, effective
 
 __all__ = ["invert"]
 
@@ -107,7 +107,7 @@ def _line_sum(eff: EffectiveParams, t: float, n: int) -> tuple[float, float]:
     scale = math.exp(_A / 2.0) / t
     value = scale * float(_EULER @ partial[1:])
     step = abs(value - scale * float(_EULER @ partial[:-1]))
-    rounding = 2.0**-53 * scale * float(np.abs(values) @ (np.abs(log_qphi) + 1.0))
+    rounding = _EPS * scale * float(np.abs(values) @ (np.abs(log_qphi) + 1.0))
     aliasing = _ALIASING * eff.v * -math.expm1(-eff.mu * t / eff.k * eff.k_log_alpha)
     return value, step + rounding + aliasing
 

@@ -48,7 +48,7 @@ on first use.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -80,32 +80,26 @@ _RESIDUE_TOL = 2.0**-44
 _RESIDUE_REACH = 2.0
 
 
-def _numpy_scalars(*kinds: str) -> tuple[type, ...]:
-    """numpy's abstract scalar types ``kinds``, or none while numpy is not
-    loaded: no numpy scalar can exist before numpy is imported."""
-    np = sys.modules.get("numpy")
-    return () if np is None else tuple(getattr(np, kind) for kind in kinds)
-
-
 def _check_real(name: str, x, sign: str = "") -> float:
-    """The domain rule for every real input: a finite int or float scalar,
-    Python or numpy, not a bool; ``sign`` "positive" or "nonnegative"
-    narrows it.  Returns x as a Python float, raises ValueError."""
-    # bool, a subclass of int, is excluded by hand
-    if isinstance(x, (float, int, *_numpy_scalars("floating", "integer"))) and type(x) is not bool:
+    """The domain rule for every real input: a :class:`numbers.Real` scalar
+    (int, float, Fraction, numpy's integers and floats), not a bool, whose
+    double is finite; ``sign`` "positive" or "nonnegative" narrows it.
+    Returns that double, raises ValueError."""
+    if isinstance(x, numbers.Real) and type(x) is not bool:  # bool is an Integral
         try:
-            finite = math.isfinite(x)
-        except OverflowError:  # an int past the double range
-            finite = False
-        if finite and (x > 0 or not sign or (x == 0 and sign == "nonnegative")):
-            return float(x)
+            f = float(x)
+        except OverflowError:  # an int or Fraction past the double range
+            f = math.inf
+        if math.isfinite(f) and (f > 0 or not sign or (f == 0 and sign == "nonnegative")):
+            return f
     raise ValueError(f"{name} must be a finite {sign + ' ' if sign else ''}real, got {x!r}")
 
 
 def _check_count(name: str, x, low: int) -> int:
-    """The domain rule for every integer input: a Python or numpy integer,
-    not a bool (TypeError), at least ``low`` (ValueError).  Returns int(x)."""
-    if not isinstance(x, (int, *_numpy_scalars("integer"))) or type(x) is bool:
+    """The domain rule for every integer input: a :class:`numbers.Integral`,
+    Python's or numpy's, not a bool (TypeError), at least ``low``
+    (ValueError).  Returns int(x)."""
+    if not isinstance(x, numbers.Integral) or type(x) is bool:
         raise TypeError(f"{name} must be an integer, got {x!r}")
     if x < low:
         raise ValueError(f"{name} must be >= {low}, got {x!r}")

@@ -283,11 +283,10 @@ def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, n
     if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
         raise ValueError(f"step too large for implicit diagonal: h={h} with mu={mu}")
 
-    # The cdfs are exactly 1.0 past the last point _kernel_cdfs returns, so
-    # the panels after its first ``size`` have zero mass.
+    # The cdfs are exactly 1.0 past the last of the size + 1 <= n + 1 points
+    # _kernel_cdfs returns, so the panels after its first ``size`` have zero mass.
     cdf_k, cdf_k1 = _kernel_cdfs(k, mu, h, n)
-    size = min(cdf_k.size - 1, n)
-    cdf_k, cdf_k1 = cdf_k[: size + 1], cdf_k1[: size + 1]
+    size = cdf_k.size - 1
 
     # Panel j covers [(j-1)h, jh]; a_panel is its kernel mass and b_panel the
     # mass-weighted mean offset int (s - (j-1)h)/h f(s) ds.

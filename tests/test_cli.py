@@ -81,6 +81,13 @@ class TestValue:
         assert code == 2
         assert "cost specification" in err
 
+    def test_csv_writes_an_integer_exactly(self, capsys):
+        # a k past 10 digits is not rounded through %.10g
+        argv = ["--k", "12345678901", "--mu", "1", "--r", "1e-12", "--theta", "1", "--out", "csv"]
+        code, out, _ = run_cli(capsys, "value", *argv)
+        assert code == 0
+        assert parse_csv(out)[0]["k"] == "12345678901"
+
     def test_unit_rate_ratio_underflow_is_named(self, capsys):
         code, out, err = run_cli(capsys, "value", "--k", "1", "--mu", "1e300", "--r", "1e-300", "--theta", "1")
         assert code == 2
@@ -170,6 +177,15 @@ class TestCurve:
         assert code == 0
         methods = {row["method"] for row in parse_csv(out)}
         assert methods == {"series", "volterra", "laplace", "asymptotic", "mc"}
+
+    @pytest.mark.parametrize("method", ["series", "mc"])
+    def test_with_mc_outside_method_all_is_refused(self, capsys, method):
+        argv = ["--method", method, *TABLE_FLAGS, "--t-max", "10", "--step", "5", "--with-mc"]
+        code, out, err = run_cli(capsys, "curve", *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: --with-mc adds Monte Carlo rows to --method all only; use --method mc for them alone\n"
+        )
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(

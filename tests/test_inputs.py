@@ -1,13 +1,17 @@
 """One domain rule for every input, with one message.
 
-Every real input is a finite int or float scalar (Python or numpy, not a
-bool), optionally positive or nonnegative; every count is a Python or numpy
-integer (not a bool) at or above its lower bound.  Each public constructor
-and entry point applies that rule, so each accepts and rejects the same
-values and words the error the same way.
+Every real input is a real of Python's number tower (``numbers.Real``:
+int, float, Fraction, numpy's integers and floats; not a bool) whose double
+is finite, optionally positive or nonnegative; every count is an integer of
+the tower (``numbers.Integral``, Python's or numpy's; not a bool) at or
+above its lower bound.  Each public constructor and entry point applies
+that rule, so each accepts and rejects the same values and words the error
+the same way.
 """
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,10 +98,12 @@ def _rejects(call, x, error, message):
 def test_real_inputs_share_one_rule(entry):
     name, sign, call = REALS[entry]
     domain = f"a finite {sign} real" if sign else "a finite real"
-    for x in (np.float32(1.0), np.int64(1), np.float64(1.0), 1, 1.0):
+    for x in (np.float32(1.0), np.int64(1), np.float64(1.0), 1, 1.0, Fraction(1, 2)):
         call(x)
-    # 10**400 is an int past the double range: named, not an OverflowError
-    for x in (True, False, math.nan, math.inf, -math.inf, np.float64(-np.inf), 10**400, -(10**400), "1.0", None):
+    # 10**400 is an int past the double range: named, not an OverflowError;
+    # Decimal is not registered as a numbers.Real
+    for x in (True, False, math.nan, math.inf, -math.inf, np.float64(-np.inf), 10**400, -(10**400), "1.0", None,
+              Decimal("1")):
         _rejects(call, x, ValueError, f"{name} must be {domain}, got {x!r}")
     below = {"positive": 0.0, "nonnegative": -1e-300}.get(sign)
     if below is None:
@@ -114,7 +120,7 @@ def test_count_inputs_share_one_rule(entry):
     for x in (low, np.int64(low), np.int32(low + 1)):
         call(x)
     # None is not listed: it is k_max's default
-    for x in (True, False, np.float32(low), float(low), math.nan, math.inf, str(low)):
+    for x in (True, False, np.float32(low), float(low), math.nan, math.inf, str(low), Fraction(3, 1)):
         _rejects(call, x, TypeError, f"{name} must be an integer, got {x!r}")
     for x in (low - 1, np.int64(low - 1)):
         _rejects(call, x, ValueError, f"{name} must be >= {low}, got {x!r}")
@@ -134,6 +140,20 @@ def test_numpy_scalars_are_stored_as_python_numbers():
         int, float, float, float, float,
     ]
     assert series_value(params, np.float32(4.0)) == series_value(ModelParams(3, 2.0, 0.5, FixedCost(1.5)), 4.0)
+
+
+def test_fractions_are_stored_as_floats():
+    half = Fraction(1, 2)
+    params = ModelParams(k=3, mu=half, r=half, cost=FixedCost(half), growth=Fraction(1, 4))
+    grid = GridSpec(t_max=half, h=half)
+    stored = (params.mu, params.r, params.cost.theta, grid.t_max, grid.h, 2.0 * params.growth)
+    assert [(type(x), x) for x in stored] == [(float, 0.5)] * 6
+    assert series_value(params, Fraction(3, 2)) == series_value(ModelParams(3, 0.5, 0.5, FixedCost(0.5), 0.25), 1.5)
+    # the rule reads the double: a positive Fraction that rounds to 0.0 is
+    # not a positive real, and one past the double range is not finite
+    for x in (Fraction(1, 10**400), Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match=r"^mu must be a finite positive real, got Fraction\("):
+            _model(mu=x)
 
 
 def test_an_infinite_time_in_a_grid_points_to_the_perpetuity():
