@@ -118,13 +118,13 @@ def _params_echo(params: ModelParams) -> dict:
 
 
 def _time_grid(t_max: float, step: float | None) -> list[float]:
-    """Report times 0, step, ..., t_max; GridSpec decides whether step tiles t_max."""
+    """Report times 0, step, 2 * step, ..., then t_max itself; GridSpec decides whether step tiles t_max."""
     if _check_real("--t-max", t_max, "nonnegative") == 0:
         return [0.0]
     if step is None:
         raise ValueError("--step is required when --t-max > 0")
     _check_real("--step", step, "positive")
-    return [i * step for i in range(GridSpec(t_max=t_max, h=step).n_steps + 1)]
+    return [*(i * step for i in range(GridSpec(t_max=t_max, h=step).n_steps)), t_max]
 
 
 # value of each pointwise method at one time; the lambdas look the library

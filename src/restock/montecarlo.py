@@ -183,16 +183,33 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     relative accuracy when q is close to 1.  A float t returns an
     :class:`MCEstimate`; a sequence of times returns an :class:`MCCurve`
     with one estimate per time, all simulated in one pass over (time,
-    block) pairs (see ``_horizon_estimates``), each equal bit for bit to
-    the call at that time alone.  t = 0 gives the exact 0 from no path
-    (n_paths 0); a negative or non-finite time raises ValueError (the
-    infinite-horizon value is :func:`simulate_vk`).
+    block) pairs, a repeated time once, each equal bit for bit to the call
+    at that time alone: block b of time t draws its cycle counts from
+    (seed, _WK_CLOCK, b) with t's bits as the key's high word.  t = 0
+    gives the exact 0 from no path (n_paths 0); a negative or non-finite
+    time raises ValueError (the infinite-horizon value is
+    :func:`simulate_vk`).
     """
     scalar = np.ndim(t) == 0
     times = _check_times((t,) if scalar else t)
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
-    estimates = _horizon_estimates(effective(params), times, n_paths, seed)
+    eff = effective(params)
+    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v
+    drawn = list(dict.fromkeys(t for t in times if t > 0))
+
+    def payouts(i: int, block: int, size: int) -> np.ndarray:
+        t = drawn[i]
+        cycles = _stream(seed, _WK_CLOCK, block, np.float64(t).view(np.uint64)).poisson(mu * t, size)
+        cycles //= k
+        samples = np.multiply(cycles, log_q)
+        np.expm1(samples, out=samples)
+        samples *= scale
+        return samples
+
+    by_time = {0.0: MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)}
+    by_time.update(zip(drawn, _block_estimates(payouts, len(drawn), n_paths, seed)))
+    estimates = tuple(by_time[t] for t in times)
     return estimates[0] if scalar else MCCurve(estimates=estimates)
 
 
@@ -209,50 +226,49 @@ def _check_times(times) -> tuple[float, ...]:
     return tuple(checked)
 
 
-def _horizon_estimates(eff: EffectiveParams, times: tuple[float, ...], n_paths: int, seed: int) -> tuple[MCEstimate, ...]:
-    """One estimate per time, a repeated time simulated once; block b of time t
-    draws its cycle counts from (seed, _WK_CLOCK, b) with t's bits as the key's high word."""
-    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v
-    drawn = list(dict.fromkeys(t for t in times if t > 0))
-
-    def payouts(i: int, block: int, size: int) -> np.ndarray:
-        t = drawn[i]
-        cycles = _stream(seed, _WK_CLOCK, block, np.float64(t).view(np.uint64)).poisson(mu * t, size)
-        cycles //= k
-        samples = np.multiply(cycles, log_q)
-        np.expm1(samples, out=samples)
-        samples *= scale
-        return samples
-
-    estimates = {0.0: MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)}
-    estimates.update(zip(drawn, _block_estimates(payouts, len(drawn), n_paths, seed)))
-    return tuple(estimates[t] for t in times)
-
-
 def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[MCEstimate]:
     """n_estimates estimates of n_paths each, from blocks of _BLOCK paths on up to one thread per CPU.
 
     ``sample(i, b, size)`` returns a fresh array of the ``size`` samples of
     estimate i's block b, which is reduced in place to (count, mean, sum
-    of squared deviations M2).  An estimate's blocks merge in block order:
-    merging (n_a, mean_a, M2_a) with (n_b, mean_b, M2_b) gives
-    mean_a + delta * n_b / n and M2_a + M2_b + delta^2 * n_a * n_b / n,
-    where delta = mean_b - mean_a and n = n_a + n_b.
+    of squared deviations M2).  Unit u = i * blocks + b is estimate i's
+    block b; worker w runs units w, w + workers, w + 2 * workers, ... in
+    turn, and the calling thread is worker 0, so a single worker starts no
+    thread.  A worker stops at its first exception, and the first
+    exception raised is re-raised once every worker has returned.  An
+    estimate's blocks merge in block order: merging (n_a, mean_a, M2_a)
+    with (n_b, mean_b, M2_b) gives mean_a + delta * n_b / n and
+    M2_a + M2_b + delta^2 * n_a * n_b / n, where delta = mean_b - mean_a
+    and n = n_a + n_b.
     """
     blocks = -(-n_paths // _BLOCK)
-    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * (n_estimates * blocks)
+    units = n_estimates * blocks
+    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * units
+    workers = max(1, min(_usable_cpus(), units))
+    errors: list[BaseException] = []
 
-    def run(unit: int) -> None:
-        i, block = divmod(unit, blocks)
-        size = min(_BLOCK, n_paths - block * _BLOCK)
-        samples = sample(i, block, size)
-        mean = float(samples.mean())
-        samples -= mean
-        np.square(samples, out=samples)
-        parts[unit] = (size, mean, float(samples.sum()))
+    def work(first: int) -> None:
+        try:
+            for unit in range(first, units, workers):
+                i, block = divmod(unit, blocks)
+                size = min(_BLOCK, n_paths - block * _BLOCK)
+                samples = sample(i, block, size)
+                mean = float(samples.mean())
+                samples -= mean
+                np.square(samples, out=samples)
+                parts[unit] = (size, mean, float(samples.sum()))
+                del samples  # else this block lives on while the next one is drawn
+        except BaseException as exc:
+            errors.append(exc)
 
-    if parts:
-        _run_blocks(run, len(parts))
+    threads = [threading.Thread(target=work, args=(w,), daemon=True) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     estimates = []
     for i in range(n_estimates):
         n, mean, m2 = parts[i * blocks]
@@ -306,34 +322,6 @@ def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: i
                 log_discount = log_discount[live]
                 payout = payout[live]
     return totals
-
-
-def _run_blocks(run, n_blocks: int) -> None:
-    """Call ``run(b)`` once for each block b < n_blocks, on up to one thread per CPU.
-
-    Worker i runs blocks i, i + workers, i + 2 * workers, ... in turn; the
-    calling thread is worker 0, so a single worker starts no thread.  A
-    worker stops at its first exception, and the first exception raised is
-    re-raised once every worker has returned.
-    """
-    workers = min(_usable_cpus(), n_blocks)
-    errors: list[BaseException] = []
-
-    def work(first: int) -> None:
-        try:
-            for block in range(first, n_blocks, workers):
-                run(block)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:

@@ -53,8 +53,8 @@ values, in place of n step-by-step dot products.
 The system is implicit only through C's constant term
 1 - q * int_panel1 (1 - s/h) f(s) ds, which is strictly positive for any
 q <= 1, so the scheme is unconditionally solvable, also where q rounds to 1
-because k*r_eff/mu is below 2^-53 (the classic k = 1 step bound is still
-validated to keep the documented step contract).
+because k*r_eff/mu is below 2^-53.  The first solver's k = 1 step rule,
+mu*h*q/2 < 1, is still enforced; README's numerical notes state it.
 """
 
 from __future__ import annotations

@@ -157,6 +157,27 @@ class TestCurve:
         assert rows[0]["value"] == "0" and rows[0]["stderr"] == "0"
         assert float(rows[2]["stderr"]) > 0
 
+    def test_last_row_is_the_estimate_at_t_max(self, capsys):
+        # 7 * 0.1 is 0.7000000000000001, and Monte Carlo streams are keyed by
+        # t's bits: the row labelled 0.7 must be the estimate at 0.7 itself
+        flags = ["--k", "1", "--mu", "1", "--r", "0.1", "--theta", "1", "--paths", "2000", "--seed", "3"]
+        code, out, _ = run_cli(capsys, "curve", "--method", "mc", *flags, "--t-max", "0.7", "--step", "0.1")
+        assert code == 0
+        last = parse_csv(out)[-1]
+        code, out, _ = run_cli(capsys, "simulate", "--horizon", "0.7", *flags, "--out", "csv")
+        assert code == 0
+        estimate = parse_csv(out)[0]
+        assert (last["t"], last["value"], last["stderr"]) == ("0.7", estimate["mean"], estimate["stderr"])
+
+    def test_json_grid_ends_at_t_max(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "0.7", "--step", "0.1", "--out", "json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["grid"]["t_max"] == report["rows"][-1]["t"] == 0.7
+        assert [row["t"] for row in report["rows"]][:-1] == [i * 0.1 for i in range(7)]
+
     def test_method_all_covers_the_analytic_set(self, capsys):
         code, out, _ = run_cli(
             capsys,

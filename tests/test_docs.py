@@ -1,6 +1,8 @@
-"""The README's examples run, and the package's docstring cross-references
-resolve, against the code as it is."""
+"""The README's examples run and print the values their comments state,
+and the package's docstring cross-references resolve, against the code as
+it is."""
 
+import ast
 import importlib
 import re
 import shlex
@@ -40,8 +42,35 @@ def cli_examples() -> list[list[str]]:
     return commands
 
 
+def documented_values(block: str) -> list[tuple[str, object]]:
+    """(expression, value) for each line of a code block whose comment starts
+    with a Python literal, read up to any " = " that follows it."""
+    found = []
+    for line in block.splitlines():
+        code, hash_, comment = line.partition("#")
+        if not hash_:
+            continue
+        try:
+            found.append((code.strip(), ast.literal_eval(comment.split(" = ")[0].strip())))
+        except (ValueError, TypeError, SyntaxError):  # a comment in words, or such as MCEstimate(...)
+            continue
+    return found
+
+
+def test_documented_values_reads_literal_comments():
+    block = (
+        "x = 1\nf(x)  # 2.5\ng(x)  # 0.1 = one tenth\n"
+        "h(x)  # MCEstimate(...)\nk(x)  # (1, 2.0)\nm(x)  # w(10), the last\n"
+    )
+    assert documented_values(block) == [("f(x)", 2.5), ("g(x)", 0.1), ("k(x)", (1, 2.0))]
+
+
 def test_readme_library_block_runs():
-    exec(compile(library_block(), str(README), "exec"), {})
+    namespace: dict = {}
+    exec(compile(library_block(), str(README), "exec"), namespace)
+    documented = documented_values(library_block())
+    assert documented
+    assert [(code, eval(code, namespace)) for code, _ in documented] == documented
 
 
 def test_every_exported_name_resolves():

@@ -1,7 +1,7 @@
 """Every module-level import in src/restock is used, exported in __all__,
 or marked ``# noqa: F401`` -- the unused-import rule of a linter, checked
-with the standard library's ``ast``; every private module-level function
-and constant is used by src/restock itself; and only the array modules
+with the standard library's ``ast``; every private module-level function,
+class and constant is used by src/restock itself; and only the array modules
 import numpy."""
 
 import ast
@@ -60,32 +60,31 @@ def _references(tree: ast.AST) -> Counter[str]:
     return found
 
 
-def _defined_names(node: ast.stmt) -> list[str]:
-    """Names a module-level function definition or assignment binds."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return [node.name]
-    if isinstance(node, ast.Assign):
-        targets = node.targets
-    elif isinstance(node, ast.AnnAssign):
-        targets = [node.target]
-    else:
-        return []
-    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+def _bindings(node: ast.AST) -> list[tuple[str, ast.stmt]]:
+    """(name, binding statement) for each name a module-level function or
+    class definition or assignment binds, also one nested in a module-level
+    if, try, with or loop."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [(node.name, node)]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [(n.id, node) for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    children = (c for c in ast.iter_child_nodes(node) if isinstance(c, (ast.stmt, ast.excepthandler)))
+    return [pair for child in children for pair in _bindings(child)]
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and assigned names called ``_name`` (dunders
-    aside) that no source refers to outside their own definition, as
-    ``module._name``."""
+    """Module-level functions, classes and assigned names called ``_name``
+    (dunders aside) that no source refers to outside their own definition,
+    as ``module._name``."""
     refs: Counter[str] = Counter()
     private: list[tuple[str, str, int]] = []
     for module, source in sources.items():
         tree = ast.parse(source)
         refs += _references(tree)
-        for node in tree.body:
-            for name in _defined_names(node):
-                if name.startswith("_") and not name.endswith("__"):
-                    private.append((module, name, _references(node)[name]))
+        for name, binding in _bindings(tree):
+            if name.startswith("_") and not name.endswith("__"):
+                private.append((module, name, _references(binding)[name]))
     return [f"{module}.{name}" for module, name, own in private if refs[name] == own]
 
 
@@ -95,8 +94,11 @@ def test_the_check_finds_an_unreferenced_private_function():
         "b": "from a import _imported\nimport a\n\ndef f():\n    return a._called()\n",
         "c": "def _imported():\n    pass\n\n_UNUSED = 3\n_USED: int = 4\n__version__ = '1'\n\n"
         "def f():\n    return _USED\n",
+        "d": "class _Dead:\n    pass\n\nclass _Used:\n    pass\n\n"
+        "try:\n    import fast\n    _IMPL = fast\nexcept ImportError:\n    _IMPL = None\n    _FALLBACK = 1\n\n"
+        "if True:\n    _NESTED = 2\n\ndef f():\n    return _Used(), _IMPL\n",
     }
-    assert unreferenced_private_names(sources) == ["a._dead", "c._UNUSED"]
+    assert unreferenced_private_names(sources) == ["a._dead", "c._UNUSED", "d._Dead", "d._FALLBACK", "d._NESTED"]
 
 
 def test_private_functions_are_used_in_src():

@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestStreams:
         assert _stream(*key).random() != _stream(*other).random()
 
     def test_same_key_draws_the_same(self):
-        # t's bits as an int, or as the numpy uint64 that _horizon_estimates passes
+        # t's bits as an int, or as the numpy uint64 that simulate_wk passes
         highs = (self.T50, self.T50, np.float64(50.0).view(np.uint64))
         first, *others = [_stream(5, _WK_CLOCK, 7, high).random(8) for high in highs]
         assert all(np.array_equal(first, other) for other in others)
@@ -431,6 +432,30 @@ class TestPerpetuityBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n_paths
+
+    def test_each_block_is_freed_before_the_next_is_drawn(self, monkeypatch):
+        # the bound above allows a worker two blocks; this one allows none
+        # but the block being drawn
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        drawn, alive = [], []
+
+        def sample(i, block, size):
+            alive.append([ref() is not None for ref in drawn])
+            samples = np.full(size, float(block))
+            drawn.append(weakref.ref(samples))
+            return samples
+
+        montecarlo._block_estimates(sample, 1, 3 * _BLOCK, 0)
+        assert alive == [[], [False], [False, False]]
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo.threading, "Thread", no_thread)
+        assert simulate_vk(TABLE, 3 * _BLOCK, 2).n_paths == 3 * _BLOCK
+        assert simulate_wk(TABLE, [10.0, 50.0, 100.0], 3 * _BLOCK, 2).n_paths == 9 * _BLOCK
 
     def test_a_failing_block_raises_without_hanging(self, monkeypatch):
         def failing_stream(seed, domain, index):
