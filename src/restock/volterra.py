@@ -50,11 +50,11 @@ and from W_b's.  Per block that is one inverse FFT for the values and one
 forward FFT of them: O(n log L) work and O(L) memory besides the n + 1
 values, in place of n step-by-step dot products.
 
-The system is implicit only through C's constant term
-1 - q * int_panel1 (1 - s/h) f(s) ds, which is strictly positive for any
-q <= 1, so the scheme is unconditionally solvable, also where q rounds to 1
-because k*r_eff/mu is below 2^-53.  The first solver's k = 1 step rule,
-mu*h*q/2 < 1, is still enforced; README's numerical notes state it.
+The system is implicit only through C's constant term, the diagonal
+1 - q * I with I = int_panel1 (1 - s/h) f(s) ds, summed as (1 - q) + q (1 - I)
+with 1 - q from k ln(alpha): no term is negative, so it is at least 1 - q > 0
+and every step that tiles the grid is solved, at every k, also where q rounds
+to 1 because k*r_eff/mu is below 2^-53.
 """
 
 from __future__ import annotations
@@ -280,8 +280,6 @@ def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, n
     """
     n, h = grid.n_steps, grid.h
     k, mu = eff.k, eff.mu
-    if k == 1 and h * eff.phi_k * mu / 2.0 >= 1.0:
-        raise ValueError(f"step too large for implicit diagonal: h={h} with mu={mu}")
 
     # The cdfs are exactly 1.0 past the last of the size + 1 <= n + 1 points
     # _kernel_cdfs returns, so the panels after its first ``size`` have zero mass.
@@ -299,13 +297,14 @@ def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, n
     # Piecewise-linear w hits w_{i-j} and w_{i-j+1} across panel j, so the
     # convolution weight attached to w_l (0 < l < i) collects B from panel
     # i-l and (A - B) from panel i-l+1; w_i itself sees only (A_1 - B_1).
+    # c_0 = 1 - q (A_1 - B_1) is summed as (1 - q) + q (1 - A_1 + B_1) >= 1 - q.
     # As power series the step equations read C(x) W(x) = G(x) mod x^(n+1),
     # and G(0) = W(0) = 0, so W/x = (G/x) / C, where c_j = 0 from j = support
     # on and g_j = theta*q from j = size - 1 on where size < n; g is cut
     # where it turns constant, often well before the sweep's end.
     q = eff.phi_k
     c = np.empty(size)
-    c[0] = 1.0 - q * (a_panel[0] - b_panel[0])
+    c[0] = -math.expm1(-eff.k_log_alpha) + q * ((1.0 - a_panel[0]) + b_panel[0])
     c[1:] = a_panel[1:] - b_panel[1:] + b_panel[:-1]
     c[1:] *= -q
     del a_panel, b_panel
@@ -325,8 +324,8 @@ def solve_renewal(params: ModelParams, grid: GridSpec) -> np.ndarray:
     error bound is absolute: O(h^2) plus a round-off floor from the FFT
     products, a few 1e-15 * max|w| where q is well below 1; where q is near
     1 no error decays and the floor grows linearly with t_max (k = 1,
-    r = 1e-8, h = 0.01: 3.9e-14 * max|w| at t_max = 250, 1.3e-13 at
-    t_max = 1000, 2.4e-13 at t_max = 2000).  Relative accuracy where w is
+    r = 1e-8, h = 0.01: 1.7e-14 * max|w| at t_max = 250, 4.7e-14 at
+    t_max = 1000, 1.0e-13 at t_max = 2000).  Relative accuracy where w is
     close to 0 is not promised.  The exact discrete solution is
     nonnegative (G and 1/C have nonnegative coefficients), so round-off
     below 0 is clipped.

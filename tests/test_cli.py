@@ -247,6 +247,28 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert err == "error: rate * x overflows: rate = 1e+300, x up to 1000000000.0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # q rounds to 1 and mu*h is far above k: the diagonal is still >= 1 - q
+            ["--k", "2", "--r", "1e-17", "--t-max", "1e17", "--step", "1e17", "--h", "1e17"],
+            ["--k", "2", "--r", "1e-17", "--t-max", "2e17", "--step", "1e17", "--h", "1e17"],
+            ["--k", "10", "--r", "1e-19", "--t-max", "4e18", "--step", "1e18", "--h", "4e16"],
+            # a k = 1 step of mu*h*q/2 >= 1, solved like any other
+            ["--k", "1", "--r", "0.02", "--t-max", "10", "--step", "5", "--h", "2.5"],
+        ],
+    )
+    def test_volterra_solves_every_step_within_v(self, capsys, argv):
+        flags = dict(zip(argv[::2], argv[1::2]))
+        params = ModelParams(k=int(flags["--k"]), mu=1.0, r=float(flags["--r"]), cost=FixedCost(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "curve", "--method", "volterra", "--mu", "1", "--theta", "1", *argv)
+        assert (code, err) == (0, "")
+        values = [float(row["value"]) for row in parse_csv(out)]
+        assert len(values) == round(float(flags["--t-max"]) / float(flags["--step"])) + 1
+        assert all(0.0 <= value <= perpetual_value(params) for value in values)
+
     def test_overflowing_perpetual_value_is_named(self, capsys):
         # v is past the double range: a named error, not a walk without end
         argv = ["--k", "1", "--mu", "1", "--r", "1e-10", "--theta", "1e300"]

@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import poisson_tail, volterra_direct, volterra_longdouble
@@ -331,10 +332,39 @@ class TestSolveRenewal:
         series = np.array([series_value(params, float(t)) for t in grid_times(grid)[::10]])
         assert np.abs(solve_renewal(params, grid)[::10] - series).max() <= h**2 / 20
 
-    def test_single_unit_step_bound(self):
-        # h * phi * mu / 2 >= 1 must be refused for k = 1
-        with pytest.raises(ValueError, match="step too large"):
-            solve_renewal(K1, GridSpec(t_max=10.0, h=2.5))
+    @pytest.mark.parametrize("r", [1e-4, 0.02, 0.5, 2.0])
+    @pytest.mark.parametrize("mu_h", [2.5, 4.0, 8.0, 20.0])
+    def test_coarse_single_unit_steps_keep_the_stated_bound(self, mu_h, r):
+        # every step that tiles the grid is solved, and |w_h - w| stays within
+        # min(0.0075 (mu h)^2, 1) v at every grid point (at most 0.77 of it here)
+        params = ModelParams(k=1, mu=1.0, r=r, cost=FixedCost(theta=1.0))
+        grid = GridSpec(t_max=200 * mu_h, h=mu_h)
+        exact = np.array([exact_k1_value(params, float(t)) for t in grid_times(grid)])
+        bound = min(0.0075 * mu_h**2, 1.0) * perpetual_value(params)
+        assert np.abs(solve_renewal(params, grid) - exact).max() <= bound
+
+    @given(
+        k=st.integers(1, 5000),
+        h=st.floats(0.0, 18.0).map(lambda e: 10.0**e),
+        r=st.floats(-20.0, 3.0).map(lambda e: 10.0**e),
+        n=st.integers(1, 100),
+    )
+    @example(k=2, h=1e17, r=1e-17, n=1)
+    @example(k=2, h=1e17, r=1e-17, n=2)
+    @example(k=10, h=4e16, r=1e-19, n=100)
+    @settings(max_examples=300)
+    def test_extreme_grids_stay_within_zero_and_v(self, k, h, r, n):
+        # where q rounds to 1 and mu*h is far above k, 1 - q (A_1 - B_1) would
+        # cancel to 0 or to a few wrong ulps; the diagonal's sum of nonnegative
+        # terms keeps every value finite and in [0, v] (the 1e-320 covers a
+        # subnormal v, which has few relative digits)
+        params = ModelParams(k=k, mu=1.0, r=r, cost=FixedCost(theta=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = solve_renewal(params, GridSpec(t_max=n * h, h=h))
+        assert np.isfinite(values).all()
+        assert values.min() >= 0.0
+        assert values.max() <= perpetual_value(params) * (1.0 + 1e-9) + 1e-320
 
     @given(
         k=st.integers(1, 6),
