@@ -13,9 +13,9 @@ s_j = A/(2t) + i*pi*j/t and u_j = (-1)^j Re w_hat(s_j), u_0 halved,
 w(t) is e^(A/2)/t times the Euler average 2^-15 sum_m C(15, m) S_(n+m)
 of the partial sums S of u_0, ..., u_(n+15).  The line passes right of
 every pole: s = 0 and the ring s_p = mu*(omega_p/alpha - 1) about -mu.
-n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64 over p <= k/2, at
-most about 6.9k + 64 whatever mu*t is: a pole p >= 1 is live only while
-mu*t/alpha < 22.5/sin^2(pi/k), which caps Im s_p * t at about 45k/pi.
+n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64, from the last
+such pole in closed form, O(1) whatever k is; n is at most about 6.9k + 64
+whatever mu*t is, since Im s_p t < 45 cot(pi/k) for a live pole p >= 1.
 
 The error estimate adds three terms.  Aliasing: the discretisation error
 is sum_(l>=1) e^(-lA) w((2l+1)t), and w(T) <= v*(1 - alpha^(-mu*T)) by
@@ -67,21 +67,23 @@ def _w_hat_raw(s, log_qphi, theta: float):
 
 
 def _term_count(eff: EffectiveParams, t: float) -> int:
-    """n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64 over the poles
-    s_p of :func:`restock.valuation._pole`.
+    """n = floor(1.5 t Im s_P/pi) + 64 for the last live pole s_P, P <= (k+1)/4,
+    of :func:`restock.valuation._pole`, or n = 64 where none is.
 
-    |Re s_p| grows with p up to k/2, so the live poles are p = 0, ..., m;
-    Im s_p = mu sin(2 pi p/k)/alpha grows with p up to k/4 and, over whole
-    p, peaks at p <= (k+1)/4.  So the last live pole up to (k+1)/4 has the
-    largest Im of the live ones, and the walk stops at the first dead pole
-    (s_0 is real and adds nothing).
+    Pole p is live while -Re(alpha s_p) t/alpha < 45, that is, while
+    sin^2(pi p/k) < S = (45 alpha/t - r_eff)/(2 mu), so P is
+    min(floor((k+1)/4), ceil((k/pi) asin(sqrt(S))) - 1), S clamped to [0, 1],
+    moved by one where the rule, rounded as _pole rounds it, disagrees at P or P + 1.
     """
-    reach = 0.0
-    for p in range(1, (eff.k + 1) // 4 + 1):
-        pole = _pole(p, eff)[1]  # alpha s_p
-        if not -pole.real / eff.alpha * t < 45.0:
-            break
-        reach = pole.imag / eff.alpha
+
+    def live(p: int) -> bool:
+        sin = math.sin(math.pi * p / eff.k)
+        return 0 < p <= (eff.k + 1) // 4 and (eff.mu * (2.0 * sin * sin) + eff.r_eff) / eff.alpha * t < 45.0
+
+    share = min(max((45.0 * eff.alpha / t - eff.r_eff) / eff.mu / 2.0, 0.0), 1.0)  # 2 mu may overflow
+    last = min((eff.k + 1) // 4, math.ceil(eff.k / math.pi * math.asin(math.sqrt(share))) - 1)
+    last += live(last + 1) - (last > 0 and not live(last))
+    reach = _pole(last, eff)[1].imag / eff.alpha if last > 0 else 0.0
     return math.floor(1.5 * t * reach / math.pi) + 64
 
 

@@ -111,16 +111,10 @@ class MCEstimate:
     ``stderr`` is the sample standard deviation over sqrt(n_paths): the
     sampling error only, not a floating-point error bound.  Where every
     sample rounds to the same value (a horizon so long that every q^N
-    underflows) it is 0 or below one ulp of the mean.  The estimate is
-    bit-reproducible from (seed, n_paths), the call's parameters and the
-    path block size ``_BLOCK`` on the same numpy version, whatever other
-    times a horizon call shares; a perpetuity estimate also depends on its
-    roulette window ``_WINDOW``.  Blocks draw from streams keyed by (seed,
-    stream, block), with a horizon's t in the key; each block is reduced
-    as it is drawn and the blocks merge in block order, so neither estimate
-    holds more than one block per core or depends on how many cores ran
-    them.  Neither estimator truncates, so neither carries a bias term:
-    each is unbiased for the function it estimates.
+    underflows) it is 0 or below one ulp of the mean.  (seed, n_paths)
+    and the call's parameters reproduce it bit for bit on any number of
+    cores, by the recipe of the module's Determinism paragraph.  Neither
+    estimator truncates, so neither carries a bias term.
     """
 
     mean: float
@@ -182,13 +176,11 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     with v = theta * q / (1 - q) the perpetual value, which keeps full
     relative accuracy when q is close to 1.  A float t returns an
     :class:`MCEstimate`; a sequence of times returns an :class:`MCCurve`
-    with one estimate per time, all simulated in one pass over (time,
-    block) pairs, a repeated time once, each equal bit for bit to the call
-    at that time alone: block b of time t draws its cycle counts from
-    (seed, _WK_CLOCK, b) with t's bits as the key's high word.  t = 0
-    gives the exact 0 from no path (n_paths 0); a negative or non-finite
-    time raises ValueError (the infinite-horizon value is
-    :func:`simulate_vk`).
+    with one estimate per time, simulated in one pass over (time, block)
+    pairs, a repeated time once.  t = 0 gives the exact 0 from no path
+    (n_paths 0).  A negative or non-finite time (the infinite-horizon value
+    is :func:`simulate_vk`), k >= 2^63, or a mu*t past numpy's Poisson
+    sampler raises ValueError before any draw.
     """
     scalar = np.ndim(t) == 0
     times = _check_times((t,) if scalar else t)
@@ -197,6 +189,11 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     eff = effective(params)
     k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v
     drawn = list(dict.fromkeys(t for t in times if t > 0))
+    if drawn and k >= 2**63:
+        raise ValueError(f"k = {k} is past the int64 cycle counts of the Monte Carlo clock (k < 2**63)")
+    top = max(drawn, default=0.0)
+    if mu * top > 2.0**63 - 10.0 * 2.0**31.5:  # numpy's POISSON_LAM_MAX
+        raise ValueError(f"mu*t = {mu * top!r} at t = {top!r} is past numpy's Poisson sampler (mu*t <= 9.22e18)")
 
     def payouts(i: int, block: int, size: int) -> np.ndarray:
         t = drawn[i]

@@ -373,7 +373,8 @@ def series_value(params: ModelParams, t: float) -> float:
     is: about 17 sqrt(mu t), or 9 sqrt(mu t) where it starts at j0 = k >=
     mu t and only goes up.  All but 2^-58 of the mass is above
     b = mu t - 9 sqrt(mu t); where q^floor(b/k) < 2^-54, every weight that
-    counts rounds to 1, and v is returned without either route.
+    counts rounds to 1, and v is returned without either route, as is
+    v * 0.0 where p_k at j0 = k > mu t underflows: every term is then 0.0.
     """
     t = _check_horizon(t)
     eff = effective(params)
@@ -391,6 +392,8 @@ def series_value(params: ModelParams, t: float) -> float:
     span = math.ceil(lam - bulk) + 1  # the walk's reach on each side
     j0 = max(k, math.floor(lam))
     p0 = _pmf(j0, lam)
+    if p0 == 0.0:  # only p_k at k > mu t can underflow: p at floor(mu t) is ~1/sqrt(2 pi mu t)
+        return eff.v * 0.0
 
     total = 0.0
     j, p = j0, p0  # block n holds j in [nk, nk + k)

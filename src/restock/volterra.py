@@ -261,15 +261,12 @@ def _kernel_cdfs(k: int, mu: float, h: float, n: int) -> tuple[np.ndarray, np.nd
     mu_h = mu * h
     lam_c = _support_bound(k)
     last = n if lam_c >= n * mu_h else min(n, math.floor(lam_c / mu_h) + 1)
-    cdfs_k, cdfs_k1 = [], []
+    # the last 1.0, where m < n, is the pad: C's coefficient past panel m carries panel m's offset
+    cdfs_k, cdfs_k1 = np.ones(last + 1 + (last < n)), np.ones(last + 1 + (last < n))
     for start in range(0, last + 1, _GRID_CHUNK):
-        part_k, part_k1 = erlang_cdf_grid(k, mu, np.arange(start, min(start + _GRID_CHUNK, last + 1)) * h)
-        cdfs_k.append(part_k)
-        cdfs_k1.append(part_k1)
-    if last < n:  # C's coefficient past panel m carries panel m's offset
-        cdfs_k.append(np.ones(1))
-        cdfs_k1.append(np.ones(1))
-    return np.concatenate(cdfs_k), np.concatenate(cdfs_k1)
+        end = min(start + _GRID_CHUNK, last + 1)
+        cdfs_k[start:end], cdfs_k1[start:end] = erlang_cdf_grid(k, mu, np.arange(start, end) * h)
+    return cdfs_k, cdfs_k1
 
 
 def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:

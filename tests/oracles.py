@@ -18,8 +18,9 @@ transform's pole residues in mpmath, at whatever precision the sum's
 cancellation needs, from its own poles and roots of unity.
 
 The last section holds derived quantities that only the tests use (the
-residual value, the tilted forcing term, the perpetuity's path totals
-block by block and both sides of the perpetuity equation).  They are
+residual value, the tilted forcing term, the inversion's term count by a
+walk over the poles, the perpetuity's path totals block by block and both
+sides of the perpetuity equation).  They are
 built on the package's own primitives, and their tests check identities
 between those primitives.
 """
@@ -33,7 +34,7 @@ import numpy as np
 
 from restock import valuation
 from restock.montecarlo import _BLOCK, MCEstimate, _perpetuity_block, _stream, simulate_vk
-from restock.valuation import ModelParams, convolution_cdf, effective
+from restock.valuation import EffectiveParams, ModelParams, convolution_cdf, effective
 
 # Stream domains of the perpetuity-equation checker: its cycle draw and its
 # fresh perpetuity.  restock.montecarlo leaves these two numbers unused.
@@ -213,6 +214,23 @@ def tail_weight(params: ModelParams, t: float) -> float:
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     return effective(params).v * (1.0 - convolution_cdf(1, t, params.k, params.mu))
+
+
+def term_count_walk(eff: EffectiveParams, t: float) -> int:
+    """``laplace._term_count`` by walking the poles p = 1, 2, ... of ``valuation._pole``.
+
+    Pole p is live while -Re(alpha s_p) t/alpha < 45; the live poles are a
+    prefix, so the walk stops at the first dead one, or at (k+1)/4, past
+    which Im s_p stops growing, and keeps the last live pole's Im s_p.
+    O(k) calls, where ``_term_count`` makes at most one.
+    """
+    reach = 0.0
+    for p in range(1, (eff.k + 1) // 4 + 1):
+        pole = valuation._pole(p, eff)[1]  # alpha s_p
+        if not -pole.real / eff.alpha * t < 45.0:
+            break
+        reach = pole.imag / eff.alpha
+    return math.floor(1.5 * t * reach / math.pi) + 64
 
 
 def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:

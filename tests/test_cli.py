@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -306,6 +307,21 @@ class TestCurve:
         code, out, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10")
         assert (code, out) == (2, "")
         assert err == "error: --step is required when --t-max > 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--method", "laplace", "--k", "1000000000000", "--t-max", "1000", "--step", "1000"],
+            ["--method", "series", "--k", "1000000000000000", "--t-max", "1e14", "--step", "1e14"],
+        ],
+        ids=["laplace-term-count", "series-underflowed-anchor"],
+    )
+    def test_huge_stock_rows_finish_at_once(self, argv):
+        # a pole walk of ~4.8e10 steps and a pmf walk of ~9e7 zero terms
+        # before, each past 10 s; a fresh interpreter, so a hang is cut at 5 s
+        argv = ["curve", *argv, "--mu", "1", "--r", "1e-12", "--theta", "1"]
+        out = _fresh_python(f"import sys\nfrom restock.cli import main\nsys.exit(main({argv!r}))", timeout=5)
+        assert [row["value"] for row in parse_csv(out)] == ["0", "0"]
 
     def test_volterra_one_step_grid(self, capsys):
         argv = ["curve", "--method", "volterra", *TABLE_FLAGS, "--t-max", "1", "--step", "1", "--h", "1"]
@@ -627,6 +643,19 @@ class TestSimulate:
         assert (code, out) == (2, "")
         assert "past the cap of 100000; `restock value`" in err
 
+    @pytest.mark.parametrize(
+        "horizon, k, name",
+        [("1e19", "1", "mu*t = 1e+19 at t = 1e+19"), ("10", "10000000000000000000", "k = 10000000000000000000")],
+        ids=["mu-t-past-the-sampler", "k-past-int64"],
+    )
+    def test_input_past_the_sampler_is_named(self, capsys, horizon, k, name):
+        code, out, err = run_cli(
+            capsys, "simulate", "--horizon", horizon, "--k", k, "--mu", "1", "--r", "1e-3", "--theta", "1",
+            "--paths", "1000",
+        )
+        assert (code, out) == (2, "")
+        assert name in err
+
     def test_mode_required(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", *TABLE_FLAGS, "--paths", "100", "--seed", "1")
         assert code == 2
@@ -904,11 +933,11 @@ def test_pinned_mc_rows_lie_within_four_stderr(capsys, command):
         assert abs(mean - exact) <= 4.0 * stderr, (exact, mean, stderr)
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter on this checkout's sources."""
+def _fresh_python(code: str, timeout: float = 60) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this checkout's sources; it must exit 0."""
     src = str(Path(restock.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout, check=True)
     return proc.stdout
 
 
@@ -964,6 +993,16 @@ class TestStartup:
         assert _fresh_python(code) == "True False True\n"
         with pytest.raises(AttributeError, match="has no attribute 'missing'"):
             restock.missing
+
+    def test_dir_lists_the_package_names_without_importing_them(self, monkeypatch):
+        # in this process too: dir() reads the name table, and imports no
+        # home module, so neither numpy nor anything else
+        def refuse(name):
+            raise AssertionError(f"dir(restock) imported {name}")
+
+        monkeypatch.setattr(restock, "importlib", SimpleNamespace(import_module=refuse))
+        listed = dir(restock)
+        assert set(restock.__all__) <= set(listed) and listed == sorted(listed)
 
     def test_array_methods_are_called_as_module_attributes(self, capsys, monkeypatch):
         # the benchmark's spans wrap these four on restock.cli; a wrapper put

@@ -1,9 +1,11 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
+from restock import laplace
 from restock.laplace import _A, _gate, _line_sum, _log_qphi, _term_count, _w_hat_raw, invert
 from restock.valuation import (
     FixedCost,
@@ -12,12 +14,13 @@ from restock.valuation import (
     ModelParams,
     effective,
     exact_k1_value,
+    _pole,
     perpetual_value,
     series_value,
 )
 from restock.volterra import solve_renewal
 
-from oracles import trapezoid_transform
+from oracles import term_count_walk, trapezoid_transform
 
 TABLE = ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0))
 K1 = ModelParams(k=1, mu=1.0, r=0.02, cost=FixedCost(theta=1.0))
@@ -176,6 +179,53 @@ class TestInvert:
         total = math.exp(_A / 2.0) / (2.0 * t) * (base + sum_over(s[1:]) + sum_over(np.conj(s[1:])))
         assert abs(total.imag) <= 1e-12 * abs(total.real)
         assert total.real == pytest.approx(series_value(TABLE, t), abs=1e-9)
+
+
+class TestTermCount:
+    def test_closed_form_equals_the_pole_walk(self):
+        # k log-uniform to 20,000, a quarter of them k = 3 (mod 4), where the
+        # cap (k+1)/4 passes k/4; t from 0.01 to 10^4 mean cycles, and for a
+        # random pole p, the t where -Re(alpha s_p) t/alpha = 45 and one ulp
+        # either side, where the rule's rounding decides whether p is live
+        rng = random.Random(44)
+        points, flips = [], 0
+        for _ in range(700):
+            k = int(math.exp(rng.uniform(0.0, math.log(20_000))))
+            if rng.random() < 0.25:
+                k = 4 * (k // 4) + 3
+            mu = 10.0 ** rng.uniform(-3.0, 3.0)
+            eff = effective(ModelParams(k=k, mu=mu, r=mu * 10.0 ** rng.uniform(-10.0, 1.0), cost=FixedCost(1.0)))
+            points.append((eff, k / mu * 10.0 ** rng.uniform(-2.0, 4.0)))
+            if k >= 3:
+                edge = 45.0 / (-_pole(rng.randint(1, (k + 1) // 4 + 1), eff)[1].real / eff.alpha)
+                near = [(eff, math.nextafter(edge, 0.0)), (eff, edge), (eff, math.nextafter(edge, math.inf))]
+                flips += len({term_count_walk(*point) for point in near}) > 1
+                points += near
+        assert len(points) >= 2000 and flips >= 100, (len(points), flips)  # the sample crosses the boundary
+        assert [point for point in points if _term_count(*point) != term_count_walk(*point)] == []
+
+    @pytest.mark.parametrize("mu", [1e-300, 1.7e308])
+    def test_closed_form_at_the_ends_of_the_double_range(self, mu):
+        # at mu = 1.7e308, 2 mu overflows, and at t = 5e-324 so does 45 alpha/t
+        for k, r, t in itertools.product((1, 3, 7, 1000), (1.0, 1e300), (5e-324, 1e-300, 1.0)):
+            eff = effective(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(1.0)))
+            assert _term_count(eff, t) == term_count_walk(eff, t), (k, r, t)
+
+    def test_huge_stock_makes_at_most_one_pole_call(self, monkeypatch):
+        # the walk would take ~4.8e10 _pole calls here; the count raises past
+        # 1,000, so a walking _term_count fails fast instead of hanging
+        calls = []
+
+        def counted(p, eff):
+            calls.append(p)
+            if len(calls) > 1000:
+                raise AssertionError("more than 1,000 _pole calls")
+            return _pole(p, eff)
+
+        monkeypatch.setattr(laplace, "_pole", counted)
+        eff = effective(ModelParams(k=10**12, mu=1.0, r=1e-12, cost=FixedCost(1.0)))
+        assert _term_count(eff, 1000.0) == 205
+        assert len(calls) <= 1
 
 
 class TestSweeps:
