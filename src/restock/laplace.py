@@ -83,7 +83,9 @@ def _term_count(eff: EffectiveParams, t: float) -> int:
     share = min(max((45.0 * eff.alpha / t - eff.r_eff) / eff.mu / 2.0, 0.0), 1.0)  # 2 mu may overflow
     last = min((eff.k + 1) // 4, math.ceil(eff.k / math.pi * math.asin(math.sqrt(share))) - 1)
     last += live(last + 1) - (last > 0 and not live(last))
-    reach = _pole(last, eff)[1].imag / eff.alpha if last > 0 else 0.0
+    if last <= 0:  # no live pole: 1.5 t may overflow, and inf times a zero reach is NaN
+        return 64
+    reach = _pole(last, eff)[1].imag / eff.alpha
     return math.floor(1.5 * t * reach / math.pi) + 64
 
 

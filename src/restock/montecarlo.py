@@ -71,11 +71,10 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from restock.valuation import EffectiveParams, ModelParams, _check_count, _check_horizon, effective
+from restock.valuation import EffectiveParams, ModelParams, _check_count, _check_horizon, _Record, _set, effective
 
 __all__ = ["MCEstimate", "MCCurve", "simulate_wk", "simulate_vk"]
 
@@ -104,8 +103,7 @@ _LOG_WINDOW = math.log(_WINDOW)
 _MAX_ROUNDS = 10**5
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(_Record):
     """Sample mean with its standard error and full reproduction recipe.
 
     ``stderr`` is the sample standard deviation over sqrt(n_paths): the
@@ -117,14 +115,16 @@ class MCEstimate:
     estimator truncates, so neither carries a bias term.
     """
 
-    mean: float
-    stderr: float
-    n_paths: int
-    seed: int
+    __slots__ = ("mean", "stderr", "n_paths", "seed")
+
+    def __init__(self, mean: float, stderr: float, n_paths: int, seed: int) -> None:
+        _set(self, "mean", mean)
+        _set(self, "stderr", stderr)
+        _set(self, "n_paths", n_paths)
+        _set(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class MCCurve:
+class MCCurve(_Record):
     """Horizon estimates on a grid: ``estimates[i]`` is the estimate at the
     caller's i-th time.
 
@@ -132,7 +132,10 @@ class MCCurve:
     time alone, with the same seed and n_paths.
     """
 
-    estimates: tuple[MCEstimate, ...]
+    __slots__ = ("estimates",)
+
+    def __init__(self, estimates: tuple[MCEstimate, ...]) -> None:
+        _set(self, "estimates", estimates)
 
     @property
     def n_paths(self) -> int:

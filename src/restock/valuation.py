@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 __all__ = [
     "FixedCost",
@@ -180,34 +179,62 @@ def convolution_cdf(n: int, t: float, shape: int, rate: float) -> float:
     return float(erlang_cdf_grid(n * shape, rate, [t])[0][0])
 
 
-@dataclass(frozen=True)
-class FixedCost:
+_set = object.__setattr__  # how each record's __init__ stores its checked fields
+
+
+class _Record:
+    """An immutable value record: its fields are its ``__slots__``, set once
+    by ``__init__``; equality, hash, repr, pickle and copy go by the fields."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FixedCost(_Record):
     """A flat payment ``theta`` per replacement (currency)."""
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", _check_real("theta", self.theta))
+    def __init__(self, theta: float) -> None:
+        _set(self, "theta", _check_real("theta", theta))
 
 
-@dataclass(frozen=True)
-class LinearCost:
+class LinearCost(_Record):
     """Replacement payoff b*k - a: fixed cost ``a`` per restocking operation,
     unit margin ``b`` per item."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _check_real("fixed cost a", self.a, "nonnegative"))
-        object.__setattr__(self, "b", _check_real("unit margin b", self.b, "positive"))
+    def __init__(self, a: float, b: float) -> None:
+        _set(self, "a", _check_real("fixed cost a", a, "nonnegative"))
+        _set(self, "b", _check_real("unit margin b", b, "positive"))
 
 
 Cost = FixedCost | LinearCost
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Record):
     """User-facing model parameters.
 
     k: stock size (units, integer >= 1)
@@ -226,35 +253,30 @@ class ModelParams:
     surfaces with the operation that needs them.
     """
 
-    k: int
-    mu: float
-    r: float
-    cost: Cost
-    growth: float = 0.0
+    __slots__ = ("k", "mu", "r", "cost", "growth")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "k", _check_count("k", self.k, 1))
-        object.__setattr__(self, "mu", _check_real("mu", self.mu, "positive"))
-        object.__setattr__(self, "r", _check_real("r", self.r, "positive"))
-        if not isinstance(self.cost, (FixedCost, LinearCost)):
-            raise TypeError(f"cost must be FixedCost or LinearCost, got {self.cost!r}")
-        object.__setattr__(self, "growth", _check_real("growth", self.growth, "nonnegative"))
+    def __init__(self, k: int, mu: float, r: float, cost: Cost, growth: float = 0.0) -> None:
+        _set(self, "k", _check_count("k", k, 1))
+        _set(self, "mu", _check_real("mu", mu, "positive"))
+        _set(self, "r", _check_real("r", r, "positive"))
+        if not isinstance(cost, (FixedCost, LinearCost)):
+            raise TypeError(f"cost must be FixedCost or LinearCost, got {cost!r}")
+        _set(self, "cost", cost)
+        _set(self, "growth", _check_real("growth", growth, "nonnegative"))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Uniform solution grid: horizon ``t_max`` tiled by n_steps >= 0 steps ``h``.
 
     A positive ``t_max`` needs at least one step: a step that rounds it to
     0 steps does not tile it.
     """
 
-    t_max: float
-    h: float
+    __slots__ = ("t_max", "h")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_max", _check_real("t_max", self.t_max, "nonnegative"))
-        object.__setattr__(self, "h", _check_real("h", self.h, "positive"))
+    def __init__(self, t_max: float, h: float) -> None:
+        _set(self, "t_max", _check_real("t_max", t_max, "nonnegative"))
+        _set(self, "h", _check_real("h", h, "positive"))
         n = self.n_steps
         if (n == 0 and self.t_max > 0) or abs(n * self.h - self.t_max) > 1e-9 * max(1.0, self.t_max):
             raise ValueError(f"step h={self.h} does not tile t_max={self.t_max}")
@@ -264,8 +286,7 @@ class GridSpec:
         return round(self.t_max / self.h)
 
 
-@dataclass(frozen=True)
-class EffectiveParams:
+class EffectiveParams(_Record):
     """The one record every method reads once it has called :func:`effective`.
 
     theta: payment per replacement (currency)
@@ -281,16 +302,19 @@ class EffectiveParams:
     k_log_alpha: k ln(alpha) = -ln(phi_k) > 0, accurate where phi_k rounds to 1
     """
 
-    theta: float
-    r_eff: float
-    alpha: float
-    phi_k: float
-    rho: float
-    mu0: float
-    v: float
-    k: int
-    mu: float
-    k_log_alpha: float
+    __slots__ = ("theta", "r_eff", "alpha", "phi_k", "rho", "mu0", "v", "k", "mu", "k_log_alpha")
+
+    def __init__(self, theta, r_eff, alpha, phi_k, rho, mu0, v, k, mu, k_log_alpha) -> None:
+        _set(self, "theta", theta)
+        _set(self, "r_eff", r_eff)
+        _set(self, "alpha", alpha)
+        _set(self, "phi_k", phi_k)
+        _set(self, "rho", rho)
+        _set(self, "mu0", mu0)
+        _set(self, "v", v)
+        _set(self, "k", k)
+        _set(self, "mu", mu)
+        _set(self, "k_log_alpha", k_log_alpha)
 
 
 def _perpetuity(theta: float, k_log_alpha: float) -> float:

@@ -292,6 +292,22 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert f"error: {flag} must be a finite" in err
 
+    def test_laplace_where_1_5_t_overflows_names_t(self):
+        # 1.5 t is inf for t past ~1.2e308, and with no live pole the term
+        # count once formed inf * 0.  In a fresh interpreter, since pytest
+        # turns the line sum's numpy warnings into errors.
+        argv = ["curve", "--method", "laplace", "--k", "1", "--mu", "1", "--r", "1", "--theta", "1",
+                "--t-max", "1.7e308", "--step", "1.7e308"]
+        code = (
+            "import contextlib, io\n"
+            "from restock.cli import main\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, err.getvalue().splitlines()[-1])\n"
+        )
+        assert _fresh_python(code).startswith("2 error: Bromwich-line inversion failed its self-check at t=1.7e+308")
+
     def test_step_must_tile_horizon(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10", "--step", "3")
         assert code == 2
@@ -367,6 +383,17 @@ class TestCompare:
         assert "pass" in err
         methods = {row["method"] for row in parse_csv(out)}
         assert methods == {"series", "volterra", "laplace"}
+
+    def test_nan_gap_fails_the_gate(self, capsys, monkeypatch):
+        # gap > max_gap is false for NaN: the first NaN gap must fail the gate, by name
+        series = cli.series_value
+        monkeypatch.setattr(cli, "series_value", lambda params, t: math.nan if t == 20 else series(params, t))
+        argv = ["compare", *TABLE_FLAGS, "--t-max", "40", "--step", "10", "--h", "0.05", "--out", "json"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        report = json.loads(out)
+        assert report["max_pairwise_discrepancy"] is None and report["agreement_passed"] is False
+        assert "at t=20 (series vs volterra)" in err and err.endswith("FAIL\n")
 
     def test_one_step_horizon(self, capsys):
         # --step and the solver step --h may both equal --t-max
@@ -672,7 +699,7 @@ class TestSimulate:
 
 
 class TestReportLayout:
-    """Key order of every JSON report and the CSV columns taken from dataclasses."""
+    """Key order of every JSON report and the CSV columns taken from the records' fields."""
 
     GRID = ["--t-max", "10", "--step", "5", "--out", "json"]
 
@@ -958,28 +985,38 @@ class TestStartup:
         assert _fresh_python(f"import sys\n{code}\nprint('numpy' in sys.modules)") == "False\n"
 
     @pytest.mark.parametrize(
-        "argv, numpy",
+        "argv, numpy, writes_json",
         [
-            (["value", *TABLE_FLAGS], False),
-            (["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"], False),
-            (["paper-table"], False),
-            (["curve", "--method", "series", "--k", "3", "--mu", "1", *_GRID], False),
-            (["curve", "--method", "asymptotic", "--k", "3", "--mu", "1", *_GRID], False),
-            (["curve", "--method", "exact_k1", "--k", "1", "--mu", "1", *_GRID], False),
+            # value writes JSON, the others CSV: the check sees json when it is there
+            (["value", *TABLE_FLAGS], False, True),
+            (["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"], False, False),
+            (["paper-table"], False, False),
+            (["curve", "--method", "series", "--k", "3", "--mu", "1", *_GRID], False, False),
+            (["curve", "--method", "asymptotic", "--k", "3", "--mu", "1", *_GRID], False, False),
+            (["curve", "--method", "exact_k1", "--k", "1", "--mu", "1", *_GRID], False, False),
             # the array methods do load it: the check sees numpy when it is there
-            (["curve", "--method", "volterra", "--k", "3", "--mu", "1", *_GRID], True),
+            (["curve", "--method", "volterra", "--k", "3", "--mu", "1", *_GRID], True, False),
         ],
         ids=["value", "optimize", "paper-table", "curve-series", "curve-asymptotic", "curve-exact_k1", "curve-volterra"],
     )
-    def test_scalar_commands_leave_numpy_unloaded(self, argv, numpy):
+    def test_scalar_commands_leave_numpy_unloaded(self, argv, numpy, writes_json):
+        # and only a JSON report loads json
         code = (
             "import contextlib, io, sys\n"
             "from restock.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
             f"    code = main({argv!r})\n"
-            "print(code, 'numpy' in sys.modules)\n"
+            "print(code, 'numpy' in sys.modules, 'json' in sys.modules)\n"
         )
-        assert _fresh_python(code) == f"0 {numpy}\n"
+        assert _fresh_python(code) == f"0 {numpy} {writes_json}\n"
+
+    def test_start_up_leaves_dataclasses_and_json_unloaded(self):
+        code = (
+            "import sys, restock.cli\n"
+            "restock.cli.build_parser()\n"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+        )
+        assert _fresh_python(code) == "[]\n"
 
     def test_package_names_load_lazily(self):
         code = (

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -7,9 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from restock import valuation
+from restock.montecarlo import MCCurve, MCEstimate
 from restock.valuation import (
     EffectiveParams,
     FixedCost,
+    GridSpec,
     LinearCost,
     ModelParams,
     asymptotic_value,
@@ -644,3 +648,47 @@ class TestTiltedKernelMoments:
         expected_mean = params.k * (eff.r_eff + params.mu) / params.mu**2
         assert abs(mass - 1.0) < 1e-8
         assert abs(mean - expected_mean) < 1e-8 * max(1.0, expected_mean)
+
+
+_ESTIMATE = MCEstimate(mean=0.5, stderr=0.01, n_paths=100, seed=7)
+_RECORDS = [
+    (FixedCost(2.5), "FixedCost(theta=2.5)"),
+    (LinearCost(a=1, b=2.0), "LinearCost(a=1.0, b=2.0)"),
+    (TABLE, "ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=1.0, b=1.0), growth=0.0)"),
+    (GridSpec(t_max=1, h=0.25), "GridSpec(t_max=1.0, h=0.25)"),
+    (
+        effective(TABLE),
+        "EffectiveParams(theta=9.0, r_eff=0.02, alpha=1.02, phi_k=0.8203482998751553, rho=0.0196078431372549, "
+        "mu0=10.2, v=41.09693753939241, k=10, mu=1.0, k_log_alpha=0.19802627296179712)",
+    ),
+    (_ESTIMATE, "MCEstimate(mean=0.5, stderr=0.01, n_paths=100, seed=7)"),
+    (MCCurve(estimates=(_ESTIMATE,)), "MCCurve(estimates=(MCEstimate(mean=0.5, stderr=0.01, n_paths=100, seed=7),))"),
+]
+
+
+@pytest.mark.parametrize("record, text", [pytest.param(*pair, id=type(pair[0]).__name__) for pair in _RECORDS])
+class TestRecords:
+    """The value-record contract of the seven input and result records; each
+    repr is the text the records printed as dataclasses."""
+
+    def test_fields_are_read_only(self, record, text):
+        for name in record.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_equal_fields_compare_and_hash_equal(self, record, text):
+        fields = [getattr(record, name) for name in record.__slots__]
+        twin = type(record)(*fields)
+        assert twin is not record and twin == record and hash(twin) == hash(record)
+        assert record != tuple(fields)
+
+    def test_repr(self, record, text):
+        assert repr(record) == text
+
+    def test_pickle_and_copy_round_trip(self, record, text):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -494,7 +493,7 @@ def test_binary_rescaling_is_exact_for_every_method(params):
     # power of two, so each exponent, ratio and grid point is the same float.
     # simulate_wk is left out: it keys each time's streams by that time's
     # float bits, so t/2 draws other paths.
-    doubled = dataclasses.replace(params, mu=2 * params.mu, r=2 * params.r, growth=2 * params.growth)
+    doubled = ModelParams(k=params.k, mu=2 * params.mu, r=2 * params.r, cost=params.cost, growth=2 * params.growth)
     for t in (0.5, 10.0, 37.5, 400.0):
         assert series_value(doubled, t / 2) == series_value(params, t)
         assert invert(doubled, t / 2) == invert(params, t)
