@@ -14,7 +14,7 @@ by four mutually cross-checking routes:
 plus a discrete search for the stock size maximising the perpetual value,
 and a CLI (``restock``) that emits CSV/JSON reports.  Every gamma cdf comes
 from one primitive, :func:`restock.volterra.erlang_cdf_grid`.  The series
-takes the O(k) residue sum over the transform's poles where its rounding
+takes the residue sum over the transform's live poles where its rounding
 bound is tight, and one walk of the Poisson pmf, accurate relative to
 itself, everywhere else; neither has a tolerance to set.
 

@@ -13,8 +13,8 @@ s_j = A/(2t) + i*pi*j/t and u_j = (-1)^j Re w_hat(s_j), u_0 halved,
 w(t) is e^(A/2)/t times the Euler average 2^-15 sum_m C(15, m) S_(n+m)
 of the partial sums S of u_0, ..., u_(n+15).  The line passes right of
 every pole: s = 0 and the ring s_p = mu*(omega_p/alpha - 1) about -mu.
-n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64, from the last
-such pole in closed form, O(1) whatever k is; n is at most about 6.9k + 64
+n = floor(1.5 t max{Im s_p : |Re s_p| t < 45}/pi) + 64, the live poles
+counted by :func:`restock.valuation._live_poles`; n is at most about 6.9k + 64
 whatever mu*t is, since Im s_p t < 45 cot(pi/k) for a live pole p >= 1.
 
 The error estimate adds three terms.  Aliasing: the discretisation error
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from restock.valuation import _EPS, EffectiveParams, ModelParams, _check_horizon, _pole, effective
+from restock.valuation import _EPS, EffectiveParams, ModelParams, _check_horizon, _live_poles, _pole, effective
 
 __all__ = ["invert"]
 
@@ -67,23 +67,10 @@ def _w_hat_raw(s, log_qphi, theta: float):
 
 
 def _term_count(eff: EffectiveParams, t: float) -> int:
-    """n = floor(1.5 t Im s_P/pi) + 64 for the last live pole s_P, P <= (k+1)/4,
-    of :func:`restock.valuation._pole`, or n = 64 where none is.
-
-    Pole p is live while -Re(alpha s_p) t/alpha < 45, that is, while
-    sin^2(pi p/k) < S = (45 alpha/t - r_eff)/(2 mu), so P is
-    min(floor((k+1)/4), ceil((k/pi) asin(sqrt(S))) - 1), S clamped to [0, 1],
-    moved by one where the rule, rounded as _pole rounds it, disagrees at P or P + 1.
-    """
-
-    def live(p: int) -> bool:
-        sin = math.sin(math.pi * p / eff.k)
-        return 0 < p <= (eff.k + 1) // 4 and (eff.mu * (2.0 * sin * sin) + eff.r_eff) / eff.alpha * t < 45.0
-
-    share = min(max((45.0 * eff.alpha / t - eff.r_eff) / eff.mu / 2.0, 0.0), 1.0)  # 2 mu may overflow
-    last = min((eff.k + 1) // 4, math.ceil(eff.k / math.pi * math.asin(math.sqrt(share))) - 1)
-    last += live(last + 1) - (last > 0 and not live(last))
-    if last <= 0:  # no live pole: 1.5 t may overflow, and inf times a zero reach is NaN
+    """n = floor(1.5 t Im s_P/pi) + 64 for the last live pole s_P at reach 45,
+    P <= (k+1)/4, past which Im s_p stops growing, or n = 64 where none is."""
+    last = min(_live_poles(eff, t, 45.0), (eff.k + 1) // 4)
+    if last == 0:  # no live pole: 1.5 t may overflow, and inf times a zero reach is NaN
         return 64
     reach = _pole(last, eff)[1].imag / eff.alpha
     return math.floor(1.5 * t * reach / math.pi) + 64
@@ -127,5 +114,6 @@ def invert(params: ModelParams, t: float) -> float:
     eff = effective(params)
     if t == 0:
         return 0.0
-    value, estimate = _line_sum(eff, t, _term_count(eff, t))
+    with np.errstate(all="ignore"):  # _gate is the check: it names t where a value is not finite
+        value, estimate = _line_sum(eff, t, _term_count(eff, t))
     return _gate(value, estimate, eff.v, t)

@@ -18,10 +18,10 @@ omega_j the k-th roots of unity, so the residue (Heaviside) expansion
 
     w(t) = v + (theta/k) Re sum_j (1 + mu/s_j) e^(s_j t)
 
-is exact (Abate & Whitt, INFORMS J. Comput. 18(4), 2006).  It costs O(k)
-whatever mu t is, so it is tried where that undercuts the walk,
-k < 2 sqrt(mu t), and returned where its computed rounding bound is at
-most 2^-44 of the value; the walk covers every other point.  Its j = 0
+is exact (Abate & Whitt, INFORMS J. Comput. 18(4), 2006).  Summed over
+its live poles only, where e^(s_j t) is not 0.0 (fewer than 20 sqrt(alpha)
+where k < 2 sqrt(mu t)), it is tried there and returned where its rounding
+bound is at most 2^-44 of the value; the walk covers the rest.  Its j = 0
 term, with s_0 = -rho and the tilt rho = r*mu/(r+mu) that restores unit
 mass to the kernel e^(rho s) q f(s), is the large-t approximation
 w(t) ~= v - (theta*mu/(k*r)) e^(-rho t).
@@ -73,9 +73,9 @@ _LOWER_SPAN = 9.0
 # The residue sum is returned where its rounding bound is at most this
 # fraction of the value, ~1e-14 relative like the walk.
 _RESIDUE_TOL = 2.0**-44
-# It is tried where k < _RESIDUE_REACH * sqrt(mu t): its k/2 pole pairs
-# cost about 13 pmf steps each, the walk there at least about 17 sqrt(mu t)
-# steps, so an attempt costs at most ~3/4 of the walk it may replace.
+# It is tried where k < _RESIDUE_REACH * sqrt(mu t): its live pole pairs, at most
+# k/2 and (as sin x >= 2x/pi) below 19.4 sqrt(alpha), cost ~13 pmf steps each, the
+# walk ~17 sqrt(mu t) or more, so an attempt costs at most ~3/4 of that walk.
 _RESIDUE_REACH = 2.0
 
 
@@ -374,11 +374,11 @@ def perpetual_value(params: ModelParams) -> float:
 def series_value(params: ModelParams, t: float) -> float:
     """w(t) exactly, by the residue sum where its bound is tight, else by one pmf walk.
 
-    Where k < 2 sqrt(mu t), the residue sum of :func:`_residue_sum` (O(k)
-    whatever mu t is) is tried first and returned if its computed rounding
-    bound is at most 2^-44 of the value.  At large mu t the series and
-    ``laplace`` then both rest on the transform's poles; every point below
-    that gate, small mu t and heavy cancellation included, is walked.
+    Where k < 2 sqrt(mu t), the residue sum of :func:`_residue_sum`, over
+    fewer than 20 sqrt(alpha) live poles, is tried first and returned if its
+    rounding bound is at most 2^-44 of the value.  At large mu t the series
+    and ``laplace`` then both rest on the transform's poles; every point
+    below that gate, small mu t and heavy cancellation included, is walked.
 
     The walk: with F*n(t) = P(N >= n k) for N ~ Poisson(mu t), summing the
     series theta * sum_n q^n F*n(t) by parts gives one expectation over N:
@@ -472,15 +472,33 @@ def _pole(j: int, eff: EffectiveParams) -> tuple[complex, complex]:
     return gap, eff.mu * gap - eff.r_eff
 
 
+def _live_poles(eff: EffectiveParams, t: float, reach: float) -> int:
+    """P, the number of live poles p = 1, ..., k/2 of :func:`_pole`, -Re(s_p) t < reach.
+
+    -Re(alpha s_p) = 2 mu sin^2(pi p/k) + r_eff grows with p, so they are a prefix:
+    sin^2(pi p/k) < S = (reach alpha/t - r_eff)/(2 mu).  P is ceil((k/pi) asin(sqrt(S)))
+    - 1, S clamped to [0, 1], capped at k/2 and moved by one where the rule, rounded
+    as _pole rounds it, disagrees at P or P + 1: O(1) whatever k is."""
+
+    def live(p: int) -> bool:
+        sin = math.sin(math.pi * p / eff.k)
+        return 0 < p <= eff.k // 2 and (eff.mu * (2.0 * sin * sin) + eff.r_eff) / eff.alpha * t < reach
+
+    share = min(max((reach * eff.alpha / t - eff.r_eff) / eff.mu / 2.0, 0.0), 1.0)  # 2 mu may overflow
+    last = min(eff.k // 2, math.ceil(eff.k / math.pi * math.asin(math.sqrt(share))) - 1)
+    return max(0, last + live(last + 1) - (last > 0 and not live(last)))
+
+
 def _residue_sum(eff: EffectiveParams, t: float) -> tuple[float, float]:
     """w(t) = v + (theta/k) Re sum_j mu omega_j / (alpha s_j) e^(s_j t), and a rounding bound.
 
     The poles come from :func:`_pole`, without cancellation; 1 + mu/s_j is
-    written mu omega_j / (alpha s_j).  Only j <= k/2 is summed, the
-    conjugate pairs doubled.  The residues are summed with their rounding
-    errors (Knuth's TwoSum), then v and the errors are added, two roundings
-    of w up to a u^2 k sum |term| remainder; no list, generator or closure
-    is allocated.  With u = 2^-53 the bound is
+    written mu omega_j / (alpha s_j).  Only the live j <= k/2 are summed
+    (:func:`_live_poles` at 746: past it s_j t as formed here is below
+    -745.14, where math.exp is 0.0), the conjugate pairs doubled, with their
+    rounding errors (Knuth's TwoSum); then v and the errors are added, two
+    roundings of w up to a u^2 k sum |term| remainder; no list, generator or
+    closure is allocated.  With u = 2^-53 the bound is
 
         u ((4 k ln(alpha) + 7) |v| + (4 rho t + 6) |term_0|
            + sum_(j>=1) (13 |s_j| t + 34) |term_j| + 2 |w|),
@@ -498,7 +516,7 @@ def _residue_sum(eff: EffectiveParams, t: float) -> tuple[float, float]:
     mass = (4.0 * eff.k_log_alpha + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
     scale, t_alpha = eff.theta * eff.mu / k, t / eff.alpha
     total, spill = lead, 0.0  # the residues' sum and its rounding errors (TwoSum)
-    for j in range(1, k // 2 + 1):
+    for j in range(1, _live_poles(eff, t, 746.0) + 1):
         gap, pole = _pole(j, eff)
         exponent = pole * t_alpha  # s_j t
         decay = math.exp(exponent.real)

@@ -18,8 +18,9 @@ transform's pole residues in mpmath, at whatever precision the sum's
 cancellation needs, from its own poles and roots of unity.
 
 The last section holds derived quantities that only the tests use (the
-residual value, the tilted forcing term, the inversion's term count by a
-walk over the poles, the perpetuity's path totals block by block and both
+residual value, the tilted forcing term, the live poles and the
+inversion's term count by a walk over the poles, the residue sum over
+every pole, the perpetuity's path totals block by block and both
 sides of the perpetuity equation).  They are
 built on the package's own primitives, and their tests check identities
 between those primitives.
@@ -216,21 +217,49 @@ def tail_weight(params: ModelParams, t: float) -> float:
     return effective(params).v * (1.0 - convolution_cdf(1, t, params.k, params.mu))
 
 
-def term_count_walk(eff: EffectiveParams, t: float) -> int:
-    """``laplace._term_count`` by walking the poles p = 1, 2, ... of ``valuation._pole``.
+def live_pole_walk(eff: EffectiveParams, t: float, reach: float, cap: int) -> int:
+    """The number of live poles p = 1, ..., cap of ``valuation._pole``, by walking them.
 
-    Pole p is live while -Re(alpha s_p) t/alpha < 45; the live poles are a
-    prefix, so the walk stops at the first dead one, or at (k+1)/4, past
-    which Im s_p stops growing, and keeps the last live pole's Im s_p.
-    O(k) calls, where ``_term_count`` makes at most one.
+    Pole p is live while -Re(alpha s_p) t/alpha < reach; the live poles are
+    a prefix, so the walk stops at the first dead one.  O(P) calls, where
+    ``valuation._live_poles`` makes none.
     """
-    reach = 0.0
-    for p in range(1, (eff.k + 1) // 4 + 1):
-        pole = valuation._pole(p, eff)[1]  # alpha s_p
-        if not -pole.real / eff.alpha * t < 45.0:
-            break
-        reach = pole.imag / eff.alpha
+    p = 0
+    while p < cap and -valuation._pole(p + 1, eff)[1].real / eff.alpha * t < reach:
+        p += 1
+    return p
+
+
+def term_count_walk(eff: EffectiveParams, t: float) -> int:
+    """``laplace._term_count`` by walking the poles up to (k+1)/4, past which
+    Im s_p stops growing, and keeping the last live pole's Im s_p."""
+    last = live_pole_walk(eff, t, 45.0, (eff.k + 1) // 4)
+    reach = valuation._pole(last, eff)[1].imag / eff.alpha if last else 0.0
     return math.floor(1.5 * t * reach / math.pi) + 64
+
+
+def residue_sum_all_poles(eff: EffectiveParams, t: float) -> tuple[float, float]:
+    """``valuation._residue_sum`` over all k/2 poles, the dead ones included:
+    its loop as it was before the sum stopped at its last live pole."""
+    k, lead = eff.k, valuation._key_renewal_term(eff, t)
+    mass = (4.0 * eff.k_log_alpha + 7.0) * abs(eff.v) + (4.0 * eff.rho * t + 6.0) * abs(lead)
+    scale, t_alpha = eff.theta * eff.mu / k, t / eff.alpha
+    total, spill = lead, 0.0  # the residues' sum and its rounding errors (TwoSum)
+    for j in range(1, k // 2 + 1):
+        gap, pole = valuation._pole(j, eff)
+        exponent = pole * t_alpha  # s_j t
+        decay = math.exp(exponent.real)
+        rotation = complex(decay * math.cos(exponent.imag), decay * math.sin(exponent.imag))
+        term = scale * (1.0 + gap) / pole * rotation
+        pair = 1.0 if 2 * j == k else 2.0
+        mass += pair * (13.0 * abs(exponent) + 34.0) * abs(term)
+        x = pair * term.real
+        partial = total + x
+        shift = partial - total
+        spill += (total - (partial - shift)) + (x - shift)
+        total = partial
+    value = (eff.v + total) + spill
+    return value, valuation._EPS * (mass + 2.0 * abs(value))
 
 
 def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int) -> np.ndarray:

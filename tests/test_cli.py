@@ -294,19 +294,17 @@ class TestCurve:
 
     def test_laplace_where_1_5_t_overflows_names_t(self):
         # 1.5 t is inf for t past ~1.2e308, and with no live pole the term
-        # count once formed inf * 0.  In a fresh interpreter, since pytest
-        # turns the line sum's numpy warnings into errors.
-        argv = ["curve", "--method", "laplace", "--k", "1", "--mu", "1", "--r", "1", "--theta", "1",
-                "--t-max", "1.7e308", "--step", "1.7e308"]
-        code = (
-            "import contextlib, io\n"
-            "from restock.cli import main\n"
-            "err = io.StringIO()\n"
-            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-            f"    code = main({argv!r})\n"
-            "print(code, err.getvalue().splitlines()[-1])\n"
-        )
-        assert _fresh_python(code).startswith("2 error: Bromwich-line inversion failed its self-check at t=1.7e+308")
+        # count once formed inf * 0; the line sum's numpy warnings, errors
+        # here, once reached stderr ahead of the self-check's own line
+        src = str(Path(restock.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        for model in (["--k", "1", "--r", "1"], ["--k", "10", "--r", "0.02"]):
+            argv = ["curve", "--method", "laplace", *model, "--mu", "1", "--theta", "1", "--t-max", "1.7e308", "--step", "1.7e308"]
+            proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "restock.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            assert len(proc.stderr.splitlines()) == 1, proc.stderr
+            assert proc.stderr.startswith("error: Bromwich-line inversion failed its self-check at t=1.7e+308"), proc.stderr
 
     def test_step_must_tile_horizon(self, capsys):
         code, _, err = run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "10", "--step", "3")

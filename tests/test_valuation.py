@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 
 import mpmath
 import numpy as np
@@ -371,6 +372,81 @@ class TestSeriesRoutes:
         doubled = ModelParams(k=10, mu=40.0, r=0.04, cost=LinearCost(a=1.0, b=1.0))
         assert series_value(doubled, t / 2) == series_value(HIGH_DEMAND, t)
         assert walked(doubled, t / 2, monkeypatch) == walked(HIGH_DEMAND, t, monkeypatch)
+
+
+    def test_residue_sum_stops_at_its_last_live_pole(self, monkeypatch):
+        # it calls poles 1, ..., P, and pole P + 1 decays to exactly 0.0, as
+        # do all later ones: value and bound keep every bit of the sum over
+        # all k/2 poles.  k log-uniform to 5,000, a quarter k = 3 (mod 4),
+        # t from 0.01 to 10^4 mean cycles, then in-gate points at k to 10^5
+        calls, pole = [], valuation._pole
+        monkeypatch.setattr(valuation, "_pole", lambda j, eff: calls.append(j) or pole(j, eff))
+        rng = random.Random(46)
+        points = []
+        for _ in range(400):
+            k = int(math.exp(rng.uniform(0.0, math.log(5000))))
+            if rng.random() < 0.25:
+                k = 4 * (k // 4) + 3
+            mu = 10.0 ** rng.uniform(-3.0, 3.0)
+            points.append((k, mu, mu * 10.0 ** rng.uniform(-10.0, 1.0), k / mu * 10.0 ** rng.uniform(-2.0, 4.0)))
+        for _ in range(6):
+            k, mu = int(10.0 ** rng.uniform(4.0, 5.0)), 10.0 ** rng.uniform(-3.0, 3.0)
+            points.append((k, mu, mu * 10.0 ** rng.uniform(-10.0, -3.0), (k / 2) ** 2 / mu * 10.0 ** rng.uniform(0.0, 4.0)))
+        for k, mu, r, t in points:
+            eff = effective(ModelParams(k=k, mu=mu, r=r, cost=FixedCost(theta=1.0)))
+            calls.clear()
+            value = valuation._residue_sum(eff, t)
+            last = len(calls)
+            assert calls == list(range(1, last + 1)), (k, mu, r, t)
+            assert value == oracles.residue_sum_all_poles(eff, t), (k, mu, r, t)
+            if last < k // 2:
+                assert math.exp((pole(last + 1, eff)[1] * (t / eff.alpha)).real) == 0.0, (k, mu, r, t)
+
+    def test_huge_stock_calls_only_its_live_poles(self, monkeypatch):
+        # 6 of the 50,000 pole pairs are live at mu t = 1e10; the sum over
+        # all of them made 50,000 _pole calls
+        calls, pole = [], valuation._pole
+        monkeypatch.setattr(valuation, "_pole", lambda j, eff: calls.append(j) or pole(j, eff))
+        params = ModelParams(k=10**5, mu=1.0, r=1e-9, cost=FixedCost(theta=1.0))
+        assert series_value(params, 1e10) == 9999.046014031168
+        assert len(calls) <= 7
+
+    def test_poles_past_the_double_range_add_nothing(self, monkeypatch):
+        # mu t = 1e308: the one pole pair's s_1 t overflows; it is dead, so
+        # the sum is v plus the j = 0 residue, with a finite bound
+        monkeypatch.setattr(valuation, "_pmf", no_walk)
+        params = ModelParams(k=3, mu=1e10, r=1e-297, cost=FixedCost(theta=1.0))
+        assert series_value(params, 1e298) == asymptotic_value(params, 1e298)
+
+
+class TestLivePoles:
+    @pytest.mark.parametrize("reach", [45.0, 746.0])
+    def test_closed_form_equals_the_pole_walk(self, reach):
+        # the points of the term count's test, the boundaries at this reach:
+        # k log-uniform to 20,000, a quarter k = 3 (mod 4), t from 0.01 to
+        # 10^4 mean cycles, and for a random pole p the t where
+        # -Re(alpha s_p) t/alpha = reach and one ulp either side
+        rng = random.Random(44)
+        points, flips = [], 0
+        for _ in range(700):
+            k = int(math.exp(rng.uniform(0.0, math.log(20_000))))
+            if rng.random() < 0.25:
+                k = 4 * (k // 4) + 3
+            mu = 10.0 ** rng.uniform(-3.0, 3.0)
+            eff = effective(ModelParams(k=k, mu=mu, r=mu * 10.0 ** rng.uniform(-10.0, 1.0), cost=FixedCost(1.0)))
+            points.append((eff, k / mu * 10.0 ** rng.uniform(-2.0, 4.0)))
+            if k >= 2:
+                edge = reach / (-valuation._pole(rng.randint(1, k // 2 + 1), eff)[1].real / eff.alpha)
+                near = [(eff, math.nextafter(edge, 0.0)), (eff, edge), (eff, math.nextafter(edge, math.inf))]
+                flips += len({oracles.live_pole_walk(*point, reach, k // 2) for point in near}) > 1
+                points += near
+        assert len(points) >= 2000 and flips >= 100, (len(points), flips)  # the sample crosses the boundary
+        walks = [oracles.live_pole_walk(eff, t, reach, eff.k // 2) for eff, t in points]
+        assert [point for point, walk in zip(points, walks) if valuation._live_poles(*point, reach) != walk] == []
+        if reach == 746.0:  # every pole past the count adds exactly 0.0 to the residue sum
+            for (eff, t), walk in zip(points, walks):
+                for p in range(walk + 1, eff.k // 2 + 1):
+                    assert math.exp((valuation._pole(p, eff)[1] * (t / eff.alpha)).real) == 0.0, (eff, t, p)
 
 
 class TestResidualAndTail:
