@@ -43,10 +43,13 @@ Both estimators run on one block engine, a horizon call with an estimate
 for each nonzero time of its grid: an estimate's paths are cut into
 blocks of ``_BLOCK``, every (estimate, block) pair draws from its own
 stream and reduces its samples to (count, mean, sum of squared
-deviations) at once, and an estimate's blocks merge in block order by
-Chan, Golub & LeVeque's pairwise update (Amer. Statist. 37(3), 1983), so
-memory stays at one block per worker for both.  The blocks run on every
-CPU the process may use (numpy's samplers and ufuncs release the GIL).
+deviations) at once, in units of the power of two at or below v (for
+the perpetuity, at least theta * 2^-1000, where the discounts underflow),
+so that no square overflows or underflows where v is finite.  An estimate's blocks merge in
+block order by Chan, Golub & LeVeque's pairwise update (Amer. Statist.
+37(3), 1983), so memory stays at one block per worker for both.  The
+blocks run on every CPU the process may use (numpy's samplers and ufuncs
+release the GIL).
 
 Determinism: every draw comes from an SFC64 stream (Doty-Humphrey's Small
 Fast Chaotic generator) seeded through numpy's SeedSequence by the key
@@ -190,7 +193,8 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     n_paths = _check_count("n_paths", n_paths, 2)
     seed = _check_seed(seed)
     eff = effective(params)
-    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v
+    unit = _unit(eff.v)
+    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v / unit
     drawn = list(dict.fromkeys(t for t in times if t > 0))
     if drawn and k >= 2**63:
         raise ValueError(f"k = {k} is past the int64 cycle counts of the Monte Carlo clock (k < 2**63)")
@@ -208,7 +212,7 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
         return samples
 
     by_time = {0.0: MCEstimate(mean=0.0, stderr=0.0, n_paths=0, seed=seed)}
-    by_time.update(zip(drawn, _block_estimates(payouts, len(drawn), n_paths, seed)))
+    by_time.update(zip(drawn, _block_estimates(payouts, len(drawn), n_paths, seed, unit)))
     estimates = tuple(by_time[t] for t in times)
     return estimates[0] if scalar else MCCurve(estimates=estimates)
 
@@ -226,13 +230,26 @@ def _check_times(times) -> tuple[float, ...]:
     return tuple(checked)
 
 
-def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[MCEstimate]:
+def _unit(v: float) -> float:
+    """The power of two at or below |v|: the unit a sampler's draws are reduced in.
+
+    A sample in this unit is about 1 where the value is, so its square
+    stays in range wherever v is finite; a power of two scales every
+    rounding exactly, so no result moves by a bit where neither scale
+    overflows or underflows.
+    """
+    return math.ldexp(1.0, math.frexp(v)[1] - 1)
+
+
+def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int, unit: float) -> list[MCEstimate]:
     """n_estimates estimates of n_paths each, from blocks of _BLOCK paths on up to one thread per CPU.
 
     ``sample(i, b, size)`` returns a fresh array of the ``size`` samples of
-    estimate i's block b, which is reduced in place to (count, mean, sum
-    of squared deviations M2).  Unit u = i * blocks + b is estimate i's
-    block b; worker w runs units w, w + workers, w + 2 * workers, ... in
+    estimate i's block b, in units of ``unit`` (a power of two, see
+    :func:`_unit`), which is reduced in place to (count, mean, sum of
+    squared deviations M2); each estimate's mean and stderr are multiplied
+    by ``unit`` once, at the end.  Job i * blocks + b is estimate i's
+    block b; worker w runs jobs w, w + workers, w + 2 * workers, ... in
     turn, and the calling thread is worker 0, so a single worker starts no
     thread.  A worker stops at its first exception, and the first
     exception raised is re-raised once every worker has returned.  An
@@ -242,21 +259,21 @@ def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[
     and n = n_a + n_b.
     """
     blocks = -(-n_paths // _BLOCK)
-    units = n_estimates * blocks
-    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * units
-    workers = max(1, min(_usable_cpus(), units))
+    jobs = n_estimates * blocks
+    parts: list[tuple[int, float, float]] = [(0, 0.0, 0.0)] * jobs
+    workers = max(1, min(_usable_cpus(), jobs))
     errors: list[BaseException] = []
 
     def work(first: int) -> None:
         try:
-            for unit in range(first, units, workers):
-                i, block = divmod(unit, blocks)
+            for job in range(first, jobs, workers):
+                i, block = divmod(job, blocks)
                 size = min(_BLOCK, n_paths - block * _BLOCK)
                 samples = sample(i, block, size)
                 mean = float(samples.mean())
                 samples -= mean
                 np.square(samples, out=samples)
-                parts[unit] = (size, mean, float(samples.sum()))
+                parts[job] = (size, mean, float(samples.sum()))
                 del samples  # else this block lives on while the next one is drawn
         except BaseException as exc:
             errors.append(exc)
@@ -277,12 +294,13 @@ def _block_estimates(sample, n_estimates: int, n_paths: int, seed: int) -> list[
             mean += delta * size / (n + size)
             m2 += block_m2 + delta * delta * n * size / (n + size)
             n += size
-        estimates.append(MCEstimate(mean=mean, stderr=math.sqrt(m2 / (n - 1)) / math.sqrt(n), n_paths=n, seed=seed))
+        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+        estimates.append(MCEstimate(mean=mean * unit, stderr=stderr * unit, n_paths=n, seed=seed))
     return estimates
 
 
-def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: int) -> np.ndarray:
-    """Discounted payment totals of ``size`` paths, ended by weight-window roulette.
+def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: int, unit: float) -> np.ndarray:
+    """Discounted payment totals of ``size`` paths in units of ``unit``, ended by weight-window roulette.
 
     Once a round's payment theta * D_n is added, a path whose discount
     D_n has fallen below the window c = _WINDOW survives with probability
@@ -295,7 +313,7 @@ def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: i
     to its slot of the result, and the rest shrink to the survivors one
     array at a time, so that no two old arrays outlive their copies.
     """
-    k, rate, theta = eff.k, eff.r_eff / eff.mu, eff.theta
+    k, rate, theta = eff.k, eff.r_eff / eff.mu, eff.theta / unit
     totals = np.empty(size)
     slots = np.arange(size)
     log_discount = np.zeros(size)
@@ -347,7 +365,11 @@ def simulate_vk(params: ModelParams, n_paths: int, seed: int) -> MCEstimate:
         raise ValueError(f"a perpetuity path needs about {rounds:.3g} rounds, past the cap of {_MAX_ROUNDS}; "
                          "`restock value` gives the exact perpetual value")
 
-    def totals(_: int, block: int, size: int) -> np.ndarray:
-        return _perpetuity_block(eff, _stream(seed, _VK_PRICE, block), size)
+    # past k ln(alpha) ~ 709 the discounts fall below the double range while
+    # theta * D_n does not, and theta / unit is held below 2^1001, where it is finite
+    unit = max(_unit(eff.v), math.ldexp(_unit(eff.theta), -1000))
 
-    return _block_estimates(totals, 1, n_paths, seed)[0]
+    def totals(_: int, block: int, size: int) -> np.ndarray:
+        return _perpetuity_block(eff, _stream(seed, _VK_PRICE, block), size, unit)
+
+    return _block_estimates(totals, 1, n_paths, seed, unit)[0]

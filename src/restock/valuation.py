@@ -478,7 +478,10 @@ def _live_poles(eff: EffectiveParams, t: float, reach: float) -> int:
     -Re(alpha s_p) = 2 mu sin^2(pi p/k) + r_eff grows with p, so they are a prefix:
     sin^2(pi p/k) < S = (reach alpha/t - r_eff)/(2 mu).  P is ceil((k/pi) asin(sqrt(S)))
     - 1, S clamped to [0, 1], capped at k/2 and moved by one where the rule, rounded
-    as _pole rounds it, disagrees at P or P + 1: O(1) whatever k is."""
+    as _pole rounds it, disagrees at P or P + 1: O(1) whatever k is.  Near k = 10^12,
+    where S is within ~1e-10 of 1, P can miss the count of the rounded rule by up to
+    24; no caller reaches that corner, as the term count is capped at (k+1)/4 and the
+    residue sum's gate k < 2 sqrt(mu t) keeps S far below 1 at such k."""
 
     def live(p: int) -> bool:
         sin = math.sin(math.pi * p / eff.k)

@@ -266,7 +266,7 @@ def perpetuity_totals(params: ModelParams, n_paths: int, seed: int, domain: int)
     """Totals of n_paths perpetuity paths, one ``_perpetuity_block`` draw per block b on (seed, domain, b)."""
     eff = effective(params)
     sizes = [min(_BLOCK, n_paths - start) for start in range(0, n_paths, _BLOCK)]
-    return np.concatenate([_perpetuity_block(eff, _stream(seed, domain, b), size) for b, size in enumerate(sizes)])
+    return np.concatenate([_perpetuity_block(eff, _stream(seed, domain, b), size, 1.0) for b, size in enumerate(sizes)])
 
 
 def verify_perpetuity_equation(params: ModelParams, n_paths: int, seed: int) -> tuple[MCEstimate, MCEstimate]:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -642,6 +643,46 @@ class TestSimulate:
         row = parse_csv(out)[0]
         assert (row["mean"], row["stderr"], row["n_paths"]) == ("0", "0", "0")
 
+    @pytest.mark.parametrize(
+        "mode, theta",
+        [(["--horizon", "1e6", "--k", "1", "--r", "1e-3"], "1e200"), (["--perpetual", "--k", "10", "--r", "0.02"], "1e306")],
+        ids=["horizon", "perpetual"],
+    )
+    def test_a_value_near_the_double_range_keeps_a_finite_stderr(self, capsys, mode, theta):
+        # v = 1e203 (horizon) and 4.6e306 (perpetual): the samples' squares,
+        # and the perpetual totals' sum, are past the double range, so the
+        # reduction runs in units of a power of two near v.  The estimate is
+        # theta times that of theta = 1, its stderr to within an ulp of the
+        # mean where every horizon sample is v
+        def estimate(theta):
+            code, out, err = run_cli(capsys, "simulate", *mode, "--mu", "1", "--theta", theta, "--paths", "1000")
+            assert (code, err) == (0, "")
+            return json.loads(out)["estimate"]
+
+        unit, large = estimate("1"), estimate(theta)
+        assert 0.0 <= large["stderr"] < 0.1 * large["mean"] < math.inf
+        scaled = {name: unit[name] * float(theta) for name in ("mean", "stderr")}
+        ulp = 2.0**-52 * large["mean"]
+        assert {name: large[name] for name in scaled} == pytest.approx(scaled, rel=1e-12, abs=ulp)
+
+    def test_a_perpetuity_past_the_discounts_range_keeps_its_estimate(self, capsys):
+        # k ln(alpha) = 716: every discount D_n is below 1e-311 (subnormal) and
+        # theta / v is past the double range, yet theta * D_n is about 1e-11.
+        # The estimate is theta times that of theta = 1, whose squares are
+        # near 1e-623, with a nonzero stderr, and is within 4 stderr of v
+        flags = ["simulate", "--perpetual", "--k", "72000", "--mu", "1", "--r", "0.01", "--paths", "1000"]
+
+        def estimate(theta):
+            code, out, err = run_cli(capsys, *flags, "--theta", theta)
+            assert (code, err) == (0, "")
+            return json.loads(out)["estimate"]
+
+        unit, large = estimate("1"), estimate("1e300")
+        assert 0.0 < large["stderr"] < large["mean"] < math.inf
+        assert abs(large["mean"] - perpetual_value(ModelParams(k=72000, mu=1.0, r=0.01, cost=FixedCost(theta=1e300)))) < 4.0 * large["stderr"]
+        scaled = {name: unit[name] * 1e300 for name in ("mean", "stderr")}
+        assert {name: large[name] for name in scaled} == pytest.approx(scaled, rel=1e-9)
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["simulate", "--perpetual", *TABLE_FLAGS, "--paths", "20000", "--seed", "123"]
         _, first, _ = run_cli(capsys, *argv)
@@ -790,6 +831,64 @@ class TestParserPin:
         parsed = vars(build_parser().parse_args(argv))
         assert parsed.pop("func") is getattr(cli, func)
         assert parsed == {"command": argv[0], **expected}
+
+
+def _parse(capsys, parser, argv: list[str]) -> tuple:
+    """(Namespace dict or None, exit code or None, stdout, stderr) of one parse_args call."""
+    try:
+        parsed, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        parsed, code = None, exc.code
+    captured = capsys.readouterr()
+    return parsed, code, captured.out, captured.err
+
+
+_MODEL = ["--k", "3", "--mu", "1", "--r", "0.02", "--theta", "1"]
+_ONE_COMMAND_ARGVS = [
+    ["value", *_MODEL],
+    ["curve", "--method", "series", *_MODEL, "--t-max", "4", "--step", "2", "--with-mc"],
+    ["compare", *_MODEL, "--t-max", "4", "--step", "2", "--tol", "1e-6", "--out", "json"],
+    ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02", "--k-max", "9"],
+    ["paper-table", "--out", "json"],
+    ["simulate", "--horizon", "5", *_MODEL, "--paths", "10", "--seed", "3"],
+    *([name, "--help"] for name in ("value", "curve", "compare", "optimize", "paper-table", "simulate")),
+    ["curve", "--method", "series", *_MODEL, "--t-max", "4", "--bogus"],  # argparse prints the top-level usage
+    ["paper-table", "--version"],
+    ["value", "--k", "3"],
+    ["curve", "--method", "spline", *_MODEL, "--t-max", "4"],
+    ["simulate", "--perpetual", *_MODEL, "--out", "xml"],
+    ["simulate", "--perpetual", "--horizon", "5", *_MODEL],
+]
+
+
+class TestOneCommandParser:
+    """``main`` builds only the named subcommand's parser; it must parse as the full one does."""
+
+    @pytest.mark.parametrize("argv", _ONE_COMMAND_ARGVS, ids=" ".join)
+    def test_parses_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        one, full = _parse(capsys, build_parser(argv[0]), argv), _parse(capsys, build_parser(), argv)
+        assert one == full
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--", "curve", "--help"]], ids=repr)
+    def test_a_line_without_a_leading_command_gets_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _parse(capsys, build_parser(), argv)[1:]
+
+    def test_a_command_adds_one_subparser(self, capsys, monkeypatch):
+        # work, not time: the full parser adds six
+        added = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            added.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "2", "--step", "1")[0] == 0
+        assert added == ["curve"]
 
 
 class TestOutputHygiene:

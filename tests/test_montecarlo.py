@@ -362,9 +362,9 @@ class TestPerpetuity:
         # paths on a 2-vCPU Xeon), within the cap; the blocks are stubbed
         sizes = []
 
-        def unit_totals(eff, stream, size):
+        def unit_totals(eff, stream, size, unit):
             sizes.append(size)
-            return np.ones(size)
+            return np.full(size, 1.0 / unit)  # totals of 1.0 in the block's unit
 
         monkeypatch.setattr(montecarlo, "_perpetuity_block", unit_totals)
         est = simulate_vk(ModelParams(k=1, mu=1.0, r=1e-4, cost=FixedCost(theta=1.0)), 2_000, 1)
@@ -447,7 +447,7 @@ class TestPerpetuityBlocks:
             drawn.append(weakref.ref(samples))
             return samples
 
-        montecarlo._block_estimates(sample, 1, 3 * _BLOCK, 0)
+        montecarlo._block_estimates(sample, 1, 3 * _BLOCK, 0, 1.0)
         assert alive == [[], [False], [False, False]]
 
     def test_one_worker_starts_no_thread(self, monkeypatch):
