@@ -26,15 +26,14 @@ parser (:func:`build_parser` given its name), with the same output; one
 that names none (no arguments, ``--help``, ``--version``, an unknown
 command) builds all six, as a bare ``build_parser()`` does.  From a fresh
 interpreter on a 2-vCPU Xeon, the first ``curve --method series`` call
-(11 points) takes ~2.4 ms with the one parser against ~3.1 ms with all six,
-and ``value`` ~3.4 ms against ~4.4 ms; the interpreter's own start is
+(11 points) takes ~2.8 ms with the one parser against ~3.7 ms with all six,
+and ``value`` ~4.0 ms against ~5.2 ms; the interpreter's own start is
 ~38 ms.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import sys
@@ -331,49 +330,42 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     # flag groups shared by several subcommands, each flag declared once and
-    # each group built on its first use
-    @functools.cache
-    def model():
-        group = argparse.ArgumentParser(add_help=False)
-        group.add_argument("--k", type=int, required=True, help="stock size (units)")
-        group.add_argument("--mu", type=float, required=True, help="demand intensity (per unit time)")
-        group.add_argument("--r", type=float, required=True, help="discount rate (per unit time)")
-        group.add_argument("--theta", type=float, default=None, help="flat payment per replacement")
-        group.add_argument("--a", type=float, default=None, help="fixed cost per restocking operation")
-        group.add_argument("--b", type=float, default=None, help="unit margin per item")
-        group.add_argument("--growth", type=float, default=0.0, help="cost inflation rate (default 0)")
-        return group
+    # added to each subparser that takes it
+    def model(subparser):
+        subparser.add_argument("--k", type=int, required=True, help="stock size (units)")
+        subparser.add_argument("--mu", type=float, required=True, help="demand intensity (per unit time)")
+        subparser.add_argument("--r", type=float, required=True, help="discount rate (per unit time)")
+        subparser.add_argument("--theta", type=float, default=None, help="flat payment per replacement")
+        subparser.add_argument("--a", type=float, default=None, help="fixed cost per restocking operation")
+        subparser.add_argument("--b", type=float, default=None, help="unit margin per item")
+        subparser.add_argument("--growth", type=float, default=0.0, help="cost inflation rate (default 0)")
 
-    @functools.cache
-    def grid():
-        group = argparse.ArgumentParser(add_help=False)
-        group.add_argument("--t-max", type=float, required=True, help="last report time; the grid starts at 0")
-        group.add_argument("--step", type=float, default=None, help="report spacing; must tile --t-max (required if > 0)")
-        group.add_argument("--h", type=float, default=0.01, help="Volterra solver step (default %(default)s)")
-        return group
+    def grid(subparser):
+        subparser.add_argument("--t-max", type=float, required=True, help="last report time; the grid starts at 0")
+        subparser.add_argument("--step", type=float, default=None, help="report spacing; must tile --t-max (required if > 0)")
+        subparser.add_argument("--h", type=float, default=0.01, help="Volterra solver step (default %(default)s)")
 
-    @functools.cache
-    def mc():
-        group = argparse.ArgumentParser(add_help=False)
-        group.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths (default %(default)s)")
-        group.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
-        return group
+    def mc(subparser):
+        subparser.add_argument("--paths", type=int, default=100_000, help="Monte Carlo paths (default %(default)s)")
+        subparser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed (default %(default)s)")
 
-    def add(name, func, out, summary, *parents):
-        subparser = sub.add_parser(name, help=summary, parents=parents)
+    def add(name, func, out, summary, *groups):
+        subparser = sub.add_parser(name, help=summary)
+        for group in groups:
+            group(subparser)
         subparser.add_argument("--out", choices=("csv", "json"), default=out, help="output format (default %(default)s)")
         subparser.set_defaults(func=func)
         return subparser
 
     with_mc = "add seeded Monte Carlo rows (curve: --method all)"
     if command in (None, "value"):
-        add("value", cmd_value, "json", "perpetual value and derived constants", model())
+        add("value", cmd_value, "json", "perpetual value and derived constants", model)
     if command in (None, "curve"):
-        curve = add("curve", cmd_curve, "csv", "one method on a horizon grid", model(), grid(), mc())
+        curve = add("curve", cmd_curve, "csv", "one method on a horizon grid", model, grid, mc)
         curve.add_argument("--method", choices=CURVE_METHODS, required=True, help="valuation method")
         curve.add_argument("--with-mc", action="store_true", help=with_mc)
     if command in (None, "compare"):
-        compare = add("compare", cmd_compare, "csv", "cross-validate the analytic methods", model(), grid(), mc())
+        compare = add("compare", cmd_compare, "csv", "cross-validate the analytic methods", model, grid, mc)
         compare.add_argument("--tol", type=float, default=1e-4, help="agreement gate (default %(default)s)")
         compare.add_argument("--with-mc", action="store_true", help=with_mc)
     if command in (None, "optimize"):
@@ -385,7 +377,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "paper-table"):
         add("paper-table", cmd_paper_table, "csv", "re-derive the published example table and diagnose it")
     if command in (None, "simulate"):
-        simulate = add("simulate", cmd_simulate, "json", "seeded Monte Carlo estimate", model(), mc())
+        simulate = add("simulate", cmd_simulate, "json", "seeded Monte Carlo estimate", model, mc)
         mode = simulate.add_mutually_exclusive_group(required=True)
         mode.add_argument("--horizon", type=float, default=None, help="finite horizon t")
         mode.add_argument("--perpetual", action="store_true", help="perpetual value (infinite horizon)")

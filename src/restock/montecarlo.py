@@ -194,7 +194,9 @@ def simulate_wk(params: ModelParams, t, n_paths: int, seed: int) -> MCEstimate |
     seed = _check_seed(seed)
     eff = effective(params)
     unit = _unit(eff.v)
-    k, mu, log_q, scale = eff.k, eff.mu, -eff.k_log_alpha, -eff.v / unit
+    # q^N is exactly 0.0 for N >= 1 once ln q < -745.2, so the floor keeps
+    # every sample and turns an infinite k ln(alpha) into no 0 * -inf = NaN
+    k, mu, log_q, scale = eff.k, eff.mu, max(-eff.k_log_alpha, -746.0), -eff.v / unit
     drawn = list(dict.fromkeys(t for t in times if t > 0))
     if drawn and k >= 2**63:
         raise ValueError(f"k = {k} is past the int64 cycle counts of the Monte Carlo clock (k < 2**63)")
@@ -320,7 +322,8 @@ def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: i
     payout = np.zeros(size)
     while slots.size:
         cycle = stream.standard_gamma(k, slots.size)
-        cycle *= rate
+        with np.errstate(over="ignore"):  # an infinite exponent is a discount of exactly 0.0
+            cycle *= rate
         log_discount -= cycle
         np.exp(log_discount, out=cycle)
         cycle *= theta

@@ -361,7 +361,9 @@ def effective(params: ModelParams) -> EffectiveParams:
     k_log_alpha = k * math.log1p(r_eff / mu)
     phi_k = math.exp(-k_log_alpha)
     v = _perpetuity(theta, k_log_alpha)
-    rho = r_eff * mu / (r_eff + mu)
+    # rho = r_eff/alpha <= min(r_eff, mu) cannot overflow; where alpha does,
+    # rho = mu/(1 + mu/r_eff) rounds to mu
+    rho = r_eff / alpha if alpha < math.inf else mu
     return EffectiveParams(theta=theta, r_eff=r_eff, alpha=alpha, phi_k=phi_k, rho=rho, mu0=k * alpha / mu, v=v,
                            k=k, mu=mu, k_log_alpha=k_log_alpha)
 

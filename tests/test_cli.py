@@ -106,6 +106,17 @@ class TestValue:
         assert (code, out) == (2, "")
         assert "perpetual value overflows" in err
 
+    def test_tilt_rate_where_r_times_mu_overflows(self, capsys):
+        # rho = r*mu/(r + mu) once printed inf, and the methods that read it nan
+        model = ["--k", "1", "--mu", "1e300", "--r", "1e300", "--theta", "1"]
+        code, out, _ = run_cli(capsys, "value", *model, "--out", "csv")
+        assert code == 0
+        assert parse_csv(out)[0]["rho"] == "5e+299"
+        for method in ("asymptotic", "exact_k1", "series"):
+            code, out, _ = run_cli(capsys, "curve", "--method", method, *model, "--t-max", "1", "--step", "1")
+            assert code == 0
+            assert [row["value"] for row in parse_csv(out)] == ["0", "1"], method
+
 
 class TestCurve:
     def test_series_grid(self, capsys):
@@ -248,6 +259,18 @@ class TestCurve:
             code, out, err = run_cli(capsys, "curve", "--method", "volterra", *argv, "--h", "1e9")
         assert (code, out) == (2, "")
         assert err == "error: rate * x overflows: rate = 1e+300, x up to 1000000000.0\n"
+
+    def test_step_demand_overflowing_past_the_support_is_solved(self, capsys):
+        # mu*h = 1e308: the first point is past the kernel's support and 2*mu*h
+        # overflows, so the solver must not evaluate the cdfs past that point
+        argv = ["--k", "2", "--mu", "1e300", "--r", "1", "--theta", "1", "--t-max", "1e9", "--step", "1e8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "curve", "--method", "volterra", *argv, "--h", "1e8")
+        assert (code, err) == (0, "")
+        values = [float(row["value"]) for row in parse_csv(out)]
+        assert values[0] == 0.0 and values[-1] == 5e299
+        assert all(4.9e299 < value <= 5e299 for value in values[1:])
 
     @pytest.mark.parametrize(
         "argv",
@@ -610,6 +633,30 @@ class TestPaperTable:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize(
+        "argv, column",
+        [
+            (["curve", "--method", "mc", "--k", "2", "--mu", "1e-300", "--r", "1e300", "--theta", "1e-300",
+              "--t-max", "0.001", "--step", "0.001", "--paths", "200"], "value"),
+            (["simulate", "--horizon", "1", "--k", "3", "--mu", "1e-300", "--r", "1e300", "--a", "1", "--b", "1",
+              "--paths", "300", "--out", "csv"], "mean"),
+            (["simulate", "--perpetual", "--k", "100000", "--mu", "1e-6", "--r", "1e300", "--theta", "1",
+              "--paths", "300", "--out", "csv"], "mean"),
+        ],
+        ids=["curve-mc", "simulate-horizon", "simulate-perpetual"],
+    )
+    def test_overflowing_rate_ratio_gives_zero_without_warnings(self, argv, column):
+        # r/mu overflows, so k ln(alpha) or a cycle's discount exponent is
+        # inf: the horizon samples once formed 0 * -inf = nan, and the
+        # perpetuity let numpy's overflow warning reach stderr
+        src = str(Path(restock.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "restock.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = parse_csv(proc.stdout)
+        assert rows and all(row[column] == "0" and row["stderr"] == "0" for row in rows), proc.stdout
+
     def test_perpetual_report(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -889,6 +936,21 @@ class TestOneCommandParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
         assert run_cli(capsys, "curve", "--method", "series", *TABLE_FLAGS, "--t-max", "2", "--step", "1")[0] == 0
         assert added == ["curve"]
+
+    @pytest.mark.parametrize("command, parsers", [("curve", 2), ("value", 2), (None, 7)])
+    def test_parsers_built(self, monkeypatch, command, parsers):
+        # work, not time: the top-level parser and one per subcommand, with
+        # no parent parsers to copy the shared flags from
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser(command)
+        assert len(built) == parsers
 
 
 class TestOutputHygiene:

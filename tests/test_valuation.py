@@ -146,6 +146,11 @@ class TestEffective:
         # mu^2 overflows a double; k*alpha/mu does not
         assert effective(ModelParams(k=1, mu=1e200, r=1.0, cost=FixedCost(1.0))).mu0 == 1e-200
 
+    @pytest.mark.parametrize("mu, r, rho", [(1e300, 1e300, 5e299), (1e10, 1e300, 1e10), (1e-300, 1e300, 1e-300)])
+    def test_tilt_rate_at_extreme_rates(self, mu, r, rho):
+        # rho <= min(r, mu) is finite where r*mu overflows, and where alpha does
+        assert effective(ModelParams(k=1, mu=mu, r=r, cost=FixedCost(1.0))).rho == rho
+
     @given(params=params_strategy())
     def test_invariant_identities(self, params):
         eff = effective(params)
