@@ -26,8 +26,9 @@ clock's own epoch, e^(-r_eff S_n), gives a larger value at finite horizons
 t = 10); at t = inf both are v.
 
 The perpetuity keeps simulating the discount products themselves: each
-round draws one Gamma(k, 1) variate per live path, mu times its cycle
-length.  Once a path's discount D falls below the window c = ``_WINDOW``
+round draws one Gamma variate of shape k and scale r_eff/mu per live path,
+the exponent of its discount factor (inf, a factor of exactly 0.0, where it
+overflows).  Once a path's discount D falls below the window c = ``_WINDOW``
 it plays weight-window Russian roulette (Spanier & Gelbard, *Monte Carlo
 Principles and Neutron Transport Problems*, 1969): it survives with
 probability D / c, carrying D = c on, and retires otherwise.  Every path
@@ -64,7 +65,7 @@ estimate, whatever other times share the call, and from (seed, n_paths,
 params, ``_BLOCK``, ``_WINDOW``) for the perpetuity, and neither depends
 on the number of cores or on how the blocks are scheduled.  The numpy
 version is part of the recipe too, because the horizon clock uses
-``Generator.poisson`` and the perpetuity ``Generator.standard_gamma``
+``Generator.poisson`` and the perpetuity ``Generator.gamma``
 (Marsaglia & Tsang, ACM TOMS 26(3), 2000) and ``Generator.random``,
 numpy's own samplers.
 """
@@ -321,9 +322,7 @@ def _perpetuity_block(eff: EffectiveParams, stream: np.random.Generator, size: i
     log_discount = np.zeros(size)
     payout = np.zeros(size)
     while slots.size:
-        cycle = stream.standard_gamma(k, slots.size)
-        with np.errstate(over="ignore"):  # an infinite exponent is a discount of exactly 0.0
-            cycle *= rate
+        cycle = stream.gamma(k, rate, slots.size)
         log_discount -= cycle
         np.exp(log_discount, out=cycle)
         cycle *= theta

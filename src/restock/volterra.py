@@ -1,6 +1,9 @@
 """Direct numerical solution of the defective renewal equation.
 
-The expected present value solves the second-kind Volterra equation
+The package's horizon value w(t) = theta * sum_{n>=1} q^n F*n(t), in which
+payment n is discounted by q^n, the mean discount of n cycles, and not by
+its own epoch (:mod:`restock.valuation` gives the gap to the
+clock-discounted value), solves the second-kind Volterra equation
 
     w(t) = theta * q * F(t) + integral_0^t w(t - s) * q * f(s) ds,
 
@@ -284,12 +287,17 @@ def _renewal_system(eff: EffectiveParams, grid: GridSpec) -> tuple[np.ndarray, n
     size = cdf_k.size - 1
 
     # Panel j covers [(j-1)h, jh]; a_panel is its kernel mass and b_panel the
-    # mass-weighted mean offset int (s - (j-1)h)/h f(s) ds.
+    # mass-weighted mean offset int (s - (j-1)h)/h f(s) ds, formed as
+    # k/(mu*h) * (F_(k+1)(jh) - F_(k+1)((j-1)h)) - (j-1) * a_panel.  A nonzero
+    # F_(k+1) on the grid needs mu*h >= 3e-162/n (at k = 1, more at larger k),
+    # so k/(mu*h) is finite wherever it is used; where the last F_(k+1) is 0,
+    # every one is, and k/(mu*h), inf or 1/0, is not formed.
     a_panel = cdf_k[1:] - cdf_k[:-1]
-    first_moment = (k / mu) * (cdf_k1[1:] - cdf_k1[:-1])
+    b_panel = cdf_k1[1:] - cdf_k1[:-1]
+    if cdf_k1[-1] > 0.0:
+        b_panel *= k / (mu * h)
     del cdf_k1
-    b_panel = (first_moment - np.arange(size) * h * a_panel) / h
-    del first_moment
+    b_panel -= np.arange(size) * a_panel
 
     # Piecewise-linear w hits w_{i-j} and w_{i-j+1} across panel j, so the
     # convolution weight attached to w_l (0 < l < i) collects B from panel

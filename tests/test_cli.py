@@ -260,6 +260,31 @@ class TestCurve:
         assert (code, out) == (2, "")
         assert err == "error: rate * x overflows: rate = 1e+300, x up to 1000000000.0\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k", "1", "--t-max", "1e308", "--step", "1e307", "--h", "1e306"],
+            ["--k", "3", "--t-max", "1e10", "--step", "1e10", "--h", "1e10"],
+        ],
+        ids=["k1", "k3"],
+    )
+    def test_overflowing_kernel_mean_is_solved(self, argv):
+        # k/mu overflows at mu = 1e-310, so the panels' first moments once
+        # formed inf * 0 = nan and printed nan rows with exit 0
+        model = ["--mu", "1e-310", "--r", "1e-310", "--theta", "1"]
+        src = str(Path(restock.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "restock.cli",
+                               "curve", "--method", "volterra", *model, *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        params = ModelParams(k=int(argv[1]), mu=1e-310, r=1e-310, cost=FixedCost(1.0))
+        bound = min(0.0075 * (1e-310 * float(argv[-1])) ** 2, 1.0) * perpetual_value(params)
+        rows = parse_csv(proc.stdout)
+        assert len(rows) > 1
+        for row in rows:
+            assert abs(float(row["value"]) - series_value(params, float(row["t"]))) <= bound, row
+
     def test_step_demand_overflowing_past_the_support_is_solved(self, capsys):
         # mu*h = 1e308: the first point is past the kernel's support and 2*mu*h
         # overflows, so the solver must not evaluate the cdfs past that point
@@ -1000,7 +1025,7 @@ _PINNED_STDOUT = {
     "curve-volterra": (
         ["curve", "--method", "volterra", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05"],
         "70da1568de381cd50fe90d00d0f5ee0fd7ad982253e98d930f8dd65d0fca49ca",
-        "b8ecb5895003bac9f9bbf8d7acd4d8525187c51de4c9d6c594510e8d2bb22d86",
+        "bdcfcab0393e7f262a6eea66c0ab169ee2fc5a7037a27aa06a7fe2e241921d4b",
     ),
     "curve-laplace": (
         ["curve", "--method", "laplace", *TABLE_FLAGS, *_PIN_GRID],
@@ -1025,12 +1050,12 @@ _PINNED_STDOUT = {
     "curve-all": (
         ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
         "69e823ced7077415724199fc9a10ad7e8aa749ce5105a6c2ccd013243b5c874e",
-        "7121e6204a6c96016760e67c409c5294de484b23cb2aad1bb7b52c3e9751450e",
+        "594fd682254db119ffc69afdbadf1027b929aa927934a5add75e3225fda4843e",
     ),
     "compare": (
         ["compare", *TABLE_FLAGS, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
         "726513484c33c75882debab4e33badd66775334fd0becd3c07a97cb6c86668fc",
-        "86e869a0d2a198c32bd84c331f75750cc2895c71621288a4fc4c3f2313b6b337",
+        "5fa581881600ff710d2939528797c7c6dab2abd02b572b79fdb85e5e0c7ccf4d",
     ),
     "optimize": (
         ["optimize", "--a", "1", "--b", "1", "--mu", "1", "--r", "0.02"],
@@ -1061,7 +1086,7 @@ _PINNED_STDOUT = {
     "curve-all-growth": (
         ["curve", "--method", "all", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_GRID, "--h", "0.05", "--with-mc", *_PIN_MC],
         "17ebb15aa13673d4371836440e88076e40ba1bd90201c9d96a2194da63ea9008",
-        "93696ca36473ef0032824b1d1f407c46b665365c1c22933f30b87a1d8a41e427",
+        "da592e0f1d5ce4d1cf2a86e793b1ecada01af2bc1a3ab822e54a28793a5139f2",
     ),
     "simulate-perpetual-growth": (
         ["simulate", "--perpetual", *TABLE_FLAGS, *_PIN_GROWTH, *_PIN_MC],

@@ -102,7 +102,7 @@ class TestDeterminism:
 
     def test_vk_value_pinned(self):
         # the perpetuity's stream domains, its block size, its roulette
-        # window and its standard_gamma cycle draw are part of the recipe: a
+        # window and its gamma cycle draw are part of the recipe: a
         # shifted domain moves this mean by about one stderr (0.03)
         assert simulate_vk(TABLE, 20_000, 7).mean == pytest.approx(41.01950816360203, rel=1e-12)
 

@@ -142,6 +142,12 @@ class TestEffective:
         with pytest.raises(ValueError, match="perpetual value overflows"):
             effective(ModelParams(k=1, mu=mu, r=r, cost=FixedCost(theta)))
 
+    def test_overflowing_linear_payoff_is_named(self):
+        # b*k overflows while v = (b*k - a)/(alpha^k - 1) would be its cause,
+        # so the message names the payoff, not the perpetual value
+        with pytest.raises(ValueError, match=r"^replacement payoff b\*k - a overflows: b = 1e\+308, k = 10$"):
+            effective(ModelParams(k=10, mu=1.0, r=0.02, cost=LinearCost(a=0.0, b=1e308)))
+
     def test_tilted_mean_at_extreme_demand(self):
         # mu^2 overflows a double; k*alpha/mu does not
         assert effective(ModelParams(k=1, mu=1e200, r=1.0, cost=FixedCost(1.0))).mu0 == 1e-200
